@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -138,21 +137,8 @@ def validate_config(path):
     return cfg, warnings
 
 
-def _atomic_write_text(text, path):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_jsonl(records, path):
-    _atomic_write_text(
+    TR.atomic_write_text(
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), path
     )
 
@@ -213,7 +199,7 @@ def cmd_data_build(cfg):
         records, rstats = D.load_dataset(paths[name], schema, vocab)
         size = os.path.getsize(paths[name])
         rows.append((name, rstats.count, rstats.token_count, size))
-    _atomic_write_text(D.stats_table(rows) + "\n", paths["stats"])
+    TR.atomic_write_text(D.stats_table(rows) + "\n", paths["stats"])
     print(D.stats_table(rows))
     return 0
 
@@ -237,8 +223,17 @@ def _load_vocab(cfg):
     return M.load_vocab(_data_paths(cfg)["vocab"])
 
 
+def _load_records(cfg, stage):
+    """One stage's training records; skipped malformed records are reported."""
+    records, stats = D.load_dataset(_data_paths(cfg)[stage], stage)
+    if stats.rejected:
+        print(f"warning: {stage}: skipped {len(stats.rejected)} malformed records "
+              f"(first: {stats.rejected[0]})", file=sys.stderr)
+    return records
+
+
 def _split_blocks(cfg, vocab):
-    records, _ = D.load_dataset(_data_paths(cfg)["cpt"], "cpt")
+    records = _load_records(cfg, "cpt")
     blocks = D.pack_blocks(records, vocab, cfg.data["block_size"])
     n_hold = max(1, int(len(blocks) * cfg.data["holdout_fraction"]))
     # The stream is ordered by disease, so a contiguous tail would keep the
@@ -263,10 +258,7 @@ def cmd_train(cfg, stage):
     else:
         prev = "cpt" if stage == "sft" else "sft"
         state = TR.load_checkpoint(_ckpt_path(cfg, prev))
-        if stage == "sft":
-            dataset, _ = D.load_dataset(_data_paths(cfg)["sft"], "sft")
-        else:
-            dataset, _ = D.load_dataset(_data_paths(cfg)["dpo"], "dpo")
+        dataset = _load_records(cfg, stage)
     log_path = os.path.join(cfg.report_dir, f"{stage}_metrics.csv")
     os.makedirs(cfg.report_dir, exist_ok=True)
     state, metrics = TR.run_stage(state, stage_cfg, dataset, vocab=vocab,

@@ -355,12 +355,6 @@ def load_dataset(path, schema, vocab=None):
     return records, stats
 
 
-def save_jsonl(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
 def stats_table(rows):
     """Plain-text table: (dataset, samples, tokens, size-bytes) rows."""
     header = f"{'Dataset':<12} {'# of samples':>12} {'# of tokens':>12} {'Size':>10}"

@@ -1,11 +1,10 @@
 """Hot numeric kernels with numba-compiled and pure-numpy variants.
 
 The compiled path is the default; set MEDLM_NO_NUMBA=1 to force the
-pure-numpy fallback (useful for debugging and for the benchmark in
-benchmarks/bench_kernels.py). Both variants compute identical results:
-the compiled loops apply the same per-element operation sequence as the
-vectorized numpy code, so seeded runs stay bit-reproducible on either
-path.
+pure-numpy fallback (useful for debugging). Both variants compute
+identical results: the compiled loops apply the same per-element
+operation sequence as the vectorized numpy code, so seeded runs stay
+bit-reproducible on either path.
 """
 
 import os

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, VocabError
+from .errors import ConfigError, ContractError, DataError, VocabError
 from .tensor import Tensor
 
 SPECIAL_SYMBOLS = ("<BOS>", "<EOS>", "<PAD>", "<SEP>")
@@ -234,18 +234,31 @@ def _project(x, params, adapter, name, rng):
     return y
 
 
-def forward_logits(params, adapter, tokens, train_rng=None):
-    """Logits [T, V]; position t sees only tokens <= t (causal mask)."""
+def forward_logits(params, adapter, tokens, train_rng=None, cache=None):
+    """Logits [T, V]; position t sees only tokens <= t (causal mask).
+
+    ``cache`` is an optional per-request KV cache for decoding: a list
+    holding one ``(K, V)`` pair of ``[S, d_model]`` arrays per layer, or
+    empty before the first call. ``tokens`` then continue the ``S`` cached
+    positions: they take position ids ``S, S+1, ...``, attend to the cached
+    keys and values, and their own K/V are appended to the list in place.
+    A cache is only legal under ``no_grad``, and ``S + len(tokens)`` must
+    not exceed ``max_seq_len``.
+    """
     c = params.config
     n = len(tokens)
     if n == 0:
         raise DataError("forward_logits: empty token sequence")
-    if n > c.max_seq_len:
-        raise DataError(f"sequence length {n} exceeds max_seq_len {c.max_seq_len}")
+    if cache is not None and T._GRAD_ENABLED:
+        raise ContractError("forward_logits: a KV cache needs no_grad")
+    start = len(cache[0][0]) if cache else 0
+    if start + n > c.max_seq_len:
+        raise DataError(f"sequence length {start + n} exceeds max_seq_len {c.max_seq_len}")
     dh = c.d_model // c.n_heads
-    causal = np.tril(np.ones((n, n)))
+    causal = np.tril(np.ones((n, start + n)), k=start)
 
-    x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"], range(n))
+    x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"],
+                                                               range(start, start + n))
     x = T.dropout(x, c.dropout, train_rng)
     for i in range(c.n_layers):
         p = f"layer{i}."
@@ -253,6 +266,11 @@ def forward_logits(params, adapter, tokens, train_rng=None):
         q = _project(h, params, adapter, p + "wq", train_rng)
         k = _project(h, params, adapter, p + "wk", train_rng)
         v = _project(h, params, adapter, p + "wv", train_rng)
+        if cache is not None:
+            if start:
+                k = Tensor(np.concatenate([cache[i][0], k.data]))
+                v = Tensor(np.concatenate([cache[i][1], v.data]))
+            cache[i:i + 1] = [(k.data, v.data)]  # replace, or append on prefill
         heads = []
         for hd in range(c.n_heads):
             j0, j1 = hd * dh, (hd + 1) * dh
@@ -274,18 +292,28 @@ def forward_logits(params, adapter, tokens, train_rng=None):
 
 
 def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
-    """Argmax decoding; ties break toward the lowest token id (np.argmax)."""
+    """Argmax decoding; ties break toward the lowest token id (np.argmax).
+
+    The prompt is encoded once into a KV cache and each step feeds only the
+    new token. Past ``max_seq_len`` the window slides, which moves every
+    absolute position, so the cache is dropped and the last window re-encoded.
+    """
     if not prompt_ids:
         raise DataError("generate_greedy: empty prompt")
+    window = params.config.max_seq_len
     ids = list(prompt_ids)
     out = []
+    cache, feed = [], ids[-window:]
     with T.no_grad():
         for _ in range(max_new):
-            window = ids[-params.config.max_seq_len :]
-            logits = forward_logits(params, adapter, window)
+            logits = forward_logits(params, adapter, feed, cache=cache)
             nxt = int(np.argmax(logits.data[-1]))
             out.append(nxt)
             if nxt == stop_id:
                 break
             ids.append(nxt)
+            if len(ids) > window:
+                cache, feed = [], ids[-window:]
+            else:
+                feed = [nxt]
     return out

@@ -168,6 +168,19 @@ class TestPipelineCommands:
         out = capsys.readouterr().out
         assert isinstance(out, str)
 
+    def test_train_warns_about_skipped_records(self, built, tmp_path, capsys):
+        sft = tmp_path / "data" / "sft.jsonl"
+        n_good = len(sft.read_text("utf-8").splitlines())
+        with sft.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"instruction": "no output field"}) + "\n")
+        assert cli.main(["--config", str(built), "train", "cpt"]) == 0
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), "train", "sft"]) == 0
+        err = capsys.readouterr().err
+        assert (f"warning: sft: skipped 1 malformed records (first: line {n_good + 1}: "
+                in err)
+        assert (tmp_path / "ckpt" / "sft.ckpt").exists()
+
     def test_sft_without_cpt_checkpoint_fails_cleanly(self, built):
         assert cli.main(["--config", str(built), "train", "sft"]) == 1
 

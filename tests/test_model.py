@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from medlm import model as M
 from medlm import tensor as T
-from medlm.errors import ConfigError, DataError, VocabError
+from medlm.errors import ConfigError, ContractError, DataError, VocabError
 
 
 class TestVocab:
@@ -183,6 +183,85 @@ class TestGenerate:
         prompt = [0] + [4] * (tiny_config.max_seq_len - 1)
         out = M.generate_greedy(tiny_params, None, prompt, 5)
         assert len(out) >= 1  # no length error raised
+
+
+def _uncached_greedy(params, adapter, prompt, max_new, stop_id):
+    """Greedy decoding without a cache: a full forward over the last window per step."""
+    ids, out = list(prompt), []
+    with T.no_grad():
+        for _ in range(max_new):
+            logits = M.forward_logits(params, adapter, ids[-params.config.max_seq_len:])
+            nxt = int(np.argmax(logits.data[-1]))
+            out.append(nxt)
+            if nxt == stop_id:
+                break
+            ids.append(nxt)
+    return out
+
+
+class TestKvCache:
+    @pytest.fixture
+    def params(self, tiny_config):
+        # a larger init than the default keeps greedy output from settling on
+        # one repeated token, so a wrong cached position would show
+        return M.init_params(tiny_config, np.random.default_rng(3), init_scale=0.5)
+
+    @pytest.fixture
+    def adapter(self, params, rng):
+        adapter = M.attach_lora(params, M.LoraConfig(rank=2, dropout=0.0), rng)
+        for name, t in adapter.named():
+            if name.endswith(".B"):
+                t.data = 0.3 * rng.standard_normal(t.data.shape)
+        return adapter
+
+    def _prompt(self, config, n):
+        rng = np.random.default_rng(n)
+        return [M.BOS] + [int(t) for t in rng.integers(4, config.vocab_size, n - 1)]
+
+    # max_seq_len is 24: 22 decodes past the window, 30 starts beyond it
+    @pytest.mark.parametrize("prompt_len", [1, 5, 22, 30])
+    @pytest.mark.parametrize("with_adapter", [False, True])
+    def test_generate_matches_uncached(self, tiny_config, params, adapter,
+                                       prompt_len, with_adapter):
+        adapter = adapter if with_adapter else None
+        prompt = self._prompt(tiny_config, prompt_len)
+        ref = _uncached_greedy(params, adapter, prompt, 12, stop_id=-1)
+        assert len(set(ref)) > 1
+        assert M.generate_greedy(params, adapter, prompt, 12, stop_id=-1) == ref
+
+    def test_early_stop_matches_uncached(self, tiny_config, params):
+        prompt = self._prompt(tiny_config, 5)
+        free = _uncached_greedy(params, None, prompt, 12, stop_id=-1)
+        j = next(j for j in range(1, len(free)) if free[j] not in free[:j])
+        out = M.generate_greedy(params, None, prompt, 12, stop_id=free[j])
+        assert out == free[: j + 1]
+        assert out == _uncached_greedy(params, None, prompt, 12, stop_id=free[j])
+
+    def test_prefill_then_steps_match_full_forward(self, tiny_config, params, adapter):
+        tokens = self._prompt(tiny_config, tiny_config.max_seq_len)
+        cache = []
+        with T.no_grad():
+            full = M.forward_logits(params, adapter, tokens).data
+            rows = [M.forward_logits(params, adapter, tokens[:10], cache=cache).data]
+            for tok in tokens[10:]:
+                rows.append(M.forward_logits(params, adapter, [tok], cache=cache).data)
+        # the one-row matmuls may round differently from the full ones
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-12)
+        assert len(cache) == tiny_config.n_layers
+        for k, v in cache:
+            assert k.shape == v.shape == (len(tokens), tiny_config.d_model)
+
+    def test_cache_needs_no_grad(self, params):
+        with pytest.raises(ContractError):
+            M.forward_logits(params, None, [0, 4], cache=[])
+
+    def test_cache_overflow_rejected(self, tiny_config, params):
+        cache = []
+        with T.no_grad():
+            M.forward_logits(params, None, [0] * (tiny_config.max_seq_len - 1), cache=cache)
+            M.forward_logits(params, None, [4], cache=cache)  # exactly full
+            with pytest.raises(DataError):
+                M.forward_logits(params, None, [4], cache=cache)
 
 
 def test_init_params_is_seeded(tiny_config):
