@@ -13,8 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
 from . import model as M
 from . import objectives as O
@@ -172,17 +170,13 @@ def rouge_n(candidate, reference, n):
     return 2 * precision * recall / (precision + recall)
 
 
-def _char_ids(text):
-    return np.array([ord(ch) for ch in text], dtype=np.int64)
-
-
 def rouge_l(candidate, reference):
     """F1 from longest-common-subsequence length (character tokens)."""
     if not reference:
         raise DataError("rouge_l: empty reference")
     if not candidate:
         return 0.0
-    lcs = kernels.lcs_length(_char_ids(candidate), _char_ids(reference))
+    lcs = kernels.lcs_length(candidate, reference)
     if lcs == 0:
         return 0.0
     precision = lcs / len(candidate)

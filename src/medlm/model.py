@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,9 +61,10 @@ def decode_text(vocab, ids):
 
 def save_vocab(vocab, path):
     """One symbol per line, line number = id; \\n, \\r, \\ escaped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sym in vocab.symbols:
-            fh.write("".join(_ESCAPES.get(ch, ch) for ch in sym) + "\n")
+    from .trainer import atomic_write_text  # trainer imports this module
+
+    atomic_write_text("".join("".join(_ESCAPES.get(ch, ch) for ch in sym) + "\n"
+                              for sym in vocab.symbols), path)
 
 
 def load_vocab(path):
@@ -110,12 +113,32 @@ class LoraConfig:
     targets: tuple = ("wq", "wv")
 
 
-class ModelParams:
-    """Named parameter table for one transformer."""
+class ParamTable:
+    """Named tensors backed by one flat float64 buffer.
 
-    def __init__(self, config, tensors):
+    Each tensor's ``.data`` is a reshaped view into ``self.data`` and, while
+    grads are on, its ``.grad`` a view into ``self.grad``, in the order of
+    ``shapes``. Whole-table work (zeroing grads, clipping, AdamW, copy,
+    checkpoint I/O) is one array operation on the buffer. Update tensors in
+    place: rebinding a tensor's ``.data`` or ``.grad`` detaches it from the
+    buffer.
+    """
+
+    def __init__(self, config, shapes, data=None, requires_grad=True):
         self.config = config
-        self.tensors = tensors
+        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        size = sum(math.prod(shape) for shape in self.shapes.values())
+        self.data = np.zeros(size) if data is None else data
+        self.tensors = {name: Tensor(view) for name, view
+                        in zip(self.shapes, self._views(self.data))}
+        self.set_requires_grad(requires_grad)
+
+    def _views(self, buf):
+        offset = 0
+        for shape in self.shapes.values():
+            n = math.prod(shape)
+            yield buf[offset:offset + n].reshape(shape)
+            offset += n
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -124,30 +147,26 @@ class ModelParams:
         return self.tensors.items()
 
     def n_params(self):
-        return sum(t.data.size for t in self.tensors.values())
+        return self.data.size
 
     def set_requires_grad(self, flag):
-        for t in self.tensors.values():
+        self.grad = np.zeros_like(self.data) if flag else None
+        grads = self._views(self.grad) if flag else itertools.repeat(None)
+        for t, g in zip(self.tensors.values(), grads):
             t.requires_grad = flag
-            t.grad = np.zeros_like(t.data) if flag else None
+            t.grad = g
 
     def copy(self):
-        out = {}
-        for name, t in self.tensors.items():
-            c = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out[name] = c
-        return ModelParams(self.config, out)
+        return type(self)(self.config, self.shapes, self.data.copy(),
+                          requires_grad=self.grad is not None)
 
 
-class LoraAdapter:
+class ModelParams(ParamTable):
+    """Named parameter table for one transformer."""
+
+
+class LoraAdapter(ParamTable):
     """Low-rank residuals on selected projections: W + (alpha/r) * A @ B."""
-
-    def __init__(self, config, tensors):
-        self.config = config
-        self.tensors = tensors
-
-    def named(self):
-        return self.tensors.items()
 
     def scaling(self):
         return self.config.alpha / self.config.rank
@@ -157,69 +176,58 @@ class LoraAdapter:
         a = self.tensors.get(target_name + ".A")
         return (a, self.tensors[target_name + ".B"]) if a is not None else None
 
-    def copy(self):
-        out = {}
-        for name, t in self.tensors.items():
-            out[name] = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-        return LoraAdapter(self.config, out)
-
 
 def init_params(config, rng, init_scale=0.02):
-    def w(*shape):
-        return Tensor(init_scale * rng.standard_normal(shape), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
+    """Weights drawn from init_scale * N(0, 1), layer-norm gains 1, biases 0."""
     c = config
-    t = {"embed": w(c.vocab_size, c.d_model), "pos": w(c.max_seq_len, c.d_model)}
+    d = c.d_model
+    w = None  # fill value of a gaussian weight
+    spec = [("embed", (c.vocab_size, d), w), ("pos", (c.max_seq_len, d), w)]
     for i in range(c.n_layers):
         p = f"layer{i}."
-        for proj in ("wq", "wk", "wv", "wo"):
-            t[p + proj] = w(c.d_model, c.d_model)
-        t[p + "ln1.g"] = ones(c.d_model)
-        t[p + "ln1.b"] = zeros(c.d_model)
-        t[p + "ffn.w1"] = w(c.d_model, c.d_ff)
-        t[p + "ffn.b1"] = zeros(c.d_ff)
-        t[p + "ffn.w2"] = w(c.d_ff, c.d_model)
-        t[p + "ffn.b2"] = zeros(c.d_model)
-        t[p + "ln2.g"] = ones(c.d_model)
-        t[p + "ln2.b"] = zeros(c.d_model)
-    t["ln_f.g"] = ones(c.d_model)
-    t["ln_f.b"] = zeros(c.d_model)
-    t["head"] = w(c.d_model, c.vocab_size)
-    return ModelParams(c, t)
+        spec += [(p + proj, (d, d), w) for proj in ("wq", "wk", "wv", "wo")]
+        spec += [(p + "ln1.g", (d,), 1.0), (p + "ln1.b", (d,), 0.0),
+                 (p + "ffn.w1", (d, c.d_ff), w), (p + "ffn.b1", (c.d_ff,), 0.0),
+                 (p + "ffn.w2", (c.d_ff, d), w), (p + "ffn.b2", (d,), 0.0),
+                 (p + "ln2.g", (d,), 1.0), (p + "ln2.b", (d,), 0.0)]
+    spec += [("ln_f.g", (d,), 1.0), ("ln_f.b", (d,), 0.0),
+             ("head", (d, c.vocab_size), w)]
+    params = ModelParams(c, {name: shape for name, shape, _ in spec})
+    for name, shape, fill in spec:
+        if fill is w:
+            fill = init_scale * rng.standard_normal(shape)
+        params[name].data[...] = fill
+    return params
 
 
 def attach_lora(params, lora_config, rng, init_scale=0.02):
     """Fresh adapter with gaussian A and zero B: logits unchanged until trained."""
     c = params.config
     r = lora_config.rank
-    tensors = {}
+    shapes = {}
     for i in range(c.n_layers):
         for proj in lora_config.targets:
             name = f"layer{i}.{proj}"
             if name not in params.tensors:
                 raise ConfigError(f"attach_lora: unknown target {name}")
-            tensors[name + ".A"] = Tensor(
-                init_scale * rng.standard_normal((c.d_model, r)), requires_grad=True
-            )
-            tensors[name + ".B"] = Tensor(np.zeros((r, c.d_model)), requires_grad=True)
-    return LoraAdapter(lora_config, tensors)
+            shapes[name + ".A"] = (c.d_model, r)
+            shapes[name + ".B"] = (r, c.d_model)
+    adapter = LoraAdapter(lora_config, shapes)
+    for name, shape in shapes.items():
+        if name.endswith(".A"):
+            adapter[name].data[...] = init_scale * rng.standard_normal(shape)
+    return adapter
 
 
 def merge_lora(params, adapter):
     """Fold (alpha/r) * A @ B into each adapted weight; returns new params."""
     merged = params.copy()
     s = adapter.scaling()
-    for name, t in merged.tensors.items():
+    for name, t in merged.named():
         pair = adapter.pair(name)
         if pair is not None:
             a, b = pair
-            t.data = t.data + s * (a.data @ b.data)
+            t.data += s * (a.data @ b.data)
     return merged
 
 

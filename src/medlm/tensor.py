@@ -52,7 +52,7 @@ class Tensor:
 
     def zero_grad(self):
         if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+            self.grad[...] = 0.0  # in place: a parameter's grad is a buffer view
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -401,7 +401,8 @@ def backward(loss):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            # frozen inputs get no grad array (a frozen parameter has none)
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     for node in topo:
         if node.grad is None:

@@ -3,8 +3,9 @@ binary checkpoints and the metrics log.
 
 Checkpoint layout: magic "QLNM", little-endian u32 version, u32 header
 length, UTF-8 JSON header (model config, training metadata, tensor
-index with shapes and byte offsets), then raw little-endian float64
-payloads in row-major order.
+index with shapes and byte offsets), then the parameter buffer and the
+adapter buffer (if any) as raw little-endian float64. The index tiles
+the payload exactly, in buffer order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import model as M
 from . import objectives as O
 from .data import PreferencePair, SftExample, render_prompt
 from .errors import ConfigError, IntegrityError, TrainingError
-from .tensor import Tensor, backward
+from .tensor import backward
 
 MAGIC = b"QLNM"
 VERSION = 1
@@ -99,40 +100,31 @@ def lr_at(cfg, step, total_steps):
 
 
 class OptimState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
+    """First/second moment buffers for one parameter table, plus the step count."""
 
-    def __init__(self, named_tensors):
+    def __init__(self, table):
         self.step = 0
-        self.moments = {
-            name: (np.zeros_like(t.data), np.zeros_like(t.data))
-            for name, t in named_tensors
-        }
+        self.m = np.zeros_like(table.data)
+        self.v = np.zeros_like(table.data)
 
 
-def clip_gradients(named_tensors, max_norm=CLIP_NORM):
-    total = 0.0
-    for _, t in named_tensors:
-        total += float((t.grad**2).sum())
-    norm = math.sqrt(total)
+def clip_gradients(table, max_norm=CLIP_NORM):
+    """Scale the table's gradient to global norm max_norm if it is larger;
+    returns the norm before clipping."""
+    norm = math.sqrt(float(table.grad @ table.grad))
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, t in named_tensors:
-            t.grad *= scale
+        table.grad *= max_norm / norm
     return norm
 
 
-def optim_step(named_tensors, state, lr, weight_decay):
-    """Decoupled-weight-decay adaptive-moment update, in place."""
+def optim_step(table, state, lr, weight_decay):
+    """Decoupled-weight-decay adaptive-moment update of the whole table, in place."""
+    if not np.isfinite(table.grad).all():
+        bad = next(name for name, t in table.named() if not np.isfinite(t.grad).all())
+        raise TrainingError(f"non-finite gradient in tensor {bad!r}")
     state.step += 1
-    for name, t in named_tensors:
-        g = t.grad
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in tensor {name!r}")
-        m, v = state.moments[name]
-        kernels.adamw_update(
-            t.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1),
-            state.step, lr, weight_decay, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-        )
+    kernels.adamw_update(table.data, table.grad, state.m, state.v, state.step, lr,
+                         weight_decay, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
 
 
 @dataclass
@@ -168,21 +160,19 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
         _check_schema(cfg, dataset)
     rng = np.random.default_rng(cfg.seed)
 
-    params = state.params
-    adapter = state.adapter
+    params, adapter = state.params, state.adapter
+    params = M.merge_lora(params, adapter) if adapter is not None else params.copy()
     if cfg.stage == "cpt":
-        params = M.merge_lora(params, adapter) if adapter is not None else params.copy()
         adapter = None
         params.set_requires_grad(True)
-        trainable = list(params.named())
+        trainable = params
     else:
-        params = M.merge_lora(params, adapter) if adapter is not None else params.copy()
         params.set_requires_grad(False)
         lora_cfg = M.LoraConfig(
             rank=cfg.lora.rank, alpha=cfg.lora.alpha, dropout=cfg.lora.dropout
         )
         adapter = M.attach_lora(params, lora_cfg, rng)
-        trainable = list(adapter.named())
+        trainable = adapter
 
     dpo_cfg = None
     if cfg.stage == "dpo":
@@ -195,6 +185,20 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
     n_batches = max(1, math.ceil(len(dataset) / cfg.batch_size)) if dataset else 0
     total_steps = cfg.epochs * n_batches
     train_rng = np.random.default_rng(cfg.seed + 1)
+
+    def batch_loss(batch):
+        if cfg.stage == "dpo":
+            return O.dpo_loss(params, adapter, dpo_cfg, batch, vocab, train_rng=train_rng)
+        total = None
+        for ex in batch:
+            if cfg.stage == "cpt":
+                term = O.cpt_loss(params, adapter, ex, train_rng=train_rng)
+            else:
+                term = O.sft_loss(params, adapter, ex, vocab, render_prompt,
+                                  train_rng=train_rng)
+            total = term if total is None else total + term
+        return (1.0 / len(batch)) * total
+
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(dataset))
@@ -203,30 +207,15 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
             if not batch:
                 continue
             lr = lr_at(cfg, step, total_steps)
-            for _, t in trainable:
-                t.zero_grad()
-            if cfg.stage == "cpt":
-                loss = None
-                for block in batch:
-                    term = O.cpt_loss(params, adapter, block, train_rng=train_rng)
-                    loss = term if loss is None else loss + term
-                loss = (1.0 / len(batch)) * loss
-            elif cfg.stage == "sft":
-                loss = None
-                for ex in batch:
-                    term = O.sft_loss(params, adapter, ex, vocab, render_prompt,
-                                      train_rng=train_rng)
-                    loss = term if loss is None else loss + term
-                loss = (1.0 / len(batch)) * loss
-            else:
-                loss = O.dpo_loss(params, adapter, dpo_cfg, batch, vocab,
-                                  train_rng=train_rng)
-            backward(loss)
+            trainable.grad.fill(0.0)
+            graph = batch_loss(batch)
+            backward(graph)
+            loss = float(graph.data)
+            del graph  # free it before the optimizer's full-buffer temporaries
             clip_gradients(trainable)
             optim_step(trainable, opt, lr, cfg.weight_decay)
             step += 1
-            metrics.append({"step": step, "stage": cfg.stage, "lr": lr,
-                            "loss": float(loss.data)})
+            metrics.append({"step": step, "stage": cfg.stage, "lr": lr, "loss": loss})
     if log_path is not None:
         write_metrics(metrics, log_path)
     new_state = TrainState(params=params, adapter=adapter, stage=cfg.stage,
@@ -261,27 +250,25 @@ def atomic_write_text(text, path):
 # -- checkpoints -------------------------------------------------------
 
 
+def _tensor_index(kind, table, offset):
+    index = []
+    for name, shape in table.shapes.items():
+        index.append({"kind": kind, "name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
+    return index
+
+
 def save_checkpoint(state, path):
     """Atomic write: temp file in the target directory, then rename."""
-    names = []
-    arrays = []
-    offset = 0
-    index = []
-    for name, t in state.params.named():
-        names.append(("p", name))
-        arrays.append(t.data)
+    tables = [state.params]
+    index = _tensor_index("p", state.params, 0)
     adapter_info = None
     if state.adapter is not None:
         ac = state.adapter.config
         adapter_info = {"rank": ac.rank, "alpha": ac.alpha, "dropout": ac.dropout,
                         "targets": list(ac.targets)}
-        for name, t in state.adapter.named():
-            names.append(("a", name))
-            arrays.append(t.data)
-    for (kind, name), arr in zip(names, arrays):
-        index.append({"kind": kind, "name": name, "shape": list(arr.shape),
-                      "offset": offset})
-        offset += arr.nbytes
+        tables.append(state.adapter)
+        index += _tensor_index("a", state.adapter, state.params.data.nbytes)
     cfg = state.params.config
     header = {
         "config": {"vocab_size": cfg.vocab_size, "d_model": cfg.d_model,
@@ -291,7 +278,7 @@ def save_checkpoint(state, path):
         "adapter": adapter_info,
         "meta": {"stage": state.stage, "step": state.step, "seed": state.seed},
         "tensors": index,
-        "payload_bytes": offset,
+        "payload_bytes": sum(t.data.nbytes for t in tables),
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     dirname = os.path.dirname(os.path.abspath(path))
@@ -302,13 +289,36 @@ def save_checkpoint(state, path):
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<I", len(header_bytes)))
             fh.write(header_bytes)
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for table in tables:
+                fh.write(table.data.astype("<f8", copy=False))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _tile(index, payload_bytes, path):
+    """Shapes of the 'p' and 'a' tensors, from an index that must tile the
+    payload exactly: each offset where the previous tensor ends, every
+    parameter before every adapter tensor, the last one ending at the end."""
+    shapes = {"p": {}, "a": {}}
+    offset = 0
+    for entry in index:
+        kind, name, shape = entry["kind"], entry["name"], tuple(entry["shape"])
+        where = f"{path}: tensor {name!r}"
+        if kind not in shapes or (kind == "p" and shapes["a"]) or name in shapes[kind]:
+            raise IntegrityError(f"{where}: unexpected {kind!r} entry in the index")
+        if entry["offset"] != offset:
+            raise IntegrityError(f"{where} at offset {entry['offset']}, expected {offset}")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise IntegrityError(f"{where}: bad shape {list(shape)}")
+        shapes[kind][name] = shape
+        offset += 8 * math.prod(shape)
+    if offset != payload_bytes:
+        raise IntegrityError(f"{path}: tensor index ends at offset {offset}, "
+                             f"payload has {payload_bytes} bytes")
+    return shapes
 
 
 def load_checkpoint(path):
@@ -327,29 +337,26 @@ def load_checkpoint(path):
         header = json.loads(blob[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path}: corrupt header ({exc})") from exc
-    expected = header_end + header["payload_bytes"]
-    if len(blob) != expected:
-        raise IntegrityError(
-            f"{path}: payload size mismatch at offset {min(len(blob), expected)}"
-        )
-    config = M.ModelConfig(**header["config"])
-    ptensors = {}
-    atensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = header_end + entry["offset"]
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-        arr = arr.reshape(shape).astype(np.float64)
-        t = Tensor(arr, requires_grad=True)
-        (ptensors if entry["kind"] == "p" else atensors)[entry["name"]] = t
-    params = M.ModelParams(config, ptensors)
-    adapter = None
-    if header["adapter"] is not None:
+    try:
+        expected = header_end + header["payload_bytes"]
+        if len(blob) != expected:
+            raise IntegrityError(
+                f"{path}: payload size mismatch at offset {min(len(blob), expected)}"
+            )
+        shapes = _tile(header["tensors"], header["payload_bytes"], path)
+        config = M.ModelConfig(**header["config"])
         a = header["adapter"]
-        lcfg = M.LoraConfig(rank=a["rank"], alpha=a["alpha"], dropout=a["dropout"],
-                            targets=tuple(a["targets"]))
-        adapter = M.LoraAdapter(lcfg, atensors)
-    meta = header["meta"]
-    return TrainState(params=params, adapter=adapter, stage=meta["stage"],
-                      step=meta["step"], seed=meta["seed"])
+        lcfg = None if a is None else M.LoraConfig(
+            rank=a["rank"], alpha=a["alpha"], dropout=a["dropout"],
+            targets=tuple(a["targets"]))
+        meta = header["meta"]
+        stage, step, seed = meta["stage"], meta["step"], meta["seed"]
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"{path}: malformed header ({exc!r})") from None
+    if lcfg is None and shapes["a"]:
+        raise IntegrityError(f"{path}: adapter tensors without an adapter config")
+    payload = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
+    n_base = sum(math.prod(shape) for shape in shapes["p"].values())
+    params = M.ModelParams(config, shapes["p"], payload[:n_base])
+    adapter = None if lcfg is None else M.LoraAdapter(lcfg, shapes["a"], payload[n_base:])
+    return TrainState(params=params, adapter=adapter, stage=stage, step=step, seed=seed)

@@ -170,7 +170,7 @@ def test_lora_identity_and_merge():
 
     rng = np.random.default_rng(6)
     for _, t in adapter.named():
-        t.data = 0.03 * rng.standard_normal(t.data.shape)
+        t.data[...] = 0.03 * rng.standard_normal(t.data.shape)
     with_adapter = M.forward_logits(params, adapter, tokens).data
     merged = M.merge_lora(params, adapter)
     folded = M.forward_logits(merged, None, tokens).data

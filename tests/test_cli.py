@@ -184,6 +184,22 @@ class TestPipelineCommands:
     def test_sft_without_cpt_checkpoint_fails_cleanly(self, built):
         assert cli.main(["--config", str(built), "train", "sft"]) == 1
 
+    def test_sft_on_checkpoint_with_bad_header_fails_cleanly(self, built, tmp_path,
+                                                              capsys):
+        assert cli.main(["--config", str(built), "train", "cpt"]) == 0
+        ckpt = tmp_path / "ckpt" / "cpt.ckpt"
+        blob = ckpt.read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + n])
+        del header["meta"]
+        raw = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n:])
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), "train", "sft"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed header" in err
+        assert "Traceback" not in err
+
     def test_eval_mcq_without_checkpoint_scores_prefilled(self, built, tmp_path):
         assert cli.main(["--config", str(built), "eval", "mcq"]) == 0
         report = json.loads((tmp_path / "reports" / "mcq_report.json")

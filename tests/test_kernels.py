@@ -1,70 +1,41 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from medlm import kernels
 
+# small alphabets make common subsequences likely; CJK exercises non-ASCII keys
+_TEXT = st.text(alphabet="abc药病号。？", max_size=40)
+
 
 class TestLcs:
     def test_known_values(self):
-        a = np.array([1, 2, 3, 4], dtype=np.int64)
-        b = np.array([2, 4, 3, 4], dtype=np.int64)
-        assert kernels.lcs_length(a, b) == 3  # 2 3 4 or 2 4 4
-        assert kernels.lcs_length_py(a, b) == 3
+        assert kernels.lcs_length("1234", "2434") == 3  # 2 3 4 or 2 4 4
+        assert kernels.lcs_length("一号病吃药", "号病应该吃什么药") == 4
 
     def test_empty(self):
-        a = np.array([], dtype=np.int64)
-        b = np.array([1], dtype=np.int64)
-        assert kernels.lcs_length(a, b) == 0
-        assert kernels.lcs_length_py(a, b) == 0
+        assert kernels.lcs_length("", "a") == 0
+        assert kernels.lcs_length("a", "") == 0
+        assert kernels.lcs_length("", "") == 0
 
     def test_paths_agree_with_oracle(self, rng):
         for _ in range(30):
-            a = rng.integers(0, 5, size=rng.integers(0, 20)).astype(np.int64)
-            b = rng.integers(0, 5, size=rng.integers(1, 20)).astype(np.int64)
-            want = oracles.lcs_bf(a.tolist(), b.tolist())
-            assert kernels.lcs_length(a, b) == want
-            assert kernels.lcs_length_py(a, b) == want
+            a = "".join(map(str, rng.integers(0, 5, size=rng.integers(0, 20))))
+            b = "".join(map(str, rng.integers(0, 5, size=rng.integers(1, 20))))
+            assert kernels.lcs_length(a, b) == oracles.lcs_bf(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TEXT, _TEXT)
+    def test_matches_oracle_property(self, a, b):
+        assert kernels.lcs_length(a, b) == oracles.lcs_bf(a, b)
 
 
 class TestAdamwPaths:
-    def test_active_and_fallback_paths_are_bit_identical(self, rng):
-        w1 = rng.standard_normal(64)
-        g = rng.standard_normal(64)
-        w2, m1, v1 = w1.copy(), np.zeros(64), np.zeros(64)
-        m2, v2 = np.zeros(64), np.zeros(64)
-        for step in range(1, 6):
-            kernels.adamw_update(w1, g, m1, v1, step, 0.01, 0.05, 0.9, 0.999, 1e-8)
-            kernels.adamw_update_py(w2, g, m2, v2, step, 0.01, 0.05, 0.9, 0.999, 1e-8)
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(v1, v2)
-
     def test_zero_gradient_moves_only_by_decay(self):
         w = np.array([2.0])
         m = np.zeros(1)
         v = np.zeros(1)
-        kernels.adamw_update_py(w, np.zeros(1), m, v, 1, 0.1, 0.5, 0.9, 0.999, 1e-8)
+        kernels.adamw_update(w, np.zeros(1), m, v, 1, 0.1, 0.5, 0.9, 0.999, 1e-8)
         assert w[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
-
-
-def test_env_flag_controls_path(tmp_path):
-    import importlib.util
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # a minimal environment, plus the import path medlm was loaded from
-    src = str(Path(kernels.__file__).parents[1])
-    code = "from medlm import kernels; print(kernels.USE_NUMBA)"
-
-    def use_numba(**flag):
-        out = subprocess.run([sys.executable, "-c", code],
-                             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src, **flag},
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    assert use_numba(MEDLM_NO_NUMBA="1") == "False"
-    # the control run: without the flag the compiled path is on iff numba imports
-    assert use_numba() == str(importlib.util.find_spec("numba") is not None)

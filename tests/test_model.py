@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,20 @@ class TestVocab:
         M.save_vocab(vocab, path)
         lines = path.read_text(encoding="utf-8").split("\n")[:-1]
         assert lines == ["<BOS>", "<EOS>", "<PAD>", "<SEP>", "a", "b"]
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        M.save_vocab(M.build_vocab(["ab"]), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            M.save_vocab(M.build_vocab(["abcdef"]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
     def test_load_rejects_missing_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -136,7 +152,7 @@ class TestLora:
     def test_merge_matches_adapter_forward(self, tiny_params, rng):
         adapter = M.attach_lora(tiny_params, M.LoraConfig(dropout=0.0), rng)
         for name, t in adapter.named():
-            t.data = 0.05 * np.random.default_rng(1).standard_normal(t.data.shape)
+            t.data[...] = 0.05 * np.random.default_rng(1).standard_normal(t.data.shape)
         with_adapter = M.forward_logits(tiny_params, adapter, [0, 4, 5, 6]).data
         merged = M.merge_lora(tiny_params, adapter)
         folded = M.forward_logits(merged, None, [0, 4, 5, 6]).data
@@ -211,7 +227,7 @@ class TestKvCache:
         adapter = M.attach_lora(params, M.LoraConfig(rank=2, dropout=0.0), rng)
         for name, t in adapter.named():
             if name.endswith(".B"):
-                t.data = 0.3 * rng.standard_normal(t.data.shape)
+                t.data[...] = 0.3 * rng.standard_normal(t.data.shape)
         return adapter
 
     def _prompt(self, config, n):

@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from medlm import data as D
 from medlm import model as M
 from medlm import trainer as TR
 from medlm.errors import ConfigError, IntegrityError, TrainingError
-from medlm.tensor import Tensor
 
 
 @pytest.fixture
@@ -80,49 +81,56 @@ class TestSchedule:
             TR.lr_at(_cpt_cfg(), 0, 0)
 
 
+def _table(**values):
+    """A parameter table with one 1-d tensor per keyword, grads zeroed."""
+    shapes = {name: (len(v),) for name, v in values.items()}
+    return M.ParamTable(None, shapes, np.concatenate([np.asarray(v, float)
+                                                      for v in values.values()]))
+
+
 class TestOptimizer:
     def test_single_step_matches_manual_formula(self):
-        w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        w.grad = np.array([0.5, -0.25])
-        opt = TR.OptimState([("w", w)])
+        table = _table(w=[1.0, -2.0])
+        table["w"].grad[:] = [0.5, -0.25]
+        opt = TR.OptimState(table)
         lr, wd = 0.1, 0.01
-        w0 = w.data.copy()
-        g = w.grad.copy()
-        TR.optim_step([("w", w)], opt, lr, wd)
+        w0 = table["w"].data.copy()
+        g = table["w"].grad.copy()
+        TR.optim_step(table, opt, lr, wd)
         m = (1 - TR.ADAM_BETA1) * g
         v = (1 - TR.ADAM_BETA2) * g * g
         m_hat = m / (1 - TR.ADAM_BETA1)
         v_hat = v / (1 - TR.ADAM_BETA2)
         expected = w0 - lr * (m_hat / (np.sqrt(v_hat) + TR.ADAM_EPS) + wd * w0)
-        assert np.allclose(w.data, expected, atol=1e-15)
+        assert np.allclose(table["w"].data, expected, atol=1e-15)
 
     def test_weight_decay_is_decoupled(self):
         # zero gradient: only the decay term moves the weight
-        w = Tensor(np.array([2.0]), requires_grad=True)
-        w.grad = np.zeros(1)
-        opt = TR.OptimState([("w", w)])
-        TR.optim_step([("w", w)], opt, lr=0.1, weight_decay=0.5)
-        assert np.allclose(w.data, 2.0 - 0.1 * 0.5 * 2.0)
+        table = _table(w=[2.0])
+        opt = TR.OptimState(table)
+        TR.optim_step(table, opt, lr=0.1, weight_decay=0.5)
+        assert np.allclose(table["w"].data, 2.0 - 0.1 * 0.5 * 2.0)
 
     def test_nonfinite_gradient_names_tensor(self):
-        w = Tensor(np.array([1.0]), requires_grad=True)
-        w.grad = np.array([np.nan])
-        opt = TR.OptimState([("embed", w)])
-        with pytest.raises(TrainingError, match="embed"):
-            TR.optim_step([("embed", w)], opt, 0.1, 0.0)
+        table = _table(head=[1.0], embed=[1.0, 2.0])
+        table["embed"].grad[1] = np.nan
+        opt = TR.OptimState(table)
+        with pytest.raises(TrainingError, match="'embed'"):
+            TR.optim_step(table, opt, 0.1, 0.0)
+        assert np.array_equal(table.data, [1.0, 1.0, 2.0])  # nothing updated
 
     def test_clip_rescales_to_max_norm(self):
-        w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        w.grad = np.array([3.0, 4.0])
-        norm = TR.clip_gradients([("w", w)], max_norm=1.0)
+        table = _table(w=[3.0], b=[4.0])
+        table.grad[:] = [3.0, 4.0]
+        norm = TR.clip_gradients(table, max_norm=1.0)
         assert norm == pytest.approx(5.0)
-        assert np.allclose(w.grad, [0.6, 0.8])
+        assert np.allclose(table["w"].grad, [0.6]) and np.allclose(table["b"].grad, [0.8])
 
     def test_clip_leaves_small_gradients_alone(self):
-        w = Tensor(np.array([0.1]), requires_grad=True)
-        w.grad = np.array([0.1])
-        TR.clip_gradients([("w", w)], max_norm=1.0)
-        assert w.grad[0] == 0.1
+        table = _table(w=[0.1])
+        table.grad[:] = [0.1]
+        TR.clip_gradients(table, max_norm=1.0)
+        assert table["w"].grad[0] == 0.1
 
 
 class TestRunStage:
@@ -257,6 +265,136 @@ class TestCheckpoint:
             TR.save_checkpoint(state, target)  # parent dir does not exist
         assert not (tmp_path / "sub").exists()
         assert list(tmp_path.iterdir()) == []
+
+
+def _rewrite_header(path, edit):
+    """Apply edit to the checkpoint's JSON header, keeping the payload bytes."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + n])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
+
+
+def _shift(i, delta):
+    def edit(h):
+        h["tensors"][i]["offset"] += delta
+    return edit
+
+
+def _delete(*keys):
+    def edit(h):
+        for k in keys[:-1]:
+            h = h[k]
+        del h[keys[-1]]
+    return edit
+
+
+def _set(i, key, value):
+    def edit(h):
+        h["tensors"][i][key] = value(h) if callable(value) else value
+    return edit
+
+
+def _move_last_to_front(h):
+    h["tensors"].insert(0, h["tensors"].pop())
+
+
+class TestCheckpointHeader:
+    """A header the payload cannot be read by is an IntegrityError, never a
+    KeyError or a silently misread tensor."""
+
+    @pytest.fixture
+    def path(self, state, tmp_path):
+        state.adapter = M.attach_lora(state.params, M.LoraConfig(),
+                                      np.random.default_rng(3))
+        path = tmp_path / "model.ckpt"
+        TR.save_checkpoint(state, path)
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        _delete("payload_bytes"), _delete("config"), _delete("adapter"),
+        _delete("meta"), _delete("tensors"), _delete("meta", "stage"),
+        _delete("config", "vocab_size"), _delete("adapter", "rank"),
+        _delete("tensors", 2, "offset"), _delete("tensors", 2, "shape"),
+    ], ids=["payload_bytes", "config", "adapter", "meta", "tensors", "meta.stage",
+            "config.vocab_size", "adapter.rank", "tensor.offset", "tensor.shape"])
+    def test_missing_key(self, path, edit):
+        _rewrite_header(path, edit)
+        with pytest.raises(IntegrityError, match="malformed header"):
+            TR.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        _shift(1, 8),
+        _shift(1, -8),
+        _set(-1, "offset", lambda h: h["payload_bytes"] + 8),
+        _set(0, "shape", lambda h: [h["tensors"][0]["shape"][0] - 1,
+                                    h["tensors"][0]["shape"][1]]),
+        _set(-1, "shape", lambda h: [h["tensors"][-1]["shape"][0] + 1,
+                                     h["tensors"][-1]["shape"][1]]),
+        _set(0, "shape", [-1, 1]),
+        _set(1, "kind", "x"),
+        _set(1, "name", "embed"),
+        _move_last_to_front,
+        _delete("tensors", -1),
+    ], ids=["gap", "overlap", "offset-past-end", "short-shape", "long-last-shape",
+            "negative-dim", "unknown-kind", "duplicate-name", "adapter-first",
+            "uncovered-tail"])
+    def test_index_must_tile_payload(self, path, edit):
+        _rewrite_header(path, edit)
+        with pytest.raises(IntegrityError):
+            TR.load_checkpoint(path)
+
+    def test_adapter_tensors_need_adapter_config(self, path):
+        _rewrite_header(path, lambda h: h.update(adapter=None))
+        with pytest.raises(IntegrityError, match="adapter config"):
+            TR.load_checkpoint(path)
+
+
+def _assert_views(table):
+    """Every tensor's .data and .grad are views of the table's buffers, in order."""
+    assert np.array_equal(np.concatenate([t.data.ravel() for _, t in table.named()]),
+                          table.data)
+    for name, t in table.named():
+        assert np.shares_memory(t.data, table.data), name
+        if table.grad is None:
+            assert t.grad is None and not t.requires_grad, name
+        else:
+            assert np.shares_memory(t.grad, table.grad) and t.requires_grad, name
+
+
+def test_tensors_stay_views_of_their_buffers(state, vocab, tmp_path):
+    params = state.params
+    for _, t in params.named():
+        t.zero_grad()
+    _assert_views(params)
+    adapter = M.attach_lora(params, M.LoraConfig(dropout=0.0), np.random.default_rng(1))
+    _assert_views(adapter)
+    _assert_views(params.copy())
+    _assert_views(adapter.copy())
+    adapter.data += 0.01
+    _assert_views(M.merge_lora(params, adapter))
+
+    blocks = [list(range(4, 12)), list(range(5, 13))]
+    cpt, metrics = TR.run_stage(state, _cpt_cfg(epochs=1), blocks)
+    assert len(metrics) == 1
+    _assert_views(cpt.params)
+    assert np.any(cpt.params.grad != 0)  # backward wrote into the buffer
+
+    examples = [D.SftExample(instruction="ab？", output="cd。")]
+    sft_cfg = TR.StageConfig(stage="sft", learning_rate=0.01, epochs=1,
+                             lora=TR.LoraSettings(dropout=0.0))
+    sft, metrics = TR.run_stage(cpt, sft_cfg, examples, vocab=vocab)
+    assert len(metrics) == 1
+    _assert_views(sft.params)
+    _assert_views(sft.adapter)
+    assert np.any(sft.adapter.grad != 0)
+
+    TR.save_checkpoint(sft, tmp_path / "model.ckpt")
+    loaded = TR.load_checkpoint(tmp_path / "model.ckpt")
+    _assert_views(loaded.params)
+    _assert_views(loaded.adapter)
 
 
 def test_atomic_write_replaces_existing(tmp_path):
