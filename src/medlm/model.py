@@ -97,6 +97,9 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.max_seq_len < 2:
@@ -111,6 +114,10 @@ class LoraConfig:
     alpha: float = 32.0
     dropout: float = 0.05
     targets: tuple = ("wq", "wv")
+
+    def __post_init__(self):
+        if self.rank <= 0:
+            raise ConfigError("LoRA rank must be positive")
 
 
 class ParamTable:
@@ -177,8 +184,9 @@ class LoraAdapter(ParamTable):
         return (a, self.tensors[target_name + ".B"]) if a is not None else None
 
 
-def init_params(config, rng, init_scale=0.02):
-    """Weights drawn from init_scale * N(0, 1), layer-norm gains 1, biases 0."""
+def param_spec(config):
+    """(name, shape, fill) of every base tensor, in buffer order; fill None
+    marks a gaussian weight."""
     c = config
     d = c.d_model
     w = None  # fill value of a gaussian weight
@@ -192,9 +200,30 @@ def init_params(config, rng, init_scale=0.02):
                  (p + "ln2.g", (d,), 1.0), (p + "ln2.b", (d,), 0.0)]
     spec += [("ln_f.g", (d,), 1.0), ("ln_f.b", (d,), 0.0),
              ("head", (d, c.vocab_size), w)]
-    params = ModelParams(c, {name: shape for name, shape, _ in spec})
+    return spec
+
+
+def lora_shapes(config, lora_config):
+    """Shapes of the adapter tensors, in buffer order."""
+    base = {name for name, _, _ in param_spec(config)}
+    r = lora_config.rank
+    shapes = {}
+    for i in range(config.n_layers):
+        for proj in lora_config.targets:
+            name = f"layer{i}.{proj}"
+            if name not in base:
+                raise ConfigError(f"unknown LoRA target {name}")
+            shapes[name + ".A"] = (config.d_model, r)
+            shapes[name + ".B"] = (r, config.d_model)
+    return shapes
+
+
+def init_params(config, rng, init_scale=0.02):
+    """Weights drawn from init_scale * N(0, 1), layer-norm gains 1, biases 0."""
+    spec = param_spec(config)
+    params = ModelParams(config, {name: shape for name, shape, _ in spec})
     for name, shape, fill in spec:
-        if fill is w:
+        if fill is None:
             fill = init_scale * rng.standard_normal(shape)
         params[name].data[...] = fill
     return params
@@ -202,16 +231,7 @@ def init_params(config, rng, init_scale=0.02):
 
 def attach_lora(params, lora_config, rng, init_scale=0.02):
     """Fresh adapter with gaussian A and zero B: logits unchanged until trained."""
-    c = params.config
-    r = lora_config.rank
-    shapes = {}
-    for i in range(c.n_layers):
-        for proj in lora_config.targets:
-            name = f"layer{i}.{proj}"
-            if name not in params.tensors:
-                raise ConfigError(f"attach_lora: unknown target {name}")
-            shapes[name + ".A"] = (c.d_model, r)
-            shapes[name + ".B"] = (r, c.d_model)
+    shapes = lora_shapes(params.config, lora_config)
     adapter = LoraAdapter(lora_config, shapes)
     for name, shape in shapes.items():
         if name.endswith(".A"):
@@ -242,20 +262,36 @@ def _project(x, params, adapter, name, rng):
     return y
 
 
-def forward_logits(params, adapter, tokens, train_rng=None, cache=None):
-    """Logits [T, V]; position t sees only tokens <= t (causal mask).
+def _split_heads(t, n_heads, keys=False):
+    """[..., S, D] -> [..., H, S, dh], or [..., H, dh, S] for keys (transposed)."""
+    L = t.data.ndim - 2
+    t = T.reshape(t, t.data.shape[:-1] + (n_heads, -1))
+    return T.permute(t, tuple(range(L)) + ((L + 1, L + 2, L) if keys else (L + 1, L, L + 2)))
 
-    ``cache`` is an optional per-request KV cache for decoding: a list
-    holding one ``(K, V)`` pair of ``[S, d_model]`` arrays per layer, or
-    empty before the first call. ``tokens`` then continue the ``S`` cached
+
+def _merge_heads(t):
+    """[..., H, S, dh] -> [..., S, H * dh]."""
+    L = t.data.ndim - 3
+    t = T.permute(t, tuple(range(L)) + (L + 1, L, L + 2))
+    return T.reshape(t, t.data.shape[:-2] + (-1,))
+
+
+def forward_logits(params, adapter, tokens, train_rng=None, cache=None):
+    """Logits [T, V] for tokens [T], or [B, T, V] for a batch of equal-length
+    rows [B, T]; position t sees only tokens <= t of its row (causal mask).
+
+    ``cache`` is an optional per-request KV cache for decoding one sequence:
+    a list holding one ``(K, V)`` pair of ``[S, d_model]`` arrays per layer,
+    or empty before the first call. ``tokens`` then continue the ``S`` cached
     positions: they take position ids ``S, S+1, ...``, attend to the cached
     keys and values, and their own K/V are appended to the list in place.
     A cache is only legal under ``no_grad``, and ``S + len(tokens)`` must
     not exceed ``max_seq_len``.
     """
     c = params.config
-    n = len(tokens)
-    if n == 0:
+    tokens = np.asarray(tokens, dtype=np.int64)
+    n = tokens.shape[-1]
+    if tokens.size == 0:
         raise DataError("forward_logits: empty token sequence")
     if cache is not None and T._GRAD_ENABLED:
         raise ContractError("forward_logits: a KV cache needs no_grad")
@@ -279,17 +315,12 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None):
                 k = Tensor(np.concatenate([cache[i][0], k.data]))
                 v = Tensor(np.concatenate([cache[i][1], v.data]))
             cache[i:i + 1] = [(k.data, v.data)]  # replace, or append on prefill
-        heads = []
-        for hd in range(c.n_heads):
-            j0, j1 = hd * dh, (hd + 1) * dh
-            qh = T.slice_cols(q, j0, j1)
-            kh = T.slice_cols(k, j0, j1)
-            vh = T.slice_cols(v, j0, j1)
-            scores = (1.0 / np.sqrt(dh)) * (qh @ T.transpose(kh))
-            att = T.softmax_rows(scores, mask=causal)
-            att = T.dropout(att, c.dropout, train_rng)
-            heads.append(att @ vh)
-        attn_out = _project(T.concat_cols(heads), params, adapter, p + "wo", train_rng)
+        q, k, v = (_split_heads(q, c.n_heads), _split_heads(k, c.n_heads, keys=True),
+                   _split_heads(v, c.n_heads))
+        scores = (1.0 / np.sqrt(dh)) * (q @ k)
+        att = T.softmax_rows(scores, mask=causal)
+        att = T.dropout(att, c.dropout, train_rng)
+        attn_out = _project(_merge_heads(att @ v), params, adapter, p + "wo", train_rng)
         x = x + T.dropout(attn_out, c.dropout, train_rng)
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
         ff = T.relu(h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"])

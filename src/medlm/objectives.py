@@ -30,10 +30,14 @@ class DpoConfig:
             raise ConfigError("DpoConfig: beta must be positive")
 
 
-def cpt_loss(params, adapter, block, train_rng=None):
-    """Mean next-token NLL over a packed block."""
-    logits = M.forward_logits(params, adapter, block[:-1], train_rng=train_rng)
-    return T.cross_entropy_next_token(logits, block[1:])
+def cpt_loss(params, adapter, blocks, train_rng=None):
+    """Mean next-token NLL over one packed block, or over a stack of
+    equal-length blocks run as one ``[B, T]`` forward. A stack's loss is the
+    batch mean of per-block token means, which for equal lengths is the mean
+    over all of its positions."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    logits = M.forward_logits(params, adapter, blocks[..., :-1], train_rng=train_rng)
+    return T.cross_entropy_next_token(logits, blocks[..., 1:])
 
 
 def sft_tokens(ex, vocab, renderer):

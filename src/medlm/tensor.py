@@ -6,6 +6,14 @@ in reverse topological order exactly once and accumulates gradients into
 every leaf with requires_grad=True. Graphs are built eagerly per step
 and garbage-collected with their outputs.
 
+Ops take leading batch dimensions: ``matmul`` is ``np.matmul`` and the
+row-wise ops work on the last axis, so one graph can hold a ``[B, T, D]``
+batch. A leaf's grad is a preallocated array (for a parameter, a view of
+its table's buffer) that backward adds into in place. An interior node's
+grad exists only during backward: its first contribution is assigned, and
+may be an array shared with another node, later ones are added out of
+place, and it is dropped once the node's own backward has run.
+
 Numerical guards: softmax variants subtract the row max, and log clamps
 its argument at 1e-300, so any forward pass on finite inputs stays
 finite.
@@ -116,12 +124,22 @@ def _unbroadcast(g, shape):
 
 # -- primitive ops -----------------------------------------------------
 
+def _accumulate(t, g):
+    """Add gradient g (shaped like t) into t.grad; see the module docstring."""
+    if t._backward_fn is None:
+        t.grad += g
+    elif t.grad is None:
+        t.grad = g
+    else:
+        t.grad = t.grad + g
+
+
 def add(a, b):
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -129,9 +147,9 @@ def add(a, b):
 def mul(a, b):
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(a.data * b.data, (a, b), bwd)
 
@@ -141,32 +159,48 @@ def scale(a, c):
 
     def bwd(g, a=a):
         if a.requires_grad:
-            a.grad += c * g
+            _accumulate(a, c * g)
 
     return _make(c * a.data, (a,), bwd)
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}"
-        )
+    """``np.matmul``: ``[..., M, K] @ [..., K, N]`` with broadcast leading dims."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2 or sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: incompatible shapes {sa} x {sb}")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            a.grad += g @ b.data.T
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            if b.data.ndim == 2:  # a shared weight: one GEMM over all rows
+                k, n = b.data.shape
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            _accumulate(b, gb)
 
     return _make(a.data @ b.data, (a, b), bwd)
 
 
-def transpose(a):
+def reshape(a, shape):
     def bwd(g, a=a):
         if a.requires_grad:
-            a.grad += g.T
+            _accumulate(a, g.reshape(a.data.shape))
 
-    return _make(a.data.T, (a,), bwd)
+    return _make(a.data.reshape(shape), (a,), bwd)
+
+
+def permute(a, axes):
+    """Reorder the axes of a (``np.transpose`` with an explicit order)."""
+    inverse = tuple(np.argsort(axes))
+
+    def bwd(g, a=a):
+        if a.requires_grad:
+            _accumulate(a, g.transpose(inverse))
+
+    return _make(a.data.transpose(axes), (a,), bwd)
 
 
 def relu(a):
@@ -174,7 +208,7 @@ def relu(a):
 
     def bwd(g, a=a, mask=mask):
         if a.requires_grad:
-            a.grad += g * mask
+            _accumulate(a, g * mask)
 
     return _make(np.where(mask, a.data, 0.0), (a,), bwd)
 
@@ -184,7 +218,7 @@ def log(a):
 
     def bwd(g, a=a, clamped=clamped):
         if a.requires_grad:
-            a.grad += g / clamped
+            _accumulate(a, g / clamped)
 
     return _make(np.log(clamped), (a,), bwd)
 
@@ -192,7 +226,7 @@ def log(a):
 def tsum(a):
     def bwd(g, a=a):
         if a.requires_grad:
-            a.grad += g  # scalar broadcast
+            _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(a.data.sum(), (a,), bwd)
 
@@ -202,39 +236,23 @@ def tmean(a):
 
     def bwd(g, a=a, n=n):
         if a.requires_grad:
-            a.grad += g / n
+            _accumulate(a, np.broadcast_to(g / n, a.data.shape))
 
     return _make(a.data.mean(), (a,), bwd)
-
-
-def slice_cols(a, j0, j1):
-    def bwd(g, a=a, j0=j0, j1=j1):
-        if a.requires_grad:
-            a.grad[:, j0:j1] += g
-
-    return _make(a.data[:, j0:j1], (a,), bwd)
 
 
 def slice_rows(a, i0, i1):
     def bwd(g, a=a, i0=i0, i1=i1):
         if a.requires_grad:
-            a.grad[i0:i1] += g
+            full = np.zeros_like(a.data)
+            full[i0:i1] = g
+            _accumulate(a, full)
 
     return _make(a.data[i0:i1], (a,), bwd)
 
 
-def concat_cols(tensors):
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-
-    def bwd(g, tensors=tensors, offsets=offsets):
-        for t, j0, j1 in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.grad += g[:, j0:j1]
-
-    return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), bwd)
-
-
 def gather_rows(table, ids):
+    """table[ids] for an id array of any shape: rows [*ids.shape, D]."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
@@ -243,7 +261,9 @@ def gather_rows(table, ids):
 
     def bwd(g, table=table, ids=ids):
         if table.requires_grad:
-            np.add.at(table.grad, ids, g)
+            full = np.zeros_like(table.data)
+            np.add.at(full, ids, g)
+            _accumulate(table, full)
 
     return _make(table.data[ids], (table,), bwd)
 
@@ -256,7 +276,7 @@ def dropout(a, rate, rng):
 
     def bwd(g, a=a, keep=keep):
         if a.requires_grad:
-            a.grad += g * keep
+            _accumulate(a, g * keep)
 
     return _make(a.data * keep, (a,), bwd)
 
@@ -270,14 +290,14 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
     def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
         if bias.requires_grad:
-            bias.grad += g.sum(axis=tuple(range(g.ndim - 1)))
+            _accumulate(bias, g.sum(axis=tuple(range(g.ndim - 1))))
         if gain.requires_grad:
-            gain.grad += (g * xhat).sum(axis=tuple(range(g.ndim - 1)))
+            _accumulate(gain, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
         if x.requires_grad:
             gy = g * gain.data
             m1 = gy.mean(axis=-1, keepdims=True)
             m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            x.grad += inv * (gy - m1 - xhat * m2)
+            _accumulate(x, inv * (gy - m1 - xhat * m2))
 
     return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
@@ -299,7 +319,7 @@ def softmax_rows(x, mask=None):
 
     def bwd(g, x=x, p=p):
         if x.requires_grad:
-            x.grad += p * (g - (g * p).sum(axis=-1, keepdims=True))
+            _accumulate(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
     return _make(p, (x,), bwd)
 
@@ -310,38 +330,41 @@ def log_softmax_rows(x):
 
     def bwd(g, x=x, ls=ls):
         if x.requires_grad:
-            x.grad += g - np.exp(ls) * g.sum(axis=-1, keepdims=True)
+            _accumulate(x, g - np.exp(ls) * g.sum(axis=-1, keepdims=True))
 
     return _make(ls, (x,), bwd)
 
 
 def pick_nll(log_probs, targets, weights=None):
-    """Weighted mean of -log_probs[t, targets[t]]; scalar output.
+    """Weighted mean of -log_probs[..., t, targets[..., t]] over every row of
+    ``[..., T, V]`` log-probs; scalar output.
 
     Zero-weight positions contribute exactly 0 regardless of their
     target id (response-only masking relies on this).
     """
-    T, V = log_probs.data.shape
+    shape, V = log_probs.data.shape[:-1], log_probs.data.shape[-1]
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (T,):
-        raise ShapeError(f"pick_nll: {len(targets)} targets for {T} rows")
+    if targets.shape != shape:
+        raise ShapeError(f"pick_nll: targets of shape {targets.shape} for rows {shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= V):
         raise IndexError(f"pick_nll: target id out of range [0, {V})")
+    targets = targets.ravel()
+    rows = np.arange(targets.size)
     if weights is None:
-        w = np.ones(T)
+        w = np.ones(targets.size)
     else:
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.asarray(weights, dtype=np.float64).ravel()
     wsum = w.sum()
     if wsum <= 0:
         raise ContractError("pick_nll: weights sum to zero")
-    picked = log_probs.data[np.arange(T), targets]
+    picked = log_probs.data.reshape(-1, V)[rows, targets]
     value = -(w * picked).sum() / wsum
 
-    def bwd(g, log_probs=log_probs, targets=targets, w=w, wsum=wsum, T=T):
+    def bwd(g, log_probs=log_probs, targets=targets, w=w, wsum=wsum, rows=rows):
         if log_probs.requires_grad:
-            gbuf = np.zeros_like(log_probs.data)
-            gbuf[np.arange(T), targets] = -w / wsum * g
-            log_probs.grad += gbuf
+            gbuf = np.zeros((rows.size, V))
+            gbuf[rows, targets] = -w / wsum * g
+            _accumulate(log_probs, gbuf.reshape(log_probs.data.shape))
 
     return _make(value, (log_probs,), bwd)
 
@@ -358,7 +381,7 @@ def pick_logprob_sum(log_probs, targets):
         if log_probs.requires_grad:
             gbuf = np.zeros_like(log_probs.data)
             gbuf[np.arange(T), targets] = g
-            log_probs.grad += gbuf
+            _accumulate(log_probs, gbuf)
 
     return _make(value, (log_probs,), bwd)
 
@@ -370,13 +393,13 @@ def log_sigmoid(x):
 
     def bwd(g, x=x):
         if x.requires_grad:
-            x.grad += g / (1.0 + np.exp(x.data))  # sigmoid(-x)
+            _accumulate(x, g / (1.0 + np.exp(x.data)))  # sigmoid(-x)
 
     return _make(out, (x,), bwd)
 
 
 def cross_entropy_next_token(logits, targets):
-    """Mean over positions of -log softmax(logits[t])[targets[t]]."""
+    """Mean over all positions of -log softmax(logits[..., t])[targets[..., t]]."""
     return pick_nll(log_softmax_rows(logits), targets)
 
 
@@ -404,13 +427,11 @@ def backward(loss):
             # frozen inputs get no grad array (a frozen parameter has none)
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    for node in topo:
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
+    _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward_fn is not None:
-            node._backward_fn(node.grad)
+            g, node.grad = node.grad, None
+            node._backward_fn(g)
 
 
 # -- gradient checking -------------------------------------------------

@@ -144,6 +144,9 @@ def _check_schema(cfg, dataset):
         ok = dataset and all(isinstance(r, want[cfg.stage]) for r in dataset)
     if not ok:
         raise ConfigError(f"dataset does not match stage {cfg.stage!r} schema")
+    if cfg.stage == "cpt" and len({len(b) for b in dataset}) > 1:
+        # a CPT batch is one stacked [B, T] forward
+        raise ConfigError("cpt dataset: blocks differ in length")
 
 
 def run_stage(state, cfg, dataset, vocab=None, log_path=None):
@@ -187,15 +190,13 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
     train_rng = np.random.default_rng(cfg.seed + 1)
 
     def batch_loss(batch):
+        if cfg.stage == "cpt":
+            return O.cpt_loss(params, adapter, batch, train_rng=train_rng)
         if cfg.stage == "dpo":
             return O.dpo_loss(params, adapter, dpo_cfg, batch, vocab, train_rng=train_rng)
         total = None
         for ex in batch:
-            if cfg.stage == "cpt":
-                term = O.cpt_loss(params, adapter, ex, train_rng=train_rng)
-            else:
-                term = O.sft_loss(params, adapter, ex, vocab, render_prompt,
-                                  train_rng=train_rng)
+            term = O.sft_loss(params, adapter, ex, vocab, render_prompt, train_rng=train_rng)
             total = term if total is None else total + term
         return (1.0 / len(batch)) * total
 
@@ -212,10 +213,11 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
             backward(graph)
             loss = float(graph.data)
             del graph  # free it before the optimizer's full-buffer temporaries
-            clip_gradients(trainable)
+            grad_norm = clip_gradients(trainable)
             optim_step(trainable, opt, lr, cfg.weight_decay)
             step += 1
-            metrics.append({"step": step, "stage": cfg.stage, "lr": lr, "loss": loss})
+            metrics.append({"step": step, "stage": cfg.stage, "lr": lr, "loss": loss,
+                            "grad_norm": grad_norm})
     if log_path is not None:
         write_metrics(metrics, log_path)
     new_state = TrainState(params=params, adapter=adapter, stage=cfg.stage,
@@ -227,7 +229,7 @@ def write_metrics(metrics, path):
     import io
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["step", "stage", "lr", "loss"])
+    writer = csv.DictWriter(buf, fieldnames=["step", "stage", "lr", "loss", "grad_norm"])
     writer.writeheader()
     writer.writerows(metrics)
     atomic_write_text(buf.getvalue(), path)
@@ -349,12 +351,20 @@ def load_checkpoint(path):
         lcfg = None if a is None else M.LoraConfig(
             rank=a["rank"], alpha=a["alpha"], dropout=a["dropout"],
             targets=tuple(a["targets"]))
+        want = {"p": {name: shape for name, shape, _ in M.param_spec(config)},
+                "a": {} if lcfg is None else M.lora_shapes(config, lcfg)}
         meta = header["meta"]
         stage, step, seed = meta["stage"], meta["step"], meta["seed"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise IntegrityError(f"{path}: malformed header ({exc!r})") from None
     if lcfg is None and shapes["a"]:
         raise IntegrityError(f"{path}: adapter tensors without an adapter config")
+    for kind in ("p", "a"):
+        got, expected = shapes[kind], want[kind]
+        if got != expected:
+            bad = next(n for n in [*got, *expected] if got.get(n) != expected.get(n))
+            raise IntegrityError(f"{path}: tensor {bad!r} in the index does not match "
+                                 f"the model config")
     payload = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
     n_base = sum(math.prod(shape) for shape in shapes["p"].values())
     params = M.ModelParams(config, shapes["p"], payload[:n_base])

@@ -56,6 +56,9 @@ def test_gradient_fidelity():
     block = [0] + M.encode(vocab, "abcdefg？药。abcdef")
     results["cpt"] = grad_check(lambda: O.cpt_loss(params, None, block),
                                 tensors, step=1e-6, tolerance=1e-5, n_samples=200)
+    stack = [block, [0] + M.encode(vocab, "gfedcba。药？abcdef")]
+    results["cpt-stack"] = grad_check(lambda: O.cpt_loss(params, None, stack),
+                                      tensors, step=1e-6, tolerance=1e-5, n_samples=200)
 
     ex = D.SftExample(instruction="ab？", output="cd药。")
     results["sft"] = grad_check(

@@ -190,15 +190,25 @@ class TestPipelineCommands:
         ckpt = tmp_path / "ckpt" / "cpt.ckpt"
         blob = ckpt.read_bytes()
         n = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:12 + n])
-        del header["meta"]
-        raw = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n:])
-        capsys.readouterr()
-        assert cli.main(["--config", str(built), "train", "sft"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "malformed header" in err
-        assert "Traceback" not in err
+
+        def drop_meta(header):
+            del header["meta"]
+
+        def rename_head(header):
+            next(e for e in header["tensors"] if e["name"] == "head")["name"] = "head2"
+
+        for edit, message in ((drop_meta, "malformed header"),
+                              (rename_head, "does not match the model config")):
+            header = json.loads(blob[12:12 + n])
+            edit(header)
+            raw = json.dumps(header).encode("utf-8")
+            ckpt.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw
+                             + blob[12 + n:])
+            capsys.readouterr()
+            assert cli.main(["--config", str(built), "train", "sft"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert "Traceback" not in err
 
     def test_eval_mcq_without_checkpoint_scores_prefilled(self, built, tmp_path):
         assert cli.main(["--config", str(built), "eval", "mcq"]) == 0

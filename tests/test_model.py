@@ -130,6 +130,21 @@ class TestForward:
     def test_head_slices_cover_d_model(self, tiny_config):
         assert tiny_config.d_model % tiny_config.n_heads == 0
 
+    @pytest.mark.parametrize("with_adapter", [False, True])
+    def test_batch_rows_match_single_sequences(self, tiny_config, tiny_params,
+                                               with_adapter):
+        rng = np.random.default_rng(3)
+        adapter = None
+        if with_adapter:
+            adapter = M.attach_lora(tiny_params, M.LoraConfig(dropout=0.0), rng)
+            adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
+        tokens = rng.integers(0, tiny_config.vocab_size, size=(3, 9))
+        batch = M.forward_logits(tiny_params, adapter, tokens).data
+        assert batch.shape == (3, 9, tiny_config.vocab_size)
+        for row, logits in zip(tokens, batch):
+            single = M.forward_logits(tiny_params, adapter, list(row)).data
+            assert np.allclose(logits, single, rtol=0.0, atol=1e-12)
+
 
 class TestLora:
     def test_fresh_adapter_is_identity(self, tiny_params, rng):

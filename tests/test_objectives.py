@@ -50,6 +50,19 @@ class TestCptLoss:
         backward(loss)
         assert float(np.abs(params["embed"].grad).sum()) > 0
 
+    def test_stack_matches_mean_of_blocks(self, params):
+        blocks = [list(b) for b in np.random.default_rng(2).integers(0, 12, size=(4, 9))]
+        params.set_requires_grad(True)
+        stacked = O.cpt_loss(params, None, blocks)
+        backward(stacked)
+        stacked_grad = params.grad.copy()
+        params.grad.fill(0.0)
+        per_block = [O.cpt_loss(params, None, b) for b in blocks]
+        mean = (1.0 / len(blocks)) * sum(per_block[1:], per_block[0])
+        backward(mean)
+        assert abs(stacked.item() - mean.item()) < 1e-12
+        assert np.allclose(stacked_grad, params.grad, rtol=0.0, atol=1e-12)
+
 
 class TestSftTokens:
     def test_weights_mask_prompt(self, vocab):

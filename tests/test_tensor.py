@@ -121,6 +121,14 @@ class TestBackward:
         backward(w * w + 3.0 * w)
         assert w.grad == 11.0
 
+    def test_shared_first_gradient_stays_intact(self):
+        # add hands one gradient array to both inputs; a later contribution
+        # to one of them must not change what the other receives
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        a, b = 2.0 * w, 3.0 * w
+        backward(T.tsum((a + b) + a) + T.tsum(b * 5.0))
+        assert np.array_equal(w.grad, [22.0, 22.0])
+
     def test_deterministic_repeat(self, rng):
         a_data = rng.standard_normal((5, 5))
 
@@ -174,7 +182,8 @@ class TestGradCheck:
         class _Sin:
             def __call__(self):
                 s = T.tsum(w)
-                out = T._make(np.sin(s.data), (s,), lambda g, s=s: s.grad.__iadd__(g * np.cos(s.data)))
+                out = T._make(np.sin(s.data), (s,),
+                              lambda g, s=s: T._accumulate(s, g * np.cos(s.data)))
                 return out
 
         report = grad_check(_Sin(), [w], n_samples=2)

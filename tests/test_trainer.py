@@ -192,6 +192,12 @@ class TestRunStage:
         with pytest.raises(ConfigError):
             TR.run_stage(state, _cpt_cfg(), [D.SftExample(instruction="a", output="b")])
 
+    def test_mixed_length_cpt_blocks_rejected(self, state):
+        blocks = self._blocks()
+        blocks[3] = blocks[3][:-1]
+        with pytest.raises(ConfigError, match="differ in length"):
+            TR.run_stage(state, _cpt_cfg(), blocks)
+
     def test_seeded_run_is_bit_reproducible(self, state):
         blocks = self._blocks()
         s1, m1 = TR.run_stage(state, _cpt_cfg(epochs=3, seed=5), blocks)
@@ -205,9 +211,10 @@ class TestRunStage:
         TR.run_stage(state, _cpt_cfg(epochs=1), self._blocks(), log_path=log)
         with open(log, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0].keys()) == ["step", "stage", "lr", "loss"]
+        assert list(rows[0].keys()) == ["step", "stage", "lr", "loss", "grad_norm"]
         assert rows[0]["stage"] == "cpt" and int(rows[0]["step"]) == 1
         float(rows[0]["lr"]), float(rows[0]["loss"])  # parseable
+        assert float(rows[0]["grad_norm"]) > 0
 
 
 class TestCheckpoint:
@@ -297,6 +304,19 @@ def _set(i, key, value):
     return edit
 
 
+def _config(key, value):
+    def edit(h):
+        h["config"][key] = value
+    return edit
+
+
+def _head(key, value):
+    def edit(h):
+        entry = next(e for e in h["tensors"] if e["name"] == "head")
+        entry[key] = value(entry) if callable(value) else value
+    return edit
+
+
 def _move_last_to_front(h):
     h["tensors"].insert(0, h["tensors"].pop())
 
@@ -318,8 +338,14 @@ class TestCheckpointHeader:
         _delete("meta"), _delete("tensors"), _delete("meta", "stage"),
         _delete("config", "vocab_size"), _delete("adapter", "rank"),
         _delete("tensors", 2, "offset"), _delete("tensors", 2, "shape"),
+        _config("n_heads", 0), _config("d_model", -16), _config("n_layers", 0),
+        _config("vocab_size", 0),
+        lambda h: h["adapter"].update(rank=0),
+        lambda h: h["adapter"].update(targets=["wz"]),
     ], ids=["payload_bytes", "config", "adapter", "meta", "tensors", "meta.stage",
-            "config.vocab_size", "adapter.rank", "tensor.offset", "tensor.shape"])
+            "config.vocab_size", "adapter.rank", "tensor.offset", "tensor.shape",
+            "zero-heads", "negative-d_model", "zero-layers", "zero-vocab",
+            "zero-rank", "unknown-target"])
     def test_missing_key(self, path, edit):
         _rewrite_header(path, edit)
         with pytest.raises(IntegrityError, match="malformed header"):
@@ -338,9 +364,12 @@ class TestCheckpointHeader:
         _set(1, "name", "embed"),
         _move_last_to_front,
         _delete("tensors", -1),
+        _head("name", "head2"),
+        _head("shape", lambda e: e["shape"][::-1]),
+        _config("max_seq_len", 47),
     ], ids=["gap", "overlap", "offset-past-end", "short-shape", "long-last-shape",
             "negative-dim", "unknown-kind", "duplicate-name", "adapter-first",
-            "uncovered-tail"])
+            "uncovered-tail", "renamed-head", "reshaped-head", "config-mismatch"])
     def test_index_must_tile_payload(self, path, edit):
         _rewrite_header(path, edit)
         with pytest.raises(IntegrityError):
