@@ -194,11 +194,11 @@ def cmd_data_build(cfg):
     os.makedirs(cfg.data_dir, exist_ok=True)
     M.save_vocab(vocab, paths["vocab"])
 
-    rows = []
-    for name, schema in (("cpt", "cpt"), ("sft", "sft"), ("dpo", "dpo")):
-        records, rstats = D.load_dataset(paths[name], schema, vocab)
-        size = os.path.getsize(paths[name])
-        rows.append((name, rstats.count, rstats.token_count, size))
+    pairs = [D.PreferencePair(d["prompt"], d["chosen"], d["rejected"])
+             for d in bundle["dpo_records"]]
+    rows = [(name, len(records), sum(len(M.encode(vocab, D.record_text(r))) for r in records),
+             os.path.getsize(paths[name]))
+            for name, records in (("cpt", kept_docs), ("sft", sft_examples), ("dpo", pairs))]
     TR.atomic_write_text(D.stats_table(rows) + "\n", paths["stats"])
     print(D.stats_table(rows))
     return 0

@@ -13,9 +13,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import kernels
 from . import model as M
-from . import objectives as O
 from . import tensor as T
 from .errors import DataError
 
@@ -185,17 +186,14 @@ def rouge_l(candidate, reference):
 
 
 def perplexity(params, adapter, blocks):
-    """exp(token-mean next-token NLL over all blocks)."""
+    """exp(token-mean next-token NLL over all blocks), from one no-grad ragged forward."""
     if not blocks:
         raise DataError("perplexity: no blocks")
-    total_nll = 0.0
-    total_tokens = 0
     with T.no_grad():
-        for block in blocks:
-            loss = O.cpt_loss(params, adapter, block)
-            total_nll += float(loss.data) * (len(block) - 1)
-            total_tokens += len(block) - 1
-    return math.exp(total_nll / total_tokens)
+        logits = M.forward_logits(params, adapter, np.concatenate([b[:-1] for b in blocks]),
+                                  lengths=[len(b) - 1 for b in blocks])
+        nll = T.cross_entropy_next_token(logits, np.concatenate([b[1:] for b in blocks]))
+    return math.exp(nll.item())
 
 
 def build_few_shot_prompt(spec, question, max_len=None):

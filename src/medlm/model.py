@@ -262,23 +262,11 @@ def _project(x, params, adapter, name, rng):
     return y
 
 
-def _split_heads(t, n_heads, keys=False):
-    """[..., S, D] -> [..., H, S, dh], or [..., H, dh, S] for keys (transposed)."""
-    L = t.data.ndim - 2
-    t = T.reshape(t, t.data.shape[:-1] + (n_heads, -1))
-    return T.permute(t, tuple(range(L)) + ((L + 1, L + 2, L) if keys else (L + 1, L, L + 2)))
-
-
-def _merge_heads(t):
-    """[..., H, S, dh] -> [..., S, H * dh]."""
-    L = t.data.ndim - 3
-    t = T.permute(t, tuple(range(L)) + (L + 1, L, L + 2))
-    return T.reshape(t, t.data.shape[:-2] + (-1,))
-
-
-def forward_logits(params, adapter, tokens, train_rng=None, cache=None):
-    """Logits [T, V] for tokens [T], or [B, T, V] for a batch of equal-length
-    rows [B, T]; position t sees only tokens <= t of its row (causal mask).
+def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=None):
+    """Logits [N, V] for token-flat tokens [N]: one sequence, or several back
+    to back with segment ``lengths`` (default: one segment). Position ids
+    restart at 0 in each segment, and a position sees only the tokens <= it
+    of its own segment (causal mask).
 
     ``cache`` is an optional per-request KV cache for decoding one sequence:
     a list holding one ``(K, V)`` pair of ``[S, d_model]`` arrays per layer,
@@ -290,37 +278,31 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None):
     """
     c = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    n = tokens.shape[-1]
-    if tokens.size == 0:
-        raise DataError("forward_logits: empty token sequence")
-    if cache is not None and T._GRAD_ENABLED:
-        raise ContractError("forward_logits: a KV cache needs no_grad")
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise DataError(f"forward_logits: need non-empty [N] tokens, got {tokens.shape}")
+    lengths = np.asarray([tokens.size] if lengths is None else lengths, dtype=np.int64)
+    if lengths.sum() != tokens.size or lengths.min() < 1:
+        raise DataError(f"forward_logits: lengths {lengths.tolist()} for {tokens.size} tokens")
+    if cache is not None and (T._GRAD_ENABLED or len(lengths) > 1):
+        raise ContractError("forward_logits: a KV cache needs no_grad and one sequence")
     start = len(cache[0][0]) if cache else 0
-    if start + n > c.max_seq_len:
-        raise DataError(f"sequence length {start + n} exceeds max_seq_len {c.max_seq_len}")
-    dh = c.d_model // c.n_heads
-    causal = np.tril(np.ones((n, start + n)), k=start)
+    if start + lengths.max() > c.max_seq_len:
+        raise DataError(f"sequence length {start + lengths.max()} > max_seq_len {c.max_seq_len}")
+    positions = start + np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths,
+                                                            lengths)
 
-    x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"],
-                                                               range(start, start + n))
+    x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"], positions)
     x = T.dropout(x, c.dropout, train_rng)
     for i in range(c.n_layers):
         p = f"layer{i}."
         h = T.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        q = _project(h, params, adapter, p + "wq", train_rng)
-        k = _project(h, params, adapter, p + "wk", train_rng)
-        v = _project(h, params, adapter, p + "wv", train_rng)
+        q, k, v = (_project(h, params, adapter, p + w, train_rng) for w in ("wq", "wk", "wv"))
         if cache is not None:
             if start:
-                k = Tensor(np.concatenate([cache[i][0], k.data]))
-                v = Tensor(np.concatenate([cache[i][1], v.data]))
+                k, v = (Tensor(np.concatenate([kv, t.data])) for kv, t in zip(cache[i], (k, v)))
             cache[i:i + 1] = [(k.data, v.data)]  # replace, or append on prefill
-        q, k, v = (_split_heads(q, c.n_heads), _split_heads(k, c.n_heads, keys=True),
-                   _split_heads(v, c.n_heads))
-        scores = (1.0 / np.sqrt(dh)) * (q @ k)
-        att = T.softmax_rows(scores, mask=causal)
-        att = T.dropout(att, c.dropout, train_rng)
-        attn_out = _project(_merge_heads(att @ v), params, adapter, p + "wo", train_rng)
+        att = T.causal_attention(q, k, v, lengths, c.n_heads, c.dropout, train_rng)
+        attn_out = _project(att, params, adapter, p + "wo", train_rng)
         x = x + T.dropout(attn_out, c.dropout, train_rng)
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
         ff = T.relu(h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"])

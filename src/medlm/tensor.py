@@ -6,9 +6,10 @@ in reverse topological order exactly once and accumulates gradients into
 every leaf with requires_grad=True. Graphs are built eagerly per step
 and garbage-collected with their outputs.
 
-Ops take leading batch dimensions: ``matmul`` is ``np.matmul`` and the
-row-wise ops work on the last axis, so one graph can hold a ``[B, T, D]``
-batch. A leaf's grad is a preallocated array (for a parameter, a view of
+The model runs a batch of sequences token-flat, as ``[N, D]`` rows back to
+back; ``causal_attention`` is the one op that knows where each sequence
+starts. ``matmul`` is ``np.matmul`` and the row-wise ops work on the last
+axis. A leaf's grad is a preallocated array (for a parameter, a view of
 its table's buffer) that backward adds into in place. An interior node's
 grad exists only during backward: its first contribution is assigned, and
 may be an array shared with another node, later ones are added out of
@@ -75,12 +76,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
@@ -93,7 +88,7 @@ class Tensor:
         return matmul(self, other)
 
     def item(self):
-        return float(self.data)
+        return self.data.item()  # a scalar, or the one entry of a size-1 array
 
 
 def _as_tensor(x):
@@ -184,25 +179,6 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), bwd)
 
 
-def reshape(a, shape):
-    def bwd(g, a=a):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(a.data.reshape(shape), (a,), bwd)
-
-
-def permute(a, axes):
-    """Reorder the axes of a (``np.transpose`` with an explicit order)."""
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g, a=a):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(inverse))
-
-    return _make(a.data.transpose(axes), (a,), bwd)
-
-
 def relu(a):
     mask = a.data > 0
 
@@ -229,26 +205,6 @@ def tsum(a):
             _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(a.data.sum(), (a,), bwd)
-
-
-def tmean(a):
-    n = a.data.size
-
-    def bwd(g, a=a, n=n):
-        if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape))
-
-    return _make(a.data.mean(), (a,), bwd)
-
-
-def slice_rows(a, i0, i1):
-    def bwd(g, a=a, i0=i0, i1=i1):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[i0:i1] = g
-            _accumulate(a, full)
-
-    return _make(a.data[i0:i1], (a,), bwd)
 
 
 def gather_rows(table, ids):
@@ -302,26 +258,77 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
-def softmax_rows(x, mask=None):
-    """Row softmax with max-shift; optional 0/1 mask zeroes excluded entries.
+def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
+    """Multi-head causal self-attention over token-flat ``[N, D]`` q, k, v.
 
-    Masked entries contribute exactly 0.0 to the row, so the output at
-    unmasked positions is bit-independent of masked inputs.
+    The rows are segments of the given lengths, back to back; a row attends
+    to itself and the earlier rows of its own segment only, and masked
+    entries contribute exactly 0. Segments of equal length run as one
+    ``[G, H, L, dh]`` batched product. With ``rate > 0`` and an ``rng``,
+    inverted dropout is applied to the attention probabilities.
+
+    For decoding, k and v may hold ``P`` more rows than q (one segment, no
+    grad): the cached keys and values of the ``P`` positions before q's.
     """
-    if mask is None:
-        shifted = x.data - x.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        rowmax = np.where(mask, x.data, -np.inf).max(axis=-1, keepdims=True)
-        # clamp masked entries to the row max before exp to avoid inf*0
-        e = np.exp(np.where(mask, x.data, rowmax) - rowmax) * mask
-    p = e / e.sum(axis=-1, keepdims=True)
+    n, d = q.data.shape
+    dh = d // n_heads
+    lengths = np.asarray(lengths, dtype=np.int64)
+    past = k.data.shape[0] - n
+    if lengths.sum() != n or past < 0 or (past and len(lengths) != 1):
+        raise ShapeError(f"causal_attention: lengths {lengths.tolist()}, {n} queries, "
+                         f"{n + past} keys")
+    c = 1.0 / np.sqrt(dh)
+    starts = np.cumsum(lengths) - lengths
 
-    def bwd(g, x=x, p=p):
-        if x.requires_grad:
-            _accumulate(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+    def split(x, rows, n_seg):
+        """Token-flat rows -> [G, H, L, dh]; a view when one group holds every row."""
+        x = x.reshape(n_seg, -1, d) if rows is None else x[rows]
+        return x.reshape(x.shape[:2] + (n_heads, dh)).transpose(0, 2, 1, 3)
 
-    return _make(p, (x,), bwd)
+    def merge(dst, rows, y):
+        """[G, H, L, dh] -> the group's token-flat rows of dst (or all of them)."""
+        y = y.transpose(0, 2, 1, 3).reshape(-1, d)
+        if rows is None:
+            return y
+        dst[rows.ravel()] = y
+        return dst
+
+    groups = []
+    out = np.empty((n, d))
+    for length in np.unique(lengths):
+        first = starts[lengths == length]
+        rows = None if len(first) == len(lengths) else first[:, None] + np.arange(length)
+        qg, kg, vg = (split(t.data, rows, len(first)) for t in (q, k, v))
+        mask = np.tril(np.ones((length, length + past), dtype=bool), k=past)
+        s = np.where(mask, c * (qg @ kg.swapaxes(-1, -2)), -np.inf)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        keep = None
+        if rate > 0.0 and rng is not None:
+            keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
+        pd = p if keep is None else p * keep
+        out = merge(out, rows, pd @ vg)
+        groups.append((rows, qg, kg, vg, p, keep, pd))
+
+    def bwd(g, q=q, k=k, v=v, groups=groups):
+        gq, gk, gv = (np.empty((n, d)) if t.requires_grad else None for t in (q, k, v))
+        for rows, qg, kg, vg, p, keep, pd in groups:
+            go = split(g, rows, len(lengths))
+            if gv is not None:
+                gv = merge(gv, rows, pd.swapaxes(-1, -2) @ go)
+            gp = go @ vg.swapaxes(-1, -2)
+            if keep is not None:
+                gp = gp * keep
+            gs = c * (p * (gp - (gp * p).sum(axis=-1, keepdims=True)))
+            if gq is not None:
+                gq = merge(gq, rows, gs @ kg)
+            if gk is not None:
+                gk = merge(gk, rows, gs.swapaxes(-1, -2) @ qg)
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            if grad is not None:
+                _accumulate(t, grad)
+
+    return _make(out, (q, k, v), bwd)
 
 
 def log_softmax_rows(x):
@@ -369,18 +376,22 @@ def pick_nll(log_probs, targets, weights=None):
     return _make(value, (log_probs,), bwd)
 
 
-def pick_logprob_sum(log_probs, targets):
-    """Sum of log_probs[t, targets[t]] over all rows; scalar output."""
-    T, V = log_probs.data.shape
+def pick_sum(log_probs, targets, coef, segments, n_segments):
+    """Per-segment sums of coef[j] * log_probs[j, targets[j]] over the rows j
+    of ``[N, V]`` log-probs: output ``[n_segments]``, entry s summing the rows
+    with segments[j] == s. Zero-coefficient rows contribute exactly 0."""
+    n, V = log_probs.data.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size and (targets.min() < 0 or targets.max() >= V):
-        raise IndexError(f"pick_logprob_sum: target id out of range [0, {V})")
-    value = log_probs.data[np.arange(T), targets].sum()
+        raise IndexError(f"pick_sum: target id out of range [0, {V})")
+    rows = np.arange(n)
+    value = np.bincount(segments, weights=coef * log_probs.data[rows, targets],
+                        minlength=n_segments)
 
-    def bwd(g, log_probs=log_probs, targets=targets, T=T):
+    def bwd(g, log_probs=log_probs):
         if log_probs.requires_grad:
-            gbuf = np.zeros_like(log_probs.data)
-            gbuf[np.arange(T), targets] = g
+            gbuf = np.zeros((n, V))
+            gbuf[rows, targets] = coef * g[segments]
             _accumulate(log_probs, gbuf)
 
     return _make(value, (log_probs,), bwd)

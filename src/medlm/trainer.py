@@ -154,8 +154,10 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
 
     cpt updates the full parameter set; sft/dpo attach a fresh adapter
     and update only it (an incoming adapter is merged into the base
-    first). dpo snapshots the merged incoming model as the frozen
-    reference before any update.
+    first). The merged incoming model is dpo's frozen reference: its
+    preference margins are computed once, before any update, and each
+    dpo metrics row adds the batch's mean reward margin and the share of
+    pairs whose margin is positive.
     """
     if cfg.epochs < 0:
         raise ConfigError("epochs must be >= 0")
@@ -177,39 +179,35 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
         adapter = M.attach_lora(params, lora_cfg, rng)
         trainable = adapter
 
-    dpo_cfg = None
-    if cfg.stage == "dpo":
-        ref = params.copy()
-        ref.set_requires_grad(False)
-        dpo_cfg = O.DpoConfig(beta=cfg.beta, reference_params=ref)
-
     opt = OptimState(trainable)
     metrics = []
     n_batches = max(1, math.ceil(len(dataset) / cfg.batch_size)) if dataset else 0
     total_steps = cfg.epochs * n_batches
     train_rng = np.random.default_rng(cfg.seed + 1)
 
-    def batch_loss(batch):
+    if cfg.stage == "dpo" and total_steps:
+        dpo_cfg = O.DpoConfig(beta=cfg.beta)
+        reference = O.preference_margins(params, None, dataset, vocab, cfg.batch_size)
+
+    def batch_loss(idx):
+        batch = [dataset[i] for i in idx]
         if cfg.stage == "cpt":
-            return O.cpt_loss(params, adapter, batch, train_rng=train_rng)
-        if cfg.stage == "dpo":
-            return O.dpo_loss(params, adapter, dpo_cfg, batch, vocab, train_rng=train_rng)
-        total = None
-        for ex in batch:
-            term = O.sft_loss(params, adapter, ex, vocab, render_prompt, train_rng=train_rng)
-            total = term if total is None else total + term
-        return (1.0 / len(batch)) * total
+            return O.cpt_loss(params, adapter, batch, train_rng=train_rng), {}
+        if cfg.stage == "sft":
+            return O.sft_loss(params, adapter, batch, vocab, render_prompt,
+                              train_rng=train_rng), {}
+        loss, rewards = O.dpo_loss(params, adapter, dpo_cfg, batch, vocab, reference[idx],
+                                   train_rng=train_rng)
+        return loss, {"reward_margin": float(rewards.mean()),
+                      "reward_acc": float((rewards > 0).mean())}
 
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         for b in range(n_batches):
-            batch = [dataset[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-            if not batch:
-                continue
             lr = lr_at(cfg, step, total_steps)
             trainable.grad.fill(0.0)
-            graph = batch_loss(batch)
+            graph, extra = batch_loss(order[b * cfg.batch_size : (b + 1) * cfg.batch_size])
             backward(graph)
             loss = float(graph.data)
             del graph  # free it before the optimizer's full-buffer temporaries
@@ -217,7 +215,7 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
             optim_step(trainable, opt, lr, cfg.weight_decay)
             step += 1
             metrics.append({"step": step, "stage": cfg.stage, "lr": lr, "loss": loss,
-                            "grad_norm": grad_norm})
+                            "grad_norm": grad_norm, **extra})
     if log_path is not None:
         write_metrics(metrics, log_path)
     new_state = TrainState(params=params, adapter=adapter, stage=cfg.stage,
@@ -229,7 +227,8 @@ def write_metrics(metrics, path):
     import io
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["step", "stage", "lr", "loss", "grad_norm"])
+    fields = list(metrics[0]) if metrics else ["step", "stage", "lr", "loss", "grad_norm"]
+    writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
     writer.writerows(metrics)
     atomic_write_text(buf.getvalue(), path)

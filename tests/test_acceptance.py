@@ -9,6 +9,7 @@ oracles.py rather than copied from this package's code.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -62,17 +63,31 @@ def test_gradient_fidelity():
 
     ex = D.SftExample(instruction="ab？", output="cd药。")
     results["sft"] = grad_check(
-        lambda: O.sft_loss(params, None, ex, vocab, D.render_prompt),
+        lambda: O.sft_loss(params, None, [ex], vocab, D.render_prompt),
+        tensors, step=1e-6, tolerance=1e-5, n_samples=200)
+    # a ragged batch: three examples of different lengths, two of them equal
+    batch = [ex, D.SftExample(instruction="gfedcb？", output="a。"),
+             D.SftExample(instruction="ba？", output="dc药。")]
+    results["sft-batch"] = grad_check(
+        lambda: O.sft_loss(params, None, batch, vocab, D.render_prompt),
         tensors, step=1e-6, tolerance=1e-5, n_samples=200)
 
     ref = params.copy()
     ref.set_requires_grad(False)
     ref["head"].data += 0.01  # distinct reference so the margin is nonzero
-    dcfg = O.DpoConfig(beta=0.1, reference_params=ref)
+    dcfg = O.DpoConfig(beta=0.1)
     pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef。"),
              D.PreferencePair(prompt="fg？", preferred="a药。", rejected="bc。")]
+    reference = O.preference_margins(ref, None, pairs, vocab)
     results["dpo"] = grad_check(
-        lambda: O.dpo_loss(params, None, dcfg, pairs, vocab),
+        lambda: O.dpo_loss(params, None, dcfg, pairs, vocab, reference)[0],
+        tensors, step=1e-6, tolerance=1e-5, n_samples=200)
+    # pairs of different lengths, chosen and rejected of unequal length
+    ragged = pairs + [D.PreferencePair(prompt="edcba？", preferred="gf。",
+                                       rejected="abcd药。")]
+    ragged_ref = O.preference_margins(ref, None, ragged, vocab)
+    results["dpo-batch"] = grad_check(
+        lambda: O.dpo_loss(params, None, dcfg, ragged, vocab, ragged_ref)[0],
         tensors, step=1e-6, tolerance=1e-5, n_samples=200)
 
     elapsed = time.time() - t0
@@ -95,23 +110,20 @@ def test_dpo_identities():
     # (a) policy == reference -> every margin 0 -> loss exactly -log sigmoid(0)
     ref = params.copy()
     ref.set_requires_grad(False)
-    cfg = O.DpoConfig(beta=0.17, reference_params=ref)
-    loss = O.dpo_loss(params, None, cfg, pairs, vocab)
+    reference = O.preference_margins(ref, None, pairs, vocab)
+    cfg = O.DpoConfig(beta=0.17)
+    loss, _ = O.dpo_loss(params, None, cfg, pairs, vocab, reference)
     ln2_ok = abs(loss.item() - math.log(2)) < 1e-9
 
     # (b) implicit reward linear in beta
     policy = params.copy()
     policy["embed"].data += 0.02 * np.random.default_rng(3).standard_normal(
         policy["embed"].data.shape)
-    pair = pairs[0]
-    prompt_ids = [M.BOS] + M.encode(vocab, D.render_bare_prompt(pair.prompt))
-    pref = M.encode(vocab, pair.preferred) + [M.EOS]
-    rej = M.encode(vocab, pair.rejected) + [M.EOS]
 
     def margin(beta):
-        c = O.DpoConfig(beta=beta, reference_params=ref)
-        return (O.dpo_implicit_reward(policy, None, c, prompt_ids, pref).item()
-                - O.dpo_implicit_reward(policy, None, c, prompt_ids, rej).item())
+        c = O.DpoConfig(beta=beta)
+        return O.dpo_implicit_reward(policy, None, c, pairs[:1], vocab,
+                                     reference[:1]).item()
 
     m1, m2 = margin(0.05), margin(0.35)
     linear_ok = m1 != 0 and abs(m2 / m1 - 7.0) / 7.0 < 1e-6
@@ -119,12 +131,12 @@ def test_dpo_identities():
     # (c) one small step increases the mean preferred-minus-rejected margin
     trainee = params.copy()
     trainee.set_requires_grad(True)
-    before = np.mean(O.preference_margins(trainee, None, cfg, pairs, vocab))
-    step_loss = O.dpo_loss(trainee, None, cfg, pairs, vocab)
+    before = np.mean(O.preference_margins(trainee, None, pairs, vocab))
+    step_loss, _ = O.dpo_loss(trainee, None, cfg, pairs, vocab, reference)
     backward(step_loss)
     for _, t in trainee.named():
         t.data -= 1e-3 * t.grad
-    after = np.mean(O.preference_margins(trainee, None, cfg, pairs, vocab))
+    after = np.mean(O.preference_margins(trainee, None, pairs, vocab))
     step_ok = after > before
 
     ok = ln2_ok and linear_ok and step_ok
@@ -152,8 +164,8 @@ def test_sft_masking():
         scrambled = [
             (t if w else int(rng.integers(len(vocab)))) for t, w in zip(targets, weights)
         ]
-        a = O.sft_loss(params, None, ex, vocab, D.render_prompt).item()
-        b = O.sft_loss(params, None, ex, vocab, D.render_prompt,
+        a = O.sft_loss(params, None, [ex], vocab, D.render_prompt).item()
+        b = O.sft_loss(params, None, [ex], vocab, D.render_prompt,
                        target_override=scrambled).item()
         max_delta = max(max_delta, abs(a - b))
     _report("sft-masking", max_delta == 0.0, f"max |delta loss| = {max_delta!r}")
@@ -286,14 +298,27 @@ def _run_pipeline(config_path):
         assert rc == 0, f"{args} failed"
 
 
+def pytest_generate_tests(metafunc):
+    """Opt-in seed sweep: QILIN_SEEDS="0-9" (or one seed, "3") runs the e2e
+    pipeline once per seed, each seed passed to the CLI as QILIN_SEED."""
+    seeds = os.environ.get("QILIN_SEEDS")
+    if seeds and "pipeline" in metafunc.fixturenames:
+        lo, _, hi = seeds.partition("-")
+        metafunc.parametrize("pipeline", range(int(lo), int(hi or lo) + 1),
+                             indirect=True, scope="module")
+
+
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
+def pipeline(request, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("e2e")
     config_path, base = _patched_config(tmp, "main")
-    t0 = time.time()
-    _run_pipeline(config_path)
-    elapsed = time.time() - t0
-    cfg, _ = cli.validate_config(config_path)
+    with pytest.MonkeyPatch.context() as mp:
+        if hasattr(request, "param"):
+            mp.setenv("QILIN_SEED", str(request.param))
+        t0 = time.time()
+        _run_pipeline(config_path)
+        elapsed = time.time() - t0
+        cfg, _ = cli.validate_config(config_path)
     return {"cfg": cfg, "base": base, "train_seconds": elapsed,
             "config_path": config_path}
 
@@ -347,10 +372,7 @@ def test_end_to_end_ordinal_trend(pipeline):
     pairs, _ = D.load_dataset(base / "data" / "dpo.jsonl", "dpo")
 
     def pref_rate(state):
-        ref = state.params  # margins only need the policy; cfg unused here
-        dcfg = O.DpoConfig(beta=0.1, reference_params=ref)
-        margins = O.preference_margins(state.params, state.adapter, dcfg, pairs,
-                                       vocab)
+        margins = O.preference_margins(state.params, state.adapter, pairs, vocab)
         return float(np.mean([m > 0 for m in margins]))
 
     rate_sft = pref_rate(sft_state)

@@ -139,11 +139,48 @@ class TestForward:
             adapter = M.attach_lora(tiny_params, M.LoraConfig(dropout=0.0), rng)
             adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
         tokens = rng.integers(0, tiny_config.vocab_size, size=(3, 9))
-        batch = M.forward_logits(tiny_params, adapter, tokens).data
+        flat = M.forward_logits(tiny_params, adapter, tokens.ravel(), lengths=[9] * 3).data
+        batch = flat.reshape(3, 9, -1)
         assert batch.shape == (3, 9, tiny_config.vocab_size)
         for row, logits in zip(tokens, batch):
             single = M.forward_logits(tiny_params, adapter, list(row)).data
             assert np.allclose(logits, single, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 24), min_size=1, max_size=5),
+           with_adapter=st.booleans(), seed=st.integers(0, 2**16))
+    def test_ragged_rows_match_single_sequences(self, lengths, with_adapter, seed):
+        tiny_config = M.ModelConfig(vocab_size=13, d_model=16, n_layers=2, n_heads=2,
+                                    max_seq_len=24)  # conftest's tiny config
+        tiny_params = M.init_params(tiny_config, np.random.default_rng(42))
+        rng = np.random.default_rng(seed)
+        adapter = None
+        if with_adapter:
+            adapter = M.attach_lora(tiny_params, M.LoraConfig(dropout=0.0), rng)
+            adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
+        tokens = rng.integers(0, tiny_config.vocab_size, size=sum(lengths))
+        ragged = M.forward_logits(tiny_params, adapter, tokens, lengths=lengths).data
+        start = 0
+        for n in lengths:
+            single = M.forward_logits(tiny_params, adapter, tokens[start:start + n]).data
+            assert np.allclose(ragged[start:start + n], single, rtol=0.0, atol=1e-12)
+            start += n
+
+    def test_segments_restart_positions(self, tiny_params):
+        # the second segment is the first one again, so its logits must be too
+        logits = M.forward_logits(tiny_params, None, [0, 4, 5, 0, 4, 5],
+                                  lengths=[3, 3]).data
+        assert np.allclose(logits[:3], logits[3:], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[2, 1], [5, 0], [0, 4]])
+    def test_rejects_lengths_not_covering_tokens(self, tiny_params, lengths):
+        with pytest.raises(DataError):
+            M.forward_logits(tiny_params, None, [0, 4, 5, 6], lengths=lengths)
+
+    def test_rejects_overlong_segment(self, tiny_config, tiny_params):
+        n = tiny_config.max_seq_len
+        with pytest.raises(DataError):
+            M.forward_logits(tiny_params, None, [0] * (n + 2), lengths=[1, n + 1])
 
 
 class TestLora:

@@ -81,25 +81,42 @@ class TestSftTokens:
         ids, weights = O.sft_tokens(ex, vocab, D.render_prompt)
         targets = ids[1:]
         scrambled = [(t if w else (t + 3) % len(vocab)) for t, w in zip(targets, weights)]
-        a = O.sft_loss(params, None, ex, vocab, D.render_prompt)
-        b = O.sft_loss(params, None, ex, vocab, D.render_prompt,
+        a = O.sft_loss(params, None, [ex], vocab, D.render_prompt)
+        b = O.sft_loss(params, None, [ex], vocab, D.render_prompt,
                        target_override=scrambled)
         assert a.item() == b.item()
+
+    def test_batch_is_mean_of_examples(self, vocab, params):
+        # examples of different lengths: the loss weights each example's
+        # token mean equally, whatever its response length
+        batch = [D.SftExample(instruction="ab", output="cd"),
+                 D.SftExample(instruction="abcdef", output="g"),
+                 D.SftExample(instruction="h", output="abcdefgh")]
+        params.set_requires_grad(True)
+        joint = O.sft_loss(params, None, batch, vocab, D.render_prompt)
+        backward(joint)
+        joint_grad = params.grad.copy()
+        params.grad.fill(0.0)
+        single = [O.sft_loss(params, None, [ex], vocab, D.render_prompt) for ex in batch]
+        mean = (1.0 / len(batch)) * sum(single[1:], single[0])
+        backward(mean)
+        assert abs(joint.item() - mean.item()) < 1e-12
+        assert np.allclose(joint_grad, params.grad, rtol=0.0, atol=1e-12)
 
     def test_overlong_example_rejected(self, vocab, params):
         ex = D.SftExample(instruction="ab" * 40, output="cd")
         with pytest.raises(DataError):
-            O.sft_loss(params, None, ex, vocab, D.render_prompt)
+            O.sft_loss(params, None, [ex], vocab, D.render_prompt)
 
 
 class TestSequenceLogprob:
     def test_empty_response_is_zero(self, params):
-        lp = O.sequence_logprob(params, None, [0, 4], [])
+        lp = O.sequence_logprob(params, None, [([0, 4], [])])
         assert lp.item() == 0.0
 
     def test_matches_stepwise_product(self, params):
         prompt, response = [0, 4, 5], [6, 7, 1]
-        lp = O.sequence_logprob(params, None, prompt, response)
+        lp = O.sequence_logprob(params, None, [(prompt, response)])
         manual = 0.0
         ids = prompt + response
         logits = M.forward_logits(params, None, ids[:-1]).data
@@ -110,23 +127,33 @@ class TestSequenceLogprob:
             manual += math.log(p[tok])
         assert abs(lp.item() - manual) < 1e-10
 
+    def test_batch_matches_single_sequences(self, params):
+        seqs = [([0, 4, 5], [6, 7, 1]), ([0, 9], [4, 1]), ([0, 5, 6, 7, 8], [9, 1])]
+        joint = O.sequence_logprob(params, None, seqs).data
+        single = [O.sequence_logprob(params, None, [s]).item() for s in seqs]
+        assert np.allclose(joint, single, rtol=0.0, atol=1e-12)
+        paired = O.sequence_logprob(params, None, seqs[:2], paired=True).item()
+        assert abs(paired - (single[0] - single[1])) < 1e-12
+
     def test_always_nonpositive(self, params):
-        lp = O.sequence_logprob(params, None, [0, 4], [5, 6])
+        lp = O.sequence_logprob(params, None, [([0, 4], [5, 6])])
         assert lp.item() <= 0.0
 
 
 class TestDpo:
-    def _cfg(self, params, beta=0.1):
-        ref = params.copy()
-        ref.set_requires_grad(False)
-        return O.DpoConfig(beta=beta, reference_params=ref)
+    def _cfg(self, beta=0.1):
+        return O.DpoConfig(beta=beta)
+
+    def _reference(self, params, vocab):
+        return O.preference_margins(params, None, self._pairs(), vocab)
 
     def _pairs(self):
         return [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef。")]
 
     def test_loss_is_ln2_when_policy_equals_reference(self, params, vocab):
         """Identical policy and reference give margin 0 -> -log sigmoid(0)."""
-        loss = O.dpo_loss(params, None, self._cfg(params), self._pairs(), vocab)
+        loss, _ = O.dpo_loss(params, None, self._cfg(), self._pairs(), vocab,
+                             self._reference(params, vocab))
         assert abs(loss.item() - math.log(2)) < 1e-9
 
     def test_beta_scales_margin_linearly(self, params, vocab):
@@ -136,46 +163,52 @@ class TestDpo:
         policy["head"].data += 0.01 * np.random.default_rng(2).standard_normal(
             policy["head"].data.shape
         )
-        pair = self._pairs()[0]
-        prompt_ids = [M.BOS] + M.encode(vocab, D.render_bare_prompt(pair.prompt))
-        pref = M.encode(vocab, pair.preferred) + [M.EOS]
-        rej = M.encode(vocab, pair.rejected) + [M.EOS]
+        reference = self._reference(params, vocab)
 
         def margin(beta):
-            cfg = self._cfg(params, beta=beta)
-            r_p = O.dpo_implicit_reward(policy, None, cfg, prompt_ids, pref)
-            r_r = O.dpo_implicit_reward(policy, None, cfg, prompt_ids, rej)
-            return r_p.item() - r_r.item()
+            cfg = self._cfg(beta=beta)
+            return O.dpo_implicit_reward(policy, None, cfg, self._pairs(), vocab,
+                                         reference).item()
 
         m1, m2 = margin(0.1), margin(0.4)
         assert m1 != 0.0
         assert abs(m2 / m1 - 4.0) < 1e-6
 
     def test_reference_receives_no_gradient(self, params, vocab):
-        cfg = self._cfg(params)
+        reference = self._reference(params, vocab)
         policy = params.copy()
         policy.set_requires_grad(True)
-        loss = O.dpo_loss(policy, None, cfg, self._pairs(), vocab)
+        loss, _ = O.dpo_loss(policy, None, self._cfg(), self._pairs(), vocab, reference)
         backward(loss)
-        assert all(t.grad is None for _, t in cfg.reference_params.named())
+        # the reference enters as precomputed numbers, not as a graph
+        assert isinstance(reference, np.ndarray)
+        assert not params.grad.any() and policy.grad.any()
 
     def test_gradient_step_increases_margin(self, params, vocab):
         policy = params.copy()
         policy.set_requires_grad(True)
-        cfg = self._cfg(params)
+        cfg = self._cfg()
         pairs = self._pairs()
-        before = O.preference_margins(policy, None, cfg, pairs, vocab)[0]
-        loss = O.dpo_loss(policy, None, cfg, pairs, vocab)
+        before = O.preference_margins(policy, None, pairs, vocab)[0]
+        loss, _ = O.dpo_loss(policy, None, cfg, pairs, vocab, self._reference(params, vocab))
         backward(loss)
         for _, t in policy.named():
             t.data -= 1e-3 * t.grad
-        after = O.preference_margins(policy, None, cfg, pairs, vocab)[0]
+        after = O.preference_margins(policy, None, pairs, vocab)[0]
         assert after > before
+
+    def test_margins_do_not_depend_on_chunking(self, params, vocab):
+        pairs = self._pairs() + [
+            D.PreferencePair(prompt="abc？", preferred="d药。", rejected="efgh。"),
+            D.PreferencePair(prompt="h？", preferred="gf。", rejected="a。")]
+        joint = O.preference_margins(params, None, pairs, vocab)
+        alone = O.preference_margins(params, None, pairs, vocab, batch_size=1)
+        assert joint.shape == (3,) and np.allclose(joint, alone, rtol=0.0, atol=1e-12)
 
     def test_empty_batch_rejected(self, params, vocab):
         with pytest.raises(DataError):
-            O.dpo_loss(params, None, self._cfg(params), [], vocab)
+            O.dpo_loss(params, None, self._cfg(), [], vocab, np.zeros(0))
 
     def test_beta_must_be_positive(self, params):
         with pytest.raises(ConfigError):
-            O.DpoConfig(beta=0.0, reference_params=params)
+            O.DpoConfig(beta=0.0)

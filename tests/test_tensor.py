@@ -35,33 +35,102 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """Row softmax, as exp of the engine's log_softmax_rows."""
+
+    def _softmax(self, rows):
+        return np.exp(T.log_softmax_rows(Tensor(rows)).data)
+
     def test_uniform_row(self):
-        out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-        assert np.allclose(out.data, 1 / 3, atol=1e-15)
+        out = self._softmax([[0.0, 0.0, 0.0]])
+        assert np.allclose(out, 1 / 3, atol=1e-15)
 
     def test_large_logit_no_overflow(self):
-        out = T.softmax_rows(Tensor([[1000.0, 0.0]]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0, 0] > 1 - 1e-12
+        out = self._softmax([[1000.0, 0.0]])
+        assert np.all(np.isfinite(out))
+        assert out[0, 0] > 1 - 1e-12
 
     def test_known_values(self):
-        out = T.softmax_rows(Tensor([[1.0, 2.0, 3.0]]))
+        out = self._softmax([[1.0, 2.0, 3.0]])
         expected = [0.09003057, 0.24472847, 0.66524096]
-        assert np.allclose(out.data[0], expected, atol=1e-8)
+        assert np.allclose(out[0], expected, atol=1e-8)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
     def test_rows_sum_to_one_property(self, row):
-        out = T.softmax_rows(Tensor([row]))
-        assert abs(out.data.sum() - 1.0) < 1e-12
-        assert np.all(out.data >= 0) and np.all(out.data <= 1)
+        out = self._softmax([row])
+        assert abs(out.sum() - 1.0) < 1e-12
+        assert np.all(out >= 0) and np.all(out <= 1)
 
-    def test_masked_entries_ignore_input_value(self):
-        mask = np.array([[1.0, 1.0, 0.0]])
-        a = T.softmax_rows(Tensor([[1.0, 2.0, 3.0]]), mask=mask)
-        b = T.softmax_rows(Tensor([[1.0, 2.0, 1e9]]), mask=mask)
-        assert np.array_equal(a.data, b.data)
-        assert a.data[0, 2] == 0.0
+
+def _attention_inputs(rng, n, d=8, requires_grad=False):
+    return [Tensor(rng.standard_normal((n, d)), requires_grad=requires_grad)
+            for _ in range(3)]
+
+
+class TestCausalAttention:
+    def test_future_key_leaves_earlier_rows_bit_identical(self, rng):
+        # segments [3, 2]: the last key of each set to 1e9 is masked for
+        # every earlier row of its segment and for the whole other segment
+        q, k, v = _attention_inputs(rng, 5)
+        a = T.causal_attention(q, k, v, [3, 2], n_heads=2).data
+        k.data[[2, 4]] = 1e9
+        v.data[[2, 4]] = 1e9
+        b = T.causal_attention(q, k, v, [3, 2], n_heads=2).data
+        assert np.array_equal(a[[0, 1, 3]], b[[0, 1, 3]])
+        assert np.all(np.isfinite(b))
+
+    def test_segments_match_separate_calls(self, rng):
+        q, k, v = _attention_inputs(rng, 9)
+        lengths = [4, 2, 3]
+        joint = T.causal_attention(q, k, v, lengths, n_heads=2).data
+        start = 0
+        for n in lengths:
+            rows = slice(start, start + n)
+            alone = T.causal_attention(Tensor(q.data[rows]), Tensor(k.data[rows]),
+                                       Tensor(v.data[rows]), [n], n_heads=2).data
+            assert np.allclose(joint[rows], alone, rtol=0.0, atol=1e-15)
+            start += n
+
+    def test_first_row_copies_its_value(self, rng):
+        q, k, v = _attention_inputs(rng, 3)
+        out = T.causal_attention(q, k, v, [1, 2], n_heads=2).data
+        assert np.array_equal(out[[0, 1]], v.data[[0, 1]])
+
+    @pytest.mark.parametrize("lengths", [[5], [2, 2, 2], [3, 1, 3, 2]])
+    def test_gradients(self, rng, lengths):
+        q, k, v = _attention_inputs(rng, sum(lengths), requires_grad=True)
+        w = rng.standard_normal((sum(lengths), 8))
+
+        def fn():
+            return T.tsum(T.causal_attention(q, k, v, lengths, n_heads=2) * Tensor(w))
+
+        report = grad_check(fn, [q, k, v], tolerance=1e-6, n_samples=60)
+        assert not report["failures"]
+
+    def test_dropout_gradients(self, rng):
+        # a fresh generator per call draws the same keep mask every time
+        q, k, v = _attention_inputs(rng, 7, requires_grad=True)
+        w = rng.standard_normal((7, 8))
+
+        def fn(rate=0.3):
+            out = T.causal_attention(q, k, v, [4, 3], n_heads=2, rate=rate,
+                                     rng=np.random.default_rng(7))
+            return T.tsum(out * Tensor(w))
+
+        assert fn().item() != fn(rate=0.0).item()
+        report = grad_check(fn, [q, k, v], tolerance=1e-6, n_samples=60)
+        assert not report["failures"]
+
+    def test_cached_keys_match_full_call(self, rng):
+        q, k, v = _attention_inputs(rng, 6)
+        full = T.causal_attention(q, k, v, [6], n_heads=2).data
+        last = T.causal_attention(Tensor(q.data[4:]), k, v, [2], n_heads=2).data
+        assert np.allclose(last, full[4:], rtol=0.0, atol=1e-15)
+
+    def test_lengths_must_cover_rows(self, rng):
+        q, k, v = _attention_inputs(rng, 4)
+        with pytest.raises(ShapeError):
+            T.causal_attention(q, k, v, [2, 1], n_heads=2)
 
 
 class TestCrossEntropy:
@@ -134,7 +203,7 @@ class TestBackward:
 
         def run():
             a = Tensor(a_data.copy(), requires_grad=True)
-            loss = T.tsum(T.softmax_rows(a @ Tensor(a_data)))
+            loss = T.tsum(T.log_softmax_rows(a @ Tensor(a_data)))
             backward(loss)
             return loss.data.copy(), a.grad.copy()
 

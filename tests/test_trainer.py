@@ -188,6 +188,19 @@ class TestRunStage:
         # first step: fresh adapter == reference, so loss is exactly ln 2
         assert metrics[0]["loss"] == pytest.approx(math.log(2), abs=1e-9)
 
+    def test_dpo_reference_follows_batch_order(self, state, vocab):
+        # with a vanishing learning rate the policy stays the reference, so
+        # every step's loss is ln 2 only if each pair meets its own reference
+        pairs = [D.PreferencePair(prompt="ab" * i + "？", preferred="c" * i + "。",
+                                  rejected="d药。") for i in range(1, 6)]
+        cfg = TR.StageConfig(stage="dpo", learning_rate=1e-300, warmup_ratio=0.0,
+                             epochs=2, batch_size=2, lora=TR.LoraSettings(dropout=0.0))
+        _, metrics = TR.run_stage(state, cfg, pairs, vocab=vocab)
+        assert len(metrics) == 6
+        for row in metrics:
+            assert row["loss"] == pytest.approx(math.log(2), abs=1e-12)
+            assert abs(row["reward_margin"]) < 1e-12
+
     def test_schema_mismatch_rejected(self, state, vocab):
         with pytest.raises(ConfigError):
             TR.run_stage(state, _cpt_cfg(), [D.SftExample(instruction="a", output="b")])
@@ -206,7 +219,7 @@ class TestRunStage:
         for name, t in s1.params.named():
             assert np.array_equal(t.data, s2.params.tensors[name].data)
 
-    def test_metrics_csv_format(self, state, tmp_path):
+    def test_metrics_csv_format(self, state, vocab, tmp_path):
         log = tmp_path / "metrics.csv"
         TR.run_stage(state, _cpt_cfg(epochs=1), self._blocks(), log_path=log)
         with open(log, newline="") as fh:
@@ -215,6 +228,25 @@ class TestRunStage:
         assert rows[0]["stage"] == "cpt" and int(rows[0]["step"]) == 1
         float(rows[0]["lr"]), float(rows[0]["loss"])  # parseable
         assert float(rows[0]["grad_norm"]) > 0
+
+        # dpo rows add the batch's reward margin and reward accuracy
+        pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef药。"),
+                 D.PreferencePair(prompt="abc？", preferred="g。", rejected="hd。")]
+        cfg = TR.StageConfig(stage="dpo", learning_rate=0.05, warmup_ratio=0.0, epochs=3,
+                             batch_size=2, lora=TR.LoraSettings(dropout=0.0))
+        _, metrics = TR.run_stage(state, cfg, pairs, vocab=vocab, log_path=log)
+        with open(log, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0].keys()) == ["step", "stage", "lr", "loss", "grad_norm",
+                                        "reward_margin", "reward_acc"]
+        # step 1: the fresh adapter is the reference, so every margin is ~0
+        assert abs(float(rows[0]["reward_margin"])) < 1e-12
+        for row, m in zip(rows, metrics):
+            margin, acc = float(row["reward_margin"]), float(row["reward_acc"])
+            assert acc in (0.0, 0.5, 1.0) and margin == m["reward_margin"]
+            # -log sigmoid is convex: the loss is at least that of the mean margin
+            assert float(row["loss"]) >= -math.log(1.0 / (1.0 + math.exp(-margin))) - 1e-12
+        assert float(rows[-1]["reward_margin"]) > 0 and float(rows[-1]["reward_acc"]) > 0
 
 
 class TestCheckpoint:
