@@ -20,58 +20,82 @@ from . import evalkit as E
 from . import model as M
 from . import synth
 from . import trainer as TR
-from .errors import ConfigError, MedlmError
+from .errors import ConfigError, MedlmError, check_fields
 
 KNOWN_TOP_KEYS = {"seed", "paths", "model", "data", "stages", "eval"}
+STAGE_KEYS = {f.name for f in dataclasses.fields(TR.StageConfig)} - {"stage"}
+UNREAD_STAGE_KEYS = {"cpt": {"lora", "beta"}, "sft": {"beta"}, "dpo": set()}
+LORA_KEYS = {"rank", "alpha", "dropout"}  # the adapted projections are fixed
 
-STAGE_KEYS = {"stage", "learning_rate", "warmup_ratio", "weight_decay", "epochs",
-              "batch_size", "block_size", "max_source_length", "max_target_length",
-              "lora", "beta", "seed"}
+
+@dataclasses.dataclass(frozen=True)
+class PathsConfig:
+    data: str = "runs/data"
+    checkpoints: str = "runs/checkpoints"
+    reports: str = "runs/reports"
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclasses.dataclass(frozen=True)
+class DataConfig:
+    n_diseases: int = 20  # synth has 20 disease names; a DPO pair needs two diseases
+    min_span: int = 20
+    block_size: int = 64
+    holdout_fraction: float = 0.1  # at least one block is held out
+    duplicate_docs: int = 2
+
+    def __post_init__(self):
+        check_fields(self, n_diseases="[2, 20]", min_span="[2, inf)",
+                     block_size="[2, inf)", holdout_fraction="[0, 1)",
+                     duplicate_docs="[0, inf)")
+
+
+@dataclasses.dataclass(frozen=True)
+class EvalConfig:
+    few_shot_k: int = 5
+    max_new_tokens: int = 48
+
+    def __post_init__(self):
+        check_fields(self, few_shot_k="[0, inf)", max_new_tokens="[1, inf)")
 
 
 @dataclasses.dataclass
 class RunConfig:
     seed: int
-    data_dir: str
-    checkpoint_dir: str
-    report_dir: str
-    model: dict
-    data: dict
-    stages: dict  # stage name -> StageConfig
-    few_shot_k: int
-    max_new_tokens: int
+    paths: PathsConfig
+    model: M.ModelConfig  # vocab_size is set from the vocabulary when CPT starts
+    data: DataConfig
+    stages: dict  # stage name -> TR.StageConfig
+    eval: EvalConfig
 
 
-DEFAULT_DATA = {
-    "n_diseases": 20,
-    "min_span": 20,
-    "block_size": 64,
-    "holdout_fraction": 0.1,
-    "duplicate_docs": 2,
-}
-
-DEFAULT_MODEL = {
-    "d_model": 64,
-    "n_layers": 2,
-    "n_heads": 2,
-    "max_seq_len": 256,
-    "dropout": 0.0,
-}
+def _known(value, where, keys, errors, warnings, strict=False):
+    """The entries of config object ``value`` whose keys are in ``keys``; an
+    unknown key is a warning (an error if strict), a non-object an error."""
+    if not isinstance(value, dict):
+        errors.append(f"{where}: must be an object")
+        return {}
+    (errors if strict else warnings).extend(
+        f"{where}: unknown key {k!r}" for k in value if k not in keys)
+    return {k: v for k, v in value.items() if k in keys}
 
 
 def validate_config(path):
     """Parse and validate; returns (RunConfig, warnings) or raises ConfigError
-    with every violation listed by key path."""
+    with every violation listed by key path. Each section is built as the
+    dataclass that declares, defaults and checks its settings."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
 
-    errors = []
-    warnings = [f"unknown key {k!r}" for k in raw if k not in KNOWN_TOP_KEYS]
+    errors, warnings = [], []
+    raw = _known(raw, "config", KNOWN_TOP_KEYS, errors, warnings)
 
     seed = raw.get("seed", 0)
     env_seed = os.environ.get("QILIN_SEED")
@@ -80,61 +104,46 @@ def validate_config(path):
             seed = int(env_seed)
         except ValueError:
             errors.append(f"QILIN_SEED: not an integer: {env_seed!r}")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         errors.append("seed: must be an integer")
 
-    paths = raw.get("paths", {})
-    data_dir = paths.get("data", "runs/data")
-    checkpoint_dir = paths.get("checkpoints", "runs/checkpoints")
-    report_dir = paths.get("reports", "runs/reports")
+    def build(where, make, *args, **given):
+        try:
+            return make(*args, **given)
+        except ConfigError as exc:
+            errors.append(f"{where}: {exc}")
 
-    model = dict(DEFAULT_MODEL)
-    model.update(raw.get("model", {}))
-    if model["d_model"] % max(1, model["n_heads"]) != 0:
-        errors.append("model.d_model: must be divisible by model.n_heads")
-    if model["max_seq_len"] < 2:
-        errors.append("model.max_seq_len: must be >= 2")
+    # the model's keys go straight into its checkpoint header: no unknown ones
+    model_keys = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"vocab_size"}
+    given = _known(raw.get("model", {}), "model", model_keys, errors, warnings, strict=True)
+    model = build("model", M.ModelConfig, vocab_size=1, **given)
+    sections = {}
+    for name, cls in (("paths", PathsConfig), ("data", DataConfig), ("eval", EvalConfig)):
+        keys = {f.name for f in dataclasses.fields(cls)}
+        sections[name] = build(name, cls, **_known(raw.get(name, {}), name, keys,
+                                                   errors, warnings))
 
-    data_cfg = dict(DEFAULT_DATA)
-    data_cfg.update(raw.get("data", {}))
-    if data_cfg["min_span"] < 2:
-        errors.append("data.min_span: must be >= 2")
-    if data_cfg["block_size"] < 2:
-        errors.append("data.block_size: must be >= 2")
+    if model and sections["data"] and sections["data"].block_size > model.max_seq_len + 1:
+        errors.append("data.block_size: a CPT block must fit model.max_seq_len + 1 tokens")
 
     stages = {}
-    for stage in ("cpt", "sft", "dpo"):
-        overrides = dict(raw.get("stages", {}).get(stage, {}))
-        warnings += [f"stages.{stage}: unknown key {k!r}"
-                     for k in overrides if k not in STAGE_KEYS]
-        base = dataclasses.asdict(TR.default_stage_config(stage))
-        lora = base.pop("lora")
-        base.update({k: v for k, v in overrides.items() if k in STAGE_KEYS and k != "lora"})
-        if "lora" in overrides and overrides["lora"] is not None:
-            lora = dict(lora or dataclasses.asdict(TR.LoraSettings()))
-            lora.update(overrides["lora"])
-        base["seed"] = base.get("seed") or seed
-        try:
-            cfg = TR.StageConfig(
-                **{k: v for k, v in base.items() if k != "lora"},
-                lora=TR.LoraSettings(**lora) if lora else None,
-            )
-        except (ConfigError, TypeError) as exc:
-            errors.append(f"stages.{stage}: {exc}")
-            continue
-        stages[stage] = cfg
-
-    eval_cfg = raw.get("eval", {})
-    few_shot_k = eval_cfg.get("few_shot_k", 5)
-    max_new_tokens = eval_cfg.get("max_new_tokens", 48)
+    given_stages = _known(raw.get("stages", {}), "stages", TR.STAGES, errors, warnings)
+    for stage in TR.STAGES:
+        where = f"stages.{stage}"
+        given = _known(given_stages.get(stage, {}), where,
+                       STAGE_KEYS - UNREAD_STAGE_KEYS[stage], errors, warnings)
+        base = TR.default_stage_config(stage)
+        if given.get("lora") is not None:
+            lora = _known(given["lora"], where + ".lora", LORA_KEYS, errors, warnings,
+                          strict=True)
+            given["lora"] = build(where + ".lora", dataclasses.replace, base.lora, **lora)
+        else:
+            given.pop("lora", None)
+        stages[stage] = build(where, dataclasses.replace, base, **{"seed": seed, **given})
 
     if errors:
         raise ConfigError("; ".join(errors))
-    cfg = RunConfig(seed=seed, data_dir=data_dir, checkpoint_dir=checkpoint_dir,
-                    report_dir=report_dir, model=model, data=data_cfg,
-                    stages=stages, few_shot_k=few_shot_k,
-                    max_new_tokens=max_new_tokens)
-    return cfg, warnings
+    return RunConfig(seed=seed, model=model, stages=stages, **sections), warnings
 
 
 def _write_jsonl(records, path):
@@ -144,7 +153,7 @@ def _write_jsonl(records, path):
 
 
 def _data_paths(cfg):
-    d = cfg.data_dir
+    d = cfg.paths.data
     return {
         "cpt": os.path.join(d, "cpt.jsonl"),
         "sft": os.path.join(d, "sft.jsonl"),
@@ -158,11 +167,11 @@ def _data_paths(cfg):
 
 def cmd_data_build(cfg):
     bundle = synth.build_corpus(
-        n_diseases=cfg.data["n_diseases"], seed=cfg.seed,
-        duplicate_docs=cfg.data["duplicate_docs"],
+        n_diseases=cfg.data.n_diseases, seed=cfg.seed,
+        duplicate_docs=cfg.data.duplicate_docs,
     )
     vocab = M.build_vocab(synth.vocab_corpus(bundle))
-    kept_docs, _report = D.dedup_corpus(bundle["cpt_docs"], cfg.data["min_span"])
+    kept_docs, _report = D.dedup_corpus(bundle["cpt_docs"], cfg.data.min_span)
 
     stats = D.PipelineStats()
     sft_examples = []
@@ -191,7 +200,7 @@ def cmd_data_build(cfg):
          for p, r in bundle["dialogue_eval"]],
         paths["dialogue"],
     )
-    os.makedirs(cfg.data_dir, exist_ok=True)
+    os.makedirs(cfg.paths.data, exist_ok=True)
     M.save_vocab(vocab, paths["vocab"])
 
     pairs = [D.PreferencePair(d["prompt"], d["chosen"], d["rejected"])
@@ -209,14 +218,14 @@ def cmd_data_dedup(cfg, input_path=None, output_path=None):
     input_path = input_path or paths["cpt"]
     output_path = output_path or input_path
     records, _ = D.load_dataset(input_path, "cpt")
-    kept, report = D.dedup_corpus(records, cfg.data["min_span"])
+    kept, report = D.dedup_corpus(records, cfg.data.min_span)
     _write_jsonl([{"text": t} for t in kept], output_path)
     print(f"kept {len(kept)}/{len(records)} docs, removed {len(report)} spans")
     return 0
 
 
 def _ckpt_path(cfg, stage):
-    return os.path.join(cfg.checkpoint_dir, f"{stage}.ckpt")
+    return os.path.join(cfg.paths.checkpoints, f"{stage}.ckpt")
 
 
 def _load_vocab(cfg):
@@ -234,8 +243,8 @@ def _load_records(cfg, stage):
 
 def _split_blocks(cfg, vocab):
     records = _load_records(cfg, "cpt")
-    blocks = D.pack_blocks(records, vocab, cfg.data["block_size"])
-    n_hold = max(1, int(len(blocks) * cfg.data["holdout_fraction"]))
+    blocks = D.pack_blocks(records, vocab, cfg.data.block_size)
+    n_hold = max(1, int(len(blocks) * cfg.data.holdout_fraction))
     # The stream is ordered by disease, so a contiguous tail would keep the
     # last diseases out of pre-training altogether; hold out every
     # stride-th block instead.
@@ -247,10 +256,10 @@ def _split_blocks(cfg, vocab):
 
 def cmd_train(cfg, stage):
     vocab = _load_vocab(cfg)
-    os.makedirs(cfg.checkpoint_dir, exist_ok=True)
+    os.makedirs(cfg.paths.checkpoints, exist_ok=True)
     stage_cfg = cfg.stages[stage]
     if stage == "cpt":
-        model_cfg = M.ModelConfig(vocab_size=len(vocab), **cfg.model)
+        model_cfg = dataclasses.replace(cfg.model, vocab_size=len(vocab))
         params = M.init_params(model_cfg, np.random.default_rng(cfg.seed))
         state = TR.TrainState(params=params, seed=cfg.seed)
         train_blocks, _ = _split_blocks(cfg, vocab)
@@ -259,8 +268,8 @@ def cmd_train(cfg, stage):
         prev = "cpt" if stage == "sft" else "sft"
         state = TR.load_checkpoint(_ckpt_path(cfg, prev))
         dataset = _load_records(cfg, stage)
-    log_path = os.path.join(cfg.report_dir, f"{stage}_metrics.csv")
-    os.makedirs(cfg.report_dir, exist_ok=True)
+    log_path = os.path.join(cfg.paths.reports, f"{stage}_metrics.csv")
+    os.makedirs(cfg.paths.reports, exist_ok=True)
     state, metrics = TR.run_stage(state, stage_cfg, dataset, vocab=vocab,
                                   log_path=log_path)
     TR.save_checkpoint(state, _ckpt_path(cfg, stage))
@@ -289,19 +298,19 @@ def cmd_eval(cfg, kind, checkpoint):
     vocab = _load_vocab(cfg)
     state = TR.load_checkpoint(checkpoint) if checkpoint else None
     paths = _data_paths(cfg)
-    os.makedirs(cfg.report_dir, exist_ok=True)
+    os.makedirs(cfg.paths.reports, exist_ok=True)
     if kind == "mcq":
         items = _load_mcq_items(paths["mcq"])
         if state is not None:
             exemplars = [(E.render_mcq_question(it), "".join(sorted(it.gold)))
-                         for it in items[: cfg.few_shot_k]]
+                         for it in items[: cfg.eval.few_shot_k]]
             spec = E.FewShotSpec(exemplars=exemplars)
             report = E.evaluate_mcq(state, vocab, items, spec, max_new_tokens=4)
         else:
             # score pre-filled generated fields
             report = E.EvalReport(n_items=len(items), accuracy=E.accuracy(items),
                                   weighted_f1=E.weighted_f1(items))
-        out = os.path.join(cfg.report_dir, "mcq_report.json")
+        out = os.path.join(cfg.paths.reports, "mcq_report.json")
     else:
         pairs = []
         with open(paths["dialogue"], encoding="utf-8") as fh:
@@ -313,8 +322,8 @@ def cmd_eval(cfg, kind, checkpoint):
             raise ConfigError("eval dialogue requires --checkpoint")
         rendered = [(D.render_bare_prompt(p), r) for p, r in pairs]
         report = E.evaluate_dialogue(state, vocab, rendered,
-                                     max_new_tokens=cfg.max_new_tokens)
-        out = os.path.join(cfg.report_dir, "dialogue_report.json")
+                                     max_new_tokens=cfg.eval.max_new_tokens)
+        out = os.path.join(cfg.paths.reports, "dialogue_report.json")
     E.write_report(report, out)
     print(report.table())
     print(f"report written to {out}")

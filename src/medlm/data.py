@@ -83,7 +83,6 @@ class PreferencePair:
 @dataclass
 class PipelineStats:
     count: int = 0
-    token_count: int = 0
     warnings: int = 0
     rejected: list = field(default_factory=list)
 
@@ -100,10 +99,8 @@ def _canonical_relations(relations):
     return sorted(relations, key=key)
 
 
-def linearize_kg(entity, template="default", stats=None):
+def linearize_kg(entity, stats=None):
     """One deterministic text per entity: name once, one sentence per label."""
-    if template != "default":
-        raise DataError(f"linearize_kg: unknown template {template!r}")
     if not entity.relations:
         if stats is not None:
             stats.warnings += 1
@@ -151,11 +148,7 @@ def standardize_instruction(raw, stats=None):
         if kind == "qa":
             return SftExample(instruction=raw["question"], output=raw["answer"])
         if kind == "exam":
-            question = raw["question"]
-            options = raw.get("options") or {}
-            if options:
-                rendered = " ".join(f"{k}.{v}" for k, v in sorted(options.items()))
-                question = f"{question} {rendered}"
+            question = render_exam_question(raw["question"], raw.get("options"))
             output = raw["answer"]
             if raw.get("explanation"):
                 output = f"{output} {raw['explanation']}"
@@ -185,19 +178,29 @@ def standardize_instruction(raw, stats=None):
     return None
 
 
+def render_turns(question, history=()):
+    """The one prompt template: each (question, answer) of ``history`` as
+    'Q:...\\nA:...\\n', then 'Q:question\\nA:' for the answer to follow."""
+    done = "".join(f"{PROMPT_Q}{q}\n{PROMPT_A}{a}\n" for q, a in history)
+    return f"{done}{PROMPT_Q}{question}\n{PROMPT_A}"
+
+
+def render_exam_question(question, options):
+    """An exam question followed by its options, 'A.x B.y ...' in letter order."""
+    if not options:
+        return question
+    return question + " " + " ".join(f"{k}.{v}" for k, v in sorted(options.items()))
+
+
 def render_prompt(ex):
     """Rendered prompt text for an SftExample; response is appended by the trainer."""
-    parts = []
-    for prompt, response in ex.history:
-        parts.append(f"{PROMPT_Q}{prompt}\n{PROMPT_A}{response}\n")
     question = ex.instruction if not ex.input else f"{ex.instruction}\n{ex.input}"
-    parts.append(f"{PROMPT_Q}{question}\n{PROMPT_A}")
-    return "".join(parts)
+    return render_turns(question, ex.history)
 
 
 def render_bare_prompt(prompt):
     """Prompt rendering for preference pairs (same surface form as SFT)."""
-    return f"{PROMPT_Q}{prompt}\n{PROMPT_A}"
+    return render_turns(prompt)
 
 
 # -- exact-substring dedup --------------------------------------------
@@ -325,7 +328,7 @@ def record_text(record):
     raise DataError(f"record_text: unsupported record {type(record)}")
 
 
-def load_dataset(path, schema, vocab=None):
+def load_dataset(path, schema):
     """Read one-JSON-record-per-line; returns (records, PipelineStats).
 
     A malformed line raises DataError naming the line number; a record
@@ -350,8 +353,6 @@ def load_dataset(path, schema, vocab=None):
             except (KeyError, TypeError, DataError) as exc:
                 stats.rejected.append(f"line {lineno}: {exc}")
     stats.count = len(records)
-    if vocab is not None:
-        stats.token_count = sum(len(M.encode(vocab, record_text(r))) for r in records)
     return records, stats
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import kernels
 from . import model as M
 from . import tensor as T
+from .data import render_exam_question, render_turns
 from .errors import DataError
 
 BLEU_EPS = 1e-9
@@ -73,7 +74,6 @@ class EvalReport:
 @dataclass
 class FewShotSpec:
     exemplars: list  # of (question, answer)
-    separator: str = "\n"
 
     @property
     def k(self):
@@ -198,9 +198,7 @@ def perplexity(params, adapter, blocks):
 
 def build_few_shot_prompt(spec, question, max_len=None):
     """Exemplars in order, each 'Q:...\\nA:...\\n', then the open question."""
-    parts = [f"Q:{q}\nA:{a}\n" for q, a in spec.exemplars]
-    parts.append(f"Q:{question}\nA:")
-    prompt = spec.separator.join(parts) if spec.separator != "\n" else "".join(parts)
+    prompt = render_turns(question, spec.exemplars)
     if max_len is not None and len(prompt) > max_len:
         raise DataError(
             f"few-shot prompt length {len(prompt)} exceeds context {max_len}"
@@ -209,8 +207,7 @@ def build_few_shot_prompt(spec, question, max_len=None):
 
 
 def render_mcq_question(item):
-    opts = " ".join(f"{k}.{v}" for k, v in sorted(item.options.items()))
-    return f"{item.question} {opts}"
+    return render_exam_question(item.question, item.options)
 
 
 def _generate_text(state, vocab, prompt, max_new):

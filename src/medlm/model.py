@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DataError, VocabError
+from .errors import ConfigError, ContractError, DataError, VocabError, check_fields, field_errors
 from .tensor import Tensor
 
 SPECIAL_SYMBOLS = ("<BOS>", "<EOS>", "<PAD>", "<SEP>")
@@ -89,21 +89,21 @@ def load_vocab(path):
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    d_model: int = 128
-    n_layers: int = 4
-    n_heads: int = 4
+    d_model: int = 64
+    n_layers: int = 2
+    n_heads: int = 2
     max_seq_len: int = 256  # paper-scale profile uses 1024
     d_ff: int = 0  # 0 -> 4 * d_model
     dropout: float = 0.0
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError("d_model must be divisible by n_heads")
-        if self.max_seq_len < 2:
-            raise ConfigError("max_seq_len must be >= 2")
+        errors = field_errors(self, vocab_size="[1, inf)", d_model="[1, inf)",
+                              n_layers="[1, inf)", n_heads="[1, inf)",
+                              max_seq_len="[2, inf)", d_ff="[0, inf)", dropout="[0, 1)")
+        if not errors.keys() & {"d_model", "n_heads"} and self.d_model % self.n_heads:
+            errors["d_model"] = "d_model must be divisible by n_heads"
+        if errors:
+            raise ConfigError("; ".join(errors.values()))
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
 
@@ -116,8 +116,7 @@ class LoraConfig:
     targets: tuple = ("wq", "wv")
 
     def __post_init__(self):
-        if self.rank <= 0:
-            raise ConfigError("LoRA rank must be positive")
+        check_fields(self, rank="[1, inf)", dropout="[0, 1)")
 
 
 class ParamTable:

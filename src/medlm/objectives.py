@@ -10,22 +10,11 @@ one ragged forward (``model.forward_logits`` with segment lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .errors import ConfigError, DataError
-
-
-@dataclass
-class DpoConfig:
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ConfigError("DpoConfig: beta must be positive")
+from .errors import DataError
 
 
 def cpt_loss(params, adapter, blocks, train_rng=None):
@@ -91,6 +80,8 @@ def sequence_logprob(params, adapter, sequences, paired=False, train_rng=None):
     """
     inputs, targets, coef, lengths = [], [], [], []
     for j, (prompt_ids, response_ids) in enumerate(sequences):
+        if not len(prompt_ids):
+            raise DataError(f"sequence_logprob: sequence {j} has an empty prompt")
         ids = list(prompt_ids) + list(response_ids)
         if len(ids) > params.config.max_seq_len + 1:
             raise DataError(f"sequence_logprob: length {len(ids)} exceeds context")
@@ -128,7 +119,7 @@ def preference_margins(params, adapter, pairs, vocab, batch_size=8):
             for i in range(0, len(pairs), batch_size)])
 
 
-def dpo_implicit_reward(params, adapter, cfg, pairs, vocab, reference, train_rng=None):
+def dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference, train_rng=None):
     """beta * (policy margin - reference margin) per pair, a Tensor
     [len(pairs)]: the chosen response's implicit reward minus the rejected
     one's. ``reference`` holds the frozen reference model's
@@ -139,13 +130,13 @@ def dpo_implicit_reward(params, adapter, cfg, pairs, vocab, reference, train_rng
     """
     policy = sequence_logprob(params, adapter, _pair_sequences(pairs, vocab), paired=True,
                               train_rng=train_rng)
-    return cfg.beta * (policy - reference)
+    return beta * (policy - reference)
 
 
-def dpo_loss(params, adapter, cfg, pairs, vocab, reference, train_rng=None):
+def dpo_loss(params, adapter, beta, pairs, vocab, reference, train_rng=None):
     """Mean over pairs of -log sigmoid(reward margin); returns (loss, the
     reward margins as an array). ``reference`` as for dpo_implicit_reward."""
     if not pairs:
         raise DataError("dpo_loss: empty batch")
-    rewards = dpo_implicit_reward(params, adapter, cfg, pairs, vocab, reference, train_rng)
+    rewards = dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference, train_rng)
     return (-1.0 / len(pairs)) * T.tsum(T.log_sigmoid(rewards)), rewards.data

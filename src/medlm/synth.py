@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DialogueRecord, KgEntity, QaRecord, flatten_dialogue, linearize_kg
+from .data import (DialogueRecord, KgEntity, QaRecord, flatten_dialogue, linearize_kg,
+                   render_exam_question, render_turns)
 
 # single distinct leading character per disease name
 _NUMERALS = ["一", "二", "三", "四", "五", "六", "七", "八", "九", "十",
@@ -93,13 +94,11 @@ def exam_item(d, seed_offset=0):
 
 
 def _exam_question_text(item):
-    opts = " ".join(f"{k}.{v}" for k, v in sorted(item["options"].items()))
-    return f"{item['question']} {opts}"
+    return render_exam_question(item["question"], item["options"])
 
 
 def exam_text(item):
-    opts = " ".join(f"{k}.{v}" for k, v in sorted(item["options"].items()))
-    return f"Q:{item['question']} {opts}\nA:{item['gold']}"
+    return render_turns(_exam_question_text(item)) + item["gold"]
 
 
 def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
@@ -121,7 +120,7 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
         cpt_has_drug = i < drug_cut
         cpt_docs.append(linearize_kg(_kg_entity(d, with_drug=cpt_has_drug)))
         for qa in _qa_records(d, with_drug=cpt_has_drug):
-            cpt_docs.append(f"Q:{qa.question}\nA:{qa.answer}")
+            cpt_docs.append(render_turns(qa.question) + qa.answer)
         if cpt_has_drug:
             cpt_docs.append(flatten_dialogue(_dialogue(d), "pretrain_text"))
 

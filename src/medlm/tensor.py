@@ -15,8 +15,8 @@ grad exists only during backward: its first contribution is assigned, and
 may be an array shared with another node, later ones are added out of
 place, and it is dropped once the node's own backward has run.
 
-Numerical guards: softmax variants subtract the row max, and log clamps
-its argument at 1e-300, so any forward pass on finite inputs stays
+Numerical guards: softmax variants subtract the row max, and log_sigmoid
+never takes the log of 0, so any forward pass on finite inputs stays
 finite.
 """
 
@@ -29,8 +29,6 @@ import numpy as np
 from .errors import ContractError, EvaluationError, ShapeError
 
 _GRAD_ENABLED = True
-
-LOG_FLOOR = 1e-300
 
 
 @contextlib.contextmanager
@@ -187,16 +185,6 @@ def relu(a):
             _accumulate(a, g * mask)
 
     return _make(np.where(mask, a.data, 0.0), (a,), bwd)
-
-
-def log(a):
-    clamped = np.maximum(a.data, LOG_FLOOR)
-
-    def bwd(g, a=a, clamped=clamped):
-        if a.requires_grad:
-            _accumulate(a, g / clamped)
-
-    return _make(np.log(clamped), (a,), bwd)
 
 
 def tsum(a):

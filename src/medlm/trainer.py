@@ -16,7 +16,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import kernels
 from . import model as M
 from . import objectives as O
 from .data import PreferencePair, SftExample, render_prompt
-from .errors import ConfigError, IntegrityError, TrainingError
+from .errors import ConfigError, DataError, IntegrityError, TrainingError, check_fields
 from .tensor import backward
 
 MAGIC = b"QLNM"
@@ -35,12 +35,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-
-@dataclass
-class LoraSettings:
-    rank: int = 8
-    alpha: float = 32.0
-    dropout: float = 0.05
+STAGES = ("cpt", "sft", "dpo")
 
 
 @dataclass
@@ -51,39 +46,26 @@ class StageConfig:
     weight_decay: float = 0.0
     epochs: int = 1
     batch_size: int = 8
-    block_size: int = 256  # cpt; paper-scale profile uses 1024
-    max_source_length: int = 256
-    max_target_length: int = 256
-    lora: LoraSettings | None = None
+    lora: M.LoraConfig | None = None  # sft/dpo
     beta: float = 0.1  # dpo
     seed: int = 0
 
     def __post_init__(self):
-        if self.stage not in ("cpt", "sft", "dpo"):
+        if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if not (0 <= self.warmup_ratio < 1):
-            raise ConfigError("warmup_ratio must be in [0, 1)")
-        if self.block_size < 2 or self.max_source_length < 1 or self.max_target_length < 1:
-            raise ConfigError("lengths must be >= 1 (block_size >= 2)")
+        check_fields(self, learning_rate="(0, inf)", warmup_ratio="[0, 1)",
+                     weight_decay="[0, inf)", epochs="[0, inf)", batch_size="[1, inf)",
+                     beta="(0, inf)")
         if self.stage in ("sft", "dpo") and self.lora is None:
-            self.lora = LoraSettings() if self.stage == "sft" else LoraSettings(alpha=16.0)
+            self.lora = M.LoraConfig() if self.stage == "sft" else M.LoraConfig(alpha=16.0)
 
 
 def default_stage_config(stage):
-    """Published defaults per stage (desk block size 256)."""
+    """Published defaults per stage."""
     if stage == "cpt":
-        return StageConfig(stage="cpt", learning_rate=2e-4, warmup_ratio=0.05,
-                           weight_decay=0.01, epochs=3, block_size=256)
-    if stage == "sft":
-        return StageConfig(stage="sft", learning_rate=2e-5, warmup_ratio=0.05,
-                           weight_decay=0.05, epochs=1,
-                           lora=LoraSettings(rank=8, alpha=32.0, dropout=0.05))
-    if stage == "dpo":
-        return StageConfig(stage="dpo", learning_rate=2e-5, warmup_ratio=0.05,
-                           weight_decay=0.05, epochs=1,
-                           lora=LoraSettings(rank=8, alpha=16.0, dropout=0.05))
+        return StageConfig(stage="cpt", learning_rate=2e-4, weight_decay=0.01, epochs=3)
+    if stage in ("sft", "dpo"):
+        return StageConfig(stage=stage, learning_rate=2e-5, weight_decay=0.05)
     raise ConfigError(f"unknown stage {stage!r}")
 
 
@@ -138,11 +120,7 @@ class TrainState:
 
 def _check_schema(cfg, dataset):
     want = {"cpt": list, "sft": SftExample, "dpo": PreferencePair}
-    if cfg.stage == "cpt":
-        ok = dataset and all(isinstance(b, list) for b in dataset)
-    else:
-        ok = dataset and all(isinstance(r, want[cfg.stage]) for r in dataset)
-    if not ok:
+    if not all(isinstance(r, want[cfg.stage]) for r in dataset):
         raise ConfigError(f"dataset does not match stage {cfg.stage!r} schema")
     if cfg.stage == "cpt" and len({len(b) for b in dataset}) > 1:
         # a CPT batch is one stacked [B, T] forward
@@ -159,10 +137,10 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
     dpo metrics row adds the batch's mean reward margin and the share of
     pairs whose margin is positive.
     """
-    if cfg.epochs < 0:
-        raise ConfigError("epochs must be >= 0")
     if dataset:
         _check_schema(cfg, dataset)
+    elif cfg.epochs:
+        raise DataError(f"{cfg.stage}: empty dataset, nothing to train on")
     rng = np.random.default_rng(cfg.seed)
 
     params, adapter = state.params, state.adapter
@@ -173,20 +151,16 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
         trainable = params
     else:
         params.set_requires_grad(False)
-        lora_cfg = M.LoraConfig(
-            rank=cfg.lora.rank, alpha=cfg.lora.alpha, dropout=cfg.lora.dropout
-        )
-        adapter = M.attach_lora(params, lora_cfg, rng)
+        adapter = M.attach_lora(params, cfg.lora, rng)
         trainable = adapter
 
     opt = OptimState(trainable)
     metrics = []
-    n_batches = max(1, math.ceil(len(dataset) / cfg.batch_size)) if dataset else 0
+    n_batches = math.ceil(len(dataset) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
     train_rng = np.random.default_rng(cfg.seed + 1)
 
     if cfg.stage == "dpo" and total_steps:
-        dpo_cfg = O.DpoConfig(beta=cfg.beta)
         reference = O.preference_margins(params, None, dataset, vocab, cfg.batch_size)
 
     def batch_loss(idx):
@@ -196,7 +170,7 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
         if cfg.stage == "sft":
             return O.sft_loss(params, adapter, batch, vocab, render_prompt,
                               train_rng=train_rng), {}
-        loss, rewards = O.dpo_loss(params, adapter, dpo_cfg, batch, vocab, reference[idx],
+        loss, rewards = O.dpo_loss(params, adapter, cfg.beta, batch, vocab, reference[idx],
                                    train_rng=train_rng)
         return loss, {"reward_margin": float(rewards.mean()),
                       "reward_acc": float((rewards > 0).mean())}
@@ -265,17 +239,11 @@ def save_checkpoint(state, path):
     index = _tensor_index("p", state.params, 0)
     adapter_info = None
     if state.adapter is not None:
-        ac = state.adapter.config
-        adapter_info = {"rank": ac.rank, "alpha": ac.alpha, "dropout": ac.dropout,
-                        "targets": list(ac.targets)}
+        adapter_info = asdict(state.adapter.config)
         tables.append(state.adapter)
         index += _tensor_index("a", state.adapter, state.params.data.nbytes)
-    cfg = state.params.config
     header = {
-        "config": {"vocab_size": cfg.vocab_size, "d_model": cfg.d_model,
-                   "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
-                   "max_seq_len": cfg.max_seq_len, "d_ff": cfg.d_ff,
-                   "dropout": cfg.dropout},
+        "config": asdict(state.params.config),
         "adapter": adapter_info,
         "meta": {"stage": state.stage, "step": state.step, "seed": state.seed},
         "tensors": index,

@@ -7,6 +7,7 @@ are recomputed by the independent brute-force implementations in
 oracles.py rather than copied from this package's code.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -75,19 +76,18 @@ def test_gradient_fidelity():
     ref = params.copy()
     ref.set_requires_grad(False)
     ref["head"].data += 0.01  # distinct reference so the margin is nonzero
-    dcfg = O.DpoConfig(beta=0.1)
     pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef。"),
              D.PreferencePair(prompt="fg？", preferred="a药。", rejected="bc。")]
     reference = O.preference_margins(ref, None, pairs, vocab)
     results["dpo"] = grad_check(
-        lambda: O.dpo_loss(params, None, dcfg, pairs, vocab, reference)[0],
+        lambda: O.dpo_loss(params, None, 0.1, pairs, vocab, reference)[0],
         tensors, step=1e-6, tolerance=1e-5, n_samples=200)
     # pairs of different lengths, chosen and rejected of unequal length
     ragged = pairs + [D.PreferencePair(prompt="edcba？", preferred="gf。",
                                        rejected="abcd药。")]
     ragged_ref = O.preference_margins(ref, None, ragged, vocab)
     results["dpo-batch"] = grad_check(
-        lambda: O.dpo_loss(params, None, dcfg, ragged, vocab, ragged_ref)[0],
+        lambda: O.dpo_loss(params, None, 0.1, ragged, vocab, ragged_ref)[0],
         tensors, step=1e-6, tolerance=1e-5, n_samples=200)
 
     elapsed = time.time() - t0
@@ -111,8 +111,7 @@ def test_dpo_identities():
     ref = params.copy()
     ref.set_requires_grad(False)
     reference = O.preference_margins(ref, None, pairs, vocab)
-    cfg = O.DpoConfig(beta=0.17)
-    loss, _ = O.dpo_loss(params, None, cfg, pairs, vocab, reference)
+    loss, _ = O.dpo_loss(params, None, 0.17, pairs, vocab, reference)
     ln2_ok = abs(loss.item() - math.log(2)) < 1e-9
 
     # (b) implicit reward linear in beta
@@ -121,8 +120,7 @@ def test_dpo_identities():
         policy["embed"].data.shape)
 
     def margin(beta):
-        c = O.DpoConfig(beta=beta)
-        return O.dpo_implicit_reward(policy, None, c, pairs[:1], vocab,
+        return O.dpo_implicit_reward(policy, None, beta, pairs[:1], vocab,
                                      reference[:1]).item()
 
     m1, m2 = margin(0.05), margin(0.35)
@@ -132,7 +130,7 @@ def test_dpo_identities():
     trainee = params.copy()
     trainee.set_requires_grad(True)
     before = np.mean(O.preference_margins(trainee, None, pairs, vocab))
-    step_loss, _ = O.dpo_loss(trainee, None, cfg, pairs, vocab, reference)
+    step_loss, _ = O.dpo_loss(trainee, None, 0.17, pairs, vocab, reference)
     backward(step_loss)
     for _, t in trainee.named():
         t.data -= 1e-3 * t.grad
@@ -337,7 +335,7 @@ def test_end_to_end_ordinal_trend(pipeline):
 
     # (a) CPT cuts held-out perplexity vs the random init by >= 30%
     _, holdout = cli._split_blocks(cfg, vocab)
-    model_cfg = M.ModelConfig(vocab_size=len(vocab), **cfg.model)
+    model_cfg = dataclasses.replace(cfg.model, vocab_size=len(vocab))
     random_params = M.init_params(model_cfg, np.random.default_rng(cfg.seed))
     ppl_random = E.perplexity(random_params, None, holdout)
     ppl_cpt = E.perplexity(cpt_state.params, cpt_state.adapter, holdout)
@@ -356,7 +354,7 @@ def test_end_to_end_ordinal_trend(pipeline):
 
     items = cli._load_mcq_items(base / "data" / "mcq.jsonl")
     exemplars = [(E.render_mcq_question(it), "".join(sorted(it.gold)))
-                 for it in items[: cfg.few_shot_k]]
+                 for it in items[: cfg.eval.few_shot_k]]
     spec = E.FewShotSpec(exemplars=exemplars)
 
     def mcq_acc(state):

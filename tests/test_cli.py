@@ -1,10 +1,15 @@
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from medlm import cli
+from medlm import model as M
 from medlm.errors import ConfigError
+
+SYNTHETIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
 
 
 def _write_config(tmp_path, **overrides):
@@ -51,6 +56,12 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             cli.validate_config(path)
 
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            cli.validate_config(path)
+
     def test_all_violations_reported_together(self, tmp_path):
         path = _write_config(tmp_path,
                              model={"d_model": 15, "n_heads": 2, "max_seq_len": 1},
@@ -76,6 +87,91 @@ class TestValidateConfig:
         monkeypatch.setenv("QILIN_SEED", "abc")
         with pytest.raises(ConfigError, match="QILIN_SEED"):
             cli.validate_config(path)
+
+    def test_unknown_section_keys_warn(self, tmp_path):
+        path = _write_config(tmp_path)
+        raw = json.loads(path.read_text("utf-8"))
+        for section in ("data", "eval", "paths"):
+            raw[section]["mystery"] = 1
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        _, warnings = cli.validate_config(path)
+        assert sorted(warnings) == [f"{s}: unknown key 'mystery'"
+                                    for s in ("data", "eval", "paths")]
+
+    def test_explicit_stage_seed_zero_is_kept(self, tmp_path):
+        path = _write_config(tmp_path, seed=5)
+        raw = json.loads(path.read_text("utf-8"))
+        raw["stages"]["sft"]["seed"] = 0
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        cfg, _ = cli.validate_config(path)
+        assert (cfg.stages["cpt"].seed, cfg.stages["sft"].seed) == (5, 0)
+
+    def test_synthetic_config_has_no_warnings(self):
+        _, warnings = cli.validate_config(SYNTHETIC_CONFIG)
+        assert warnings == []
+
+    def test_every_accepted_stage_key_is_a_stage_config_field(self, tmp_path):
+        # a stage key accepted without a warning must land in its StageConfig
+        # field, so no JSON knob goes unread; the deleted ones are unknown
+        path = _write_config(tmp_path)
+        raw = json.loads(path.read_text("utf-8"))
+        given = {"learning_rate": 0.5, "warmup_ratio": 0.5, "weight_decay": 0.5,
+                 "epochs": 7, "batch_size": 7, "beta": 0.5, "seed": 7,
+                 "lora": {"rank": 7, "alpha": 7.0, "dropout": 0.5}}
+        # deleted keys, and the adapter and beta that cpt and sft do not read
+        dead = ["block_size", "max_source_length", "max_target_length", "stage",
+                "lora", "beta"]
+        raw["stages"]["dpo"] = given
+        raw["stages"]["cpt"] = {key: 8 for key in dead}
+        raw["stages"]["sft"]["beta"] = 0.5
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        cfg, warnings = cli.validate_config(path)
+        assert set(given) == cli.STAGE_KEYS
+        assert sorted(warnings) == sorted([f"stages.cpt: unknown key {k!r}" for k in dead]
+                                          + ["stages.sft: unknown key 'beta'"])
+        assert cfg.stages["cpt"].lora is None
+        assert cfg.stages["cpt"].stage == "cpt"
+        dpo = dataclasses.asdict(cfg.stages["dpo"])
+        assert {key: dpo[key] for key in given} == dict(
+            given, lora=dict(given["lora"], targets=M.LoraConfig().targets))
+
+
+BAD_CONFIGS = [
+    (("model", "rope"), 1, "model: unknown key 'rope'"),
+    (("model", "dropout"), 1.0, "model: dropout must be in [0, 1)"),
+    (("model", "dropout"), -0.1, "model: dropout must be in [0, 1)"),
+    (("eval", "few_shot_k"), "x", "eval: few_shot_k must be an integer"),
+    (("data", "holdout_fraction"), 2.0, "data: holdout_fraction must be in [0, 1)"),
+    (("data", "block_size"), 1, "data: block_size must be in [2, inf)"),
+    (("data", "block_size"), 162, "data.block_size: a CPT block must fit"),
+    (("data", "n_diseases"), 21, "data: n_diseases must be in [2, 20]"),
+    (("data", "n_diseases"), 1, "data: n_diseases must be in [2, 20]"),
+    (("stages", "sft", "lora", "rank"), 0, "stages.sft.lora: rank must be in [1, inf)"),
+    (("stages", "sft", "lora", "dropout"), 1.5, "stages.sft.lora: dropout must be in [0, 1)"),
+    (("stages", "dpo", "lora", "targets"), ["wk"], "stages.dpo.lora: unknown key 'targets'"),
+    (("stages", "dpo", "beta"), 0, "stages.dpo: beta must be in (0, inf)"),
+    (("stages", "cpt", "batch_size"), 0, "stages.cpt: batch_size must be in [1, inf)"),
+    (("stages", "cpt", "epochs"), 1.5, "stages.cpt: epochs must be an integer"),
+    (("stages", "sft"), 3, "stages.sft: must be an object"),
+    (("paths", "data"), 7, "paths: data must be a string"),
+]
+
+
+@pytest.mark.parametrize("keys,value,message", BAD_CONFIGS,
+                         ids=[".".join(k) + "=" + json.dumps(v) for k, v, _ in BAD_CONFIGS])
+def test_bad_config_fails_validation(tmp_path, capsys, keys, value, message):
+    path = _write_config(tmp_path)
+    raw = json.loads(path.read_text("utf-8"))
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["--config", str(path), "validate-config"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == [err.splitlines()[-1]]
+    assert message in err and "Traceback" not in err
 
 
 class TestExitCodes:
@@ -218,3 +314,16 @@ class TestPipelineCommands:
 
     def test_eval_dialogue_without_checkpoint_fails(self, built):
         assert cli.main(["--config", str(built), "eval", "dialogue"]) == 1
+
+
+def test_cpt_on_corpus_shorter_than_one_block_fails(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    raw = json.loads(path.read_text("utf-8"))
+    raw["data"].update(n_diseases=2, block_size=400)  # a 366-token corpus
+    raw["model"]["max_seq_len"] = 400
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["--config", str(path), "data", "build"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", str(path), "train", "cpt"]) == 1
+    assert "empty dataset" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt" / "cpt.ckpt").exists()

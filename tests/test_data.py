@@ -41,10 +41,6 @@ class TestKgLinearization:
         assert text == "X。"
         assert stats.warnings == 1
 
-    def test_unknown_template_rejected(self):
-        with pytest.raises(DataError):
-            D.linearize_kg(D.KgEntity(name="X", relations=()), template="fancy")
-
 
 class TestDialogue:
     def _dlg(self):
@@ -237,12 +233,6 @@ class TestLoadDataset:
         records, stats = D.load_dataset(path, "cpt")
         assert len(records) == 1
         assert stats.rejected and "line 2" in stats.rejected[0]
-
-    def test_token_count_with_vocab(self, tmp_path):
-        path = self._write(tmp_path, [json.dumps({"text": "abc"})])
-        vocab = M.build_vocab(["abc"])
-        _, stats = D.load_dataset(path, "cpt", vocab)
-        assert stats.token_count == 3
 
     def test_unknown_schema(self, tmp_path):
         path = self._write(tmp_path, ["{}"])

@@ -7,6 +7,7 @@ from medlm import data as D
 from medlm import model as M
 from medlm import objectives as O
 from medlm import tensor as T
+from medlm import trainer as TR
 from medlm.errors import ConfigError, DataError
 from medlm.tensor import backward
 
@@ -139,11 +140,12 @@ class TestSequenceLogprob:
         lp = O.sequence_logprob(params, None, [([0, 4], [5, 6])])
         assert lp.item() <= 0.0
 
+    def test_empty_prompt_rejected(self, params):
+        with pytest.raises(DataError, match="empty prompt"):
+            O.sequence_logprob(params, None, [([0, 4], [5]), ([], [5, 6])])
+
 
 class TestDpo:
-    def _cfg(self, beta=0.1):
-        return O.DpoConfig(beta=beta)
-
     def _reference(self, params, vocab):
         return O.preference_margins(params, None, self._pairs(), vocab)
 
@@ -152,7 +154,7 @@ class TestDpo:
 
     def test_loss_is_ln2_when_policy_equals_reference(self, params, vocab):
         """Identical policy and reference give margin 0 -> -log sigmoid(0)."""
-        loss, _ = O.dpo_loss(params, None, self._cfg(), self._pairs(), vocab,
+        loss, _ = O.dpo_loss(params, None, 0.1, self._pairs(), vocab,
                              self._reference(params, vocab))
         assert abs(loss.item() - math.log(2)) < 1e-9
 
@@ -166,8 +168,7 @@ class TestDpo:
         reference = self._reference(params, vocab)
 
         def margin(beta):
-            cfg = self._cfg(beta=beta)
-            return O.dpo_implicit_reward(policy, None, cfg, self._pairs(), vocab,
+            return O.dpo_implicit_reward(policy, None, beta, self._pairs(), vocab,
                                          reference).item()
 
         m1, m2 = margin(0.1), margin(0.4)
@@ -178,7 +179,7 @@ class TestDpo:
         reference = self._reference(params, vocab)
         policy = params.copy()
         policy.set_requires_grad(True)
-        loss, _ = O.dpo_loss(policy, None, self._cfg(), self._pairs(), vocab, reference)
+        loss, _ = O.dpo_loss(policy, None, 0.1, self._pairs(), vocab, reference)
         backward(loss)
         # the reference enters as precomputed numbers, not as a graph
         assert isinstance(reference, np.ndarray)
@@ -187,10 +188,9 @@ class TestDpo:
     def test_gradient_step_increases_margin(self, params, vocab):
         policy = params.copy()
         policy.set_requires_grad(True)
-        cfg = self._cfg()
         pairs = self._pairs()
         before = O.preference_margins(policy, None, pairs, vocab)[0]
-        loss, _ = O.dpo_loss(policy, None, cfg, pairs, vocab, self._reference(params, vocab))
+        loss, _ = O.dpo_loss(policy, None, 0.1, pairs, vocab, self._reference(params, vocab))
         backward(loss)
         for _, t in policy.named():
             t.data -= 1e-3 * t.grad
@@ -207,8 +207,8 @@ class TestDpo:
 
     def test_empty_batch_rejected(self, params, vocab):
         with pytest.raises(DataError):
-            O.dpo_loss(params, None, self._cfg(), [], vocab, np.zeros(0))
+            O.dpo_loss(params, None, 0.1, [], vocab, np.zeros(0))
 
     def test_beta_must_be_positive(self, params):
         with pytest.raises(ConfigError):
-            O.DpoConfig(beta=0.0)
+            TR.StageConfig(stage="dpo", learning_rate=0.1, beta=0.0)

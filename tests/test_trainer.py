@@ -27,7 +27,7 @@ def state(vocab):
 
 def _cpt_cfg(**kw):
     base = dict(stage="cpt", learning_rate=0.01, warmup_ratio=0.0, epochs=2,
-                batch_size=2, block_size=8)
+                batch_size=2)
     base.update(kw)
     return TR.StageConfig(**base)
 
@@ -56,7 +56,6 @@ class TestStageConfig:
         sft = TR.default_stage_config("sft")
         assert (sft.learning_rate, sft.weight_decay) == (2e-5, 0.05)
         assert (sft.lora.rank, sft.lora.alpha, sft.lora.dropout) == (8, 32.0, 0.05)
-        assert (sft.max_source_length, sft.max_target_length) == (256, 256)
         dpo = TR.default_stage_config("dpo")
         assert (dpo.lora.rank, dpo.lora.alpha) == (8, 16.0)
 
@@ -153,7 +152,7 @@ class TestRunStage:
         examples = [D.SftExample(instruction="ab？", output="cd。") for _ in range(4)]
         cfg = TR.StageConfig(stage="sft", learning_rate=0.01, warmup_ratio=0.0,
                              epochs=2, batch_size=2,
-                             lora=TR.LoraSettings(dropout=0.0))
+                             lora=M.LoraConfig(dropout=0.0))
         new_state, metrics = TR.run_stage(state, cfg, examples, vocab=vocab)
         assert new_state.adapter is not None
         for name, t in new_state.params.named():
@@ -172,7 +171,7 @@ class TestRunStage:
                 t.data += 0.01
         prev = TR.TrainState(params=state.params, adapter=adapter)
         cfg = TR.StageConfig(stage="sft", learning_rate=0.01, epochs=0,
-                             lora=TR.LoraSettings(dropout=0.0))
+                             lora=M.LoraConfig(dropout=0.0))
         new_state, _ = TR.run_stage(prev, cfg, [], vocab=vocab)
         merged = M.merge_lora(state.params, adapter)
         for name, t in new_state.params.named():
@@ -182,7 +181,7 @@ class TestRunStage:
         pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef。")]
         cfg = TR.StageConfig(stage="dpo", learning_rate=0.01, warmup_ratio=0.0,
                              epochs=2, batch_size=4, beta=0.1,
-                             lora=TR.LoraSettings(dropout=0.0))
+                             lora=M.LoraConfig(dropout=0.0))
         new_state, metrics = TR.run_stage(state, cfg, pairs, vocab=vocab)
         assert len(metrics) == 2
         # first step: fresh adapter == reference, so loss is exactly ln 2
@@ -194,7 +193,7 @@ class TestRunStage:
         pairs = [D.PreferencePair(prompt="ab" * i + "？", preferred="c" * i + "。",
                                   rejected="d药。") for i in range(1, 6)]
         cfg = TR.StageConfig(stage="dpo", learning_rate=1e-300, warmup_ratio=0.0,
-                             epochs=2, batch_size=2, lora=TR.LoraSettings(dropout=0.0))
+                             epochs=2, batch_size=2, lora=M.LoraConfig(dropout=0.0))
         _, metrics = TR.run_stage(state, cfg, pairs, vocab=vocab)
         assert len(metrics) == 6
         for row in metrics:
@@ -233,7 +232,7 @@ class TestRunStage:
         pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef药。"),
                  D.PreferencePair(prompt="abc？", preferred="g。", rejected="hd。")]
         cfg = TR.StageConfig(stage="dpo", learning_rate=0.05, warmup_ratio=0.0, epochs=3,
-                             batch_size=2, lora=TR.LoraSettings(dropout=0.0))
+                             batch_size=2, lora=M.LoraConfig(dropout=0.0))
         _, metrics = TR.run_stage(state, cfg, pairs, vocab=vocab, log_path=log)
         with open(log, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -445,7 +444,7 @@ def test_tensors_stay_views_of_their_buffers(state, vocab, tmp_path):
 
     examples = [D.SftExample(instruction="ab？", output="cd。")]
     sft_cfg = TR.StageConfig(stage="sft", learning_rate=0.01, epochs=1,
-                             lora=TR.LoraSettings(dropout=0.0))
+                             lora=M.LoraConfig(dropout=0.0))
     sft, metrics = TR.run_stage(cpt, sft_cfg, examples, vocab=vocab)
     assert len(metrics) == 1
     _assert_views(sft.params)
