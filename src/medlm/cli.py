@@ -20,7 +20,8 @@ from . import evalkit as E
 from . import model as M
 from . import synth
 from . import trainer as TR
-from .errors import ConfigError, MedlmError, check_fields
+from .atomic import atomic_write
+from .errors import ConfigError, DataError, MedlmError, check_fields
 
 KNOWN_TOP_KEYS = {"seed", "paths", "model", "data", "stages", "eval"}
 STAGE_KEYS = {f.name for f in dataclasses.fields(TR.StageConfig)} - {"stage"}
@@ -147,9 +148,7 @@ def validate_config(path):
 
 
 def _write_jsonl(records, path):
-    TR.atomic_write_text(
-        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), path
-    )
+    atomic_write("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), path)
 
 
 def _data_paths(cfg):
@@ -181,6 +180,7 @@ def cmd_data_build(cfg):
             sft_examples.append(ex)
 
     paths = _data_paths(cfg)
+    os.makedirs(cfg.paths.data, exist_ok=True)
     _write_jsonl([{"text": t} for t in kept_docs], paths["cpt"])
     _write_jsonl(
         [{"instruction": ex.instruction, "input": ex.input,
@@ -200,7 +200,6 @@ def cmd_data_build(cfg):
          for p, r in bundle["dialogue_eval"]],
         paths["dialogue"],
     )
-    os.makedirs(cfg.paths.data, exist_ok=True)
     M.save_vocab(vocab, paths["vocab"])
 
     pairs = [D.PreferencePair(d["prompt"], d["chosen"], d["rejected"])
@@ -208,7 +207,7 @@ def cmd_data_build(cfg):
     rows = [(name, len(records), sum(len(M.encode(vocab, D.record_text(r))) for r in records),
              os.path.getsize(paths[name]))
             for name, records in (("cpt", kept_docs), ("sft", sft_examples), ("dpo", pairs))]
-    TR.atomic_write_text(D.stats_table(rows) + "\n", paths["stats"])
+    atomic_write(D.stats_table(rows) + "\n", paths["stats"])
     print(D.stats_table(rows))
     return 0
 
@@ -279,19 +278,22 @@ def cmd_train(cfg, stage):
     return 0
 
 
+def _read_eval_records(path, make):
+    """make(obj) for each record of an eval JSONL file; a record it cannot
+    be made from raises DataError naming the file and line."""
+    records = []
+    for lineno, obj in D.read_jsonl(path):
+        try:
+            records.append(make(obj))
+        except (KeyError, TypeError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: bad record ({exc!r})") from None
+    return records
+
+
 def _load_mcq_items(path):
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            items.append(E.McqItem(
-                question=obj["question"], options=obj["options"],
-                gold=frozenset(obj["gold"]), generated=obj.get("generated", ""),
-                reference=obj.get("reference", ""),
-            ))
-    return items
+    return _read_eval_records(path, lambda obj: E.McqItem(
+        question=obj["question"], options=obj["options"], gold=frozenset(obj["gold"]),
+        generated=obj.get("generated", ""), reference=obj.get("reference", "")))
 
 
 def cmd_eval(cfg, kind, checkpoint):
@@ -312,12 +314,8 @@ def cmd_eval(cfg, kind, checkpoint):
                                   weighted_f1=E.weighted_f1(items))
         out = os.path.join(cfg.paths.reports, "mcq_report.json")
     else:
-        pairs = []
-        with open(paths["dialogue"], encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    obj = json.loads(line)
-                    pairs.append((obj["prompt"], obj["reference"]))
+        pairs = _read_eval_records(paths["dialogue"],
+                                   lambda obj: (obj["prompt"], obj["reference"]))
         if state is None:
             raise ConfigError("eval dialogue requires --checkpoint")
         rendered = [(D.render_bare_prompt(p), r) for p, r in pairs]

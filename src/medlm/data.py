@@ -328,6 +328,21 @@ def record_text(record):
     raise DataError(f"record_text: unsupported record {type(record)}")
 
 
+def read_jsonl(path):
+    """(line number, parsed JSON value) for each non-blank line of a JSONL
+    file; a line that is not UTF-8 or not JSON raises DataError naming the
+    file and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+                raise DataError(f"{path}:{lineno}: malformed JSONL line ({exc})") from None
+            yield lineno, obj
+
+
 def load_dataset(path, schema):
     """Read one-JSON-record-per-line; returns (records, PipelineStats).
 
@@ -339,19 +354,11 @@ def load_dataset(path, schema):
     parse = _PARSERS[schema]
     records = []
     stats = PipelineStats()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            try:
-                records.append(parse(obj))
-            except (KeyError, TypeError, DataError) as exc:
-                stats.rejected.append(f"line {lineno}: {exc}")
+    for lineno, obj in read_jsonl(path):
+        try:
+            records.append(parse(obj))
+        except (KeyError, TypeError, ValueError, DataError) as exc:
+            stats.rejected.append(f"line {lineno}: {exc}")
     stats.count = len(records)
     return records, stats
 

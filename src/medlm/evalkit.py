@@ -13,11 +13,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
 from . import model as M
+from . import objectives as O
 from . import tensor as T
+from .atomic import atomic_write
 from .data import render_exam_question, render_turns
 from .errors import DataError
 
@@ -74,10 +74,6 @@ class EvalReport:
 @dataclass
 class FewShotSpec:
     exemplars: list  # of (question, answer)
-
-    @property
-    def k(self):
-        return len(self.exemplars)
 
 
 def extract_choice(generated, valid):
@@ -186,14 +182,9 @@ def rouge_l(candidate, reference):
 
 
 def perplexity(params, adapter, blocks):
-    """exp(token-mean next-token NLL over all blocks), from one no-grad ragged forward."""
-    if not blocks:
-        raise DataError("perplexity: no blocks")
+    """exp(token-mean next-token NLL over all blocks): exp(cpt_loss), no grad."""
     with T.no_grad():
-        logits = M.forward_logits(params, adapter, np.concatenate([b[:-1] for b in blocks]),
-                                  lengths=[len(b) - 1 for b in blocks])
-        nll = T.cross_entropy_next_token(logits, np.concatenate([b[1:] for b in blocks]))
-    return math.exp(nll.item())
+        return math.exp(O.cpt_loss(params, adapter, blocks).item())
 
 
 def build_few_shot_prompt(spec, question, max_len=None):
@@ -265,7 +256,4 @@ def _add_generation_metrics(report, scored):
 
 
 def write_report(report, path):
-    from .trainer import atomic_write_text
-
-    atomic_write_text(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n",
-                      path)
+    atomic_write(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n", path)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_write
 from .errors import ConfigError, ContractError, DataError, VocabError, check_fields, field_errors
 from .tensor import Tensor
 
@@ -61,10 +62,8 @@ def decode_text(vocab, ids):
 
 def save_vocab(vocab, path):
     """One symbol per line, line number = id; \\n, \\r, \\ escaped."""
-    from .trainer import atomic_write_text  # trainer imports this module
-
-    atomic_write_text("".join("".join(_ESCAPES.get(ch, ch) for ch in sym) + "\n"
-                              for sym in vocab.symbols), path)
+    atomic_write("".join("".join(_ESCAPES.get(ch, ch) for ch in sym) + "\n"
+                         for sym in vocab.symbols), path)
 
 
 def load_vocab(path):

@@ -2,10 +2,14 @@
 response-masked supervised fine-tuning loss, and preference optimization
 against a frozen reference model.
 
-All losses are token-mean per sequence and batch-mean per step, so
-learning rates transfer across sequence lengths. Multiply by token
-counts to recover summed losses. Each batch, of any sequence lengths, is
-one ragged forward (``model.forward_logits`` with segment lengths).
+Each objective is a coefficient-weighted sum of target log-probs over
+one ragged batch, so all three go through one scorer: one
+``model.forward_logits`` over the batch's sequences, of any lengths, and
+one ``tensor.logprob_sums``. The CPT loss is the token mean over every
+position of the batch; the SFT loss is the batch mean of each example's
+token mean over its response; a DPO batch scores each pair's chosen
+minus rejected response log-prob. Means keep learning rates independent
+of sequence length.
 """
 
 from __future__ import annotations
@@ -14,25 +18,38 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from .data import render_bare_prompt, render_prompt
 from .errors import DataError
 
 
+def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
+    """Sums of coef * log P(target) per group, a Tensor [max(groups) + 1],
+    from one ragged forward. ``inputs``, ``targets`` and ``coef`` are lists
+    of arrays, each concatenated in order into one id, target and
+    coefficient per position; ``groups`` holds one group per input sequence."""
+    if not inputs:
+        raise DataError("empty batch: no sequences to score")
+    lengths = [len(x) for x in inputs]
+    logits = M.forward_logits(params, adapter, np.concatenate(inputs), train_rng=train_rng,
+                              lengths=lengths)
+    return T.logprob_sums(logits, np.concatenate(targets), np.concatenate(coef),
+                          np.repeat(groups, lengths), max(groups) + 1)
+
+
 def cpt_loss(params, adapter, blocks, train_rng=None):
-    """Mean next-token NLL over one packed block, or over a stack of
-    equal-length blocks run as one ragged forward, one segment per block. A
-    stack's loss is the batch mean of per-block token means, which for equal
-    lengths is the mean over all of its positions."""
-    blocks = np.atleast_2d(np.asarray(blocks, dtype=np.int64))
-    inputs = blocks[:, :-1]
-    logits = M.forward_logits(params, adapter, inputs.ravel(), train_rng=train_rng,
-                              lengths=[inputs.shape[1]] * len(inputs))
-    return T.cross_entropy_next_token(logits, blocks[:, 1:].ravel())
+    """Mean next-token NLL over every position of ``blocks``, a list of token
+    blocks of any lengths, from one ragged forward."""
+    n = sum(len(b) - 1 for b in blocks)
+    coef = [np.full(len(b) - 1, -1.0 / n) for b in blocks]
+    nll = _score(params, adapter, [b[:-1] for b in blocks], [b[1:] for b in blocks], coef,
+                 [0] * len(blocks), train_rng)
+    return T.tsum(nll)
 
 
-def sft_tokens(ex, vocab, renderer):
+def sft_tokens(ex, vocab):
     """(token ids, loss weights) for one example: response + EOS weighted 1,
     prompt positions weighted 0. Targets at index t are ids[t+1]."""
-    prompt_ids = M.encode(vocab, renderer(ex))
+    prompt_ids = M.encode(vocab, render_prompt(ex))
     out_ids = M.encode(vocab, ex.output) + [M.EOS]
     ids = [M.BOS] + prompt_ids + out_ids
     weights = np.zeros(len(ids) - 1)
@@ -40,7 +57,7 @@ def sft_tokens(ex, vocab, renderer):
     return ids, weights
 
 
-def sft_loss(params, adapter, batch, vocab, renderer=None, train_rng=None, target_override=None):
+def sft_loss(params, adapter, batch, vocab, train_rng=None, target_override=None):
     """Batch mean of each example's mean NLL over its response tokens, from
     one ragged forward; prompt positions contribute 0.
 
@@ -48,25 +65,18 @@ def sft_loss(params, adapter, batch, vocab, renderer=None, train_rng=None, targe
     back to back; weights unchanged) and exists so masking can be verified:
     zero-weight targets never affect the value.
     """
-    if renderer is None:
-        from .data import render_prompt as renderer
     if not batch:
         raise DataError("sft_loss: empty batch")
     seqs, weights = [], []
     for ex in batch:
-        ids, w = sft_tokens(ex, vocab, renderer)
-        if len(ids) > params.config.max_seq_len + 1:
-            raise DataError(
-                f"sft_loss: rendered example length {len(ids)} exceeds context "
-                f"{params.config.max_seq_len + 1}"
-            )
+        ids, w = sft_tokens(ex, vocab)
         seqs.append(ids)
         weights.append(w / w.sum())  # each example's weights sum to 1
-    targets = (np.concatenate([ids[1:] for ids in seqs]) if target_override is None
-               else target_override)
-    logits = M.forward_logits(params, adapter, np.concatenate([ids[:-1] for ids in seqs]),
-                              train_rng=train_rng, lengths=[len(ids) - 1 for ids in seqs])
-    return T.pick_nll(T.log_softmax_rows(logits), targets, np.concatenate(weights))
+    w = np.concatenate(weights)  # sums to len(batch)
+    targets = [ids[1:] for ids in seqs] if target_override is None else [target_override]
+    nll = _score(params, adapter, [ids[:-1] for ids in seqs], targets, [-w / w.sum()],
+                 [0] * len(batch), train_rng)
+    return T.tsum(nll)
 
 
 def sequence_logprob(params, adapter, sequences, paired=False, train_rng=None):
@@ -78,29 +88,23 @@ def sequence_logprob(params, adapter, sequences, paired=False, train_rng=None):
 
     Graph-recorded iff params/adapter require grad.
     """
-    inputs, targets, coef, lengths = [], [], [], []
+    inputs, targets, coef = [], [], []
     for j, (prompt_ids, response_ids) in enumerate(sequences):
         if not len(prompt_ids):
             raise DataError(f"sequence_logprob: sequence {j} has an empty prompt")
         ids = list(prompt_ids) + list(response_ids)
-        if len(ids) > params.config.max_seq_len + 1:
-            raise DataError(f"sequence_logprob: length {len(ids)} exceeds context")
-        inputs += ids[:-1]
-        targets += ids[1:]
-        lengths.append(len(ids) - 1)
+        inputs.append(ids[:-1])
+        targets.append(ids[1:])
         sign = -1.0 if paired and j % 2 else 1.0
-        coef += [0.0] * (len(prompt_ids) - 1) + [sign] * len(response_ids)
+        coef.append([0.0] * (len(prompt_ids) - 1) + [sign] * len(response_ids))
     per = 2 if paired else 1
-    logits = M.forward_logits(params, adapter, inputs, train_rng=train_rng, lengths=lengths)
-    return T.pick_sum(T.log_softmax_rows(logits), targets, np.array(coef),
-                      np.repeat(np.arange(len(lengths)) // per, lengths), len(lengths) // per)
+    return _score(params, adapter, inputs, targets, coef,
+                  np.arange(len(sequences)) // per, train_rng)
 
 
 def _pair_sequences(pairs, vocab):
     """(prompt, chosen) then (prompt, rejected) ids per pair; prompts rendered
     with the SFT prompt template so DPO sees the same surface form as SFT."""
-    from .data import render_bare_prompt
-
     seqs = []
     for pair in pairs:
         prompt_ids = [M.BOS] + M.encode(vocab, render_bare_prompt(pair.prompt))
@@ -136,7 +140,5 @@ def dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference, train_rn
 def dpo_loss(params, adapter, beta, pairs, vocab, reference, train_rng=None):
     """Mean over pairs of -log sigmoid(reward margin); returns (loss, the
     reward margins as an array). ``reference`` as for dpo_implicit_reward."""
-    if not pairs:
-        raise DataError("dpo_loss: empty batch")
     rewards = dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference, train_rng)
     return (-1.0 / len(pairs)) * T.tsum(T.log_sigmoid(rewards)), rewards.data

@@ -319,70 +319,41 @@ def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
     return _make(out, (q, k, v), bwd)
 
 
-def log_softmax_rows(x):
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def logprob_sums(logits, targets, coef, segments, n_segments):
+    """Per-segment sums of coef[j] * log softmax(logits[j])[targets[j]] over
+    the rows j of ``[N, V]`` logits: output ``[n_segments]``, entry s summing
+    the rows with segments[j] == s.
 
-    def bwd(g, x=x, ls=ls):
-        if x.requires_grad:
-            _accumulate(x, g - np.exp(ls) * g.sum(axis=-1, keepdims=True))
-
-    return _make(ls, (x,), bwd)
-
-
-def pick_nll(log_probs, targets, weights=None):
-    """Weighted mean of -log_probs[..., t, targets[..., t]] over every row of
-    ``[..., T, V]`` log-probs; scalar output.
-
-    Zero-weight positions contribute exactly 0 regardless of their
-    target id (response-only masking relies on this).
+    Every objective is one call: a token-mean NLL has coefficient -1/N on
+    each row, a response mask coefficient 0 on prompt rows, a preference pair
+    +1 and -1 on its two responses. The backward is
+    coef[j] * g[segments[j]] * (onehot(targets[j]) - softmax(logits[j])), so a
+    row with coefficient 0 contributes exactly 0 whatever its target.
     """
-    shape, V = log_probs.data.shape[:-1], log_probs.data.shape[-1]
+    n, V = logits.data.shape
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != shape:
-        raise ShapeError(f"pick_nll: targets of shape {targets.shape} for rows {shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= V):
-        raise IndexError(f"pick_nll: target id out of range [0, {V})")
-    targets = targets.ravel()
-    rows = np.arange(targets.size)
-    if weights is None:
-        w = np.ones(targets.size)
-    else:
-        w = np.asarray(weights, dtype=np.float64).ravel()
-    wsum = w.sum()
-    if wsum <= 0:
-        raise ContractError("pick_nll: weights sum to zero")
-    picked = log_probs.data.reshape(-1, V)[rows, targets]
-    value = -(w * picked).sum() / wsum
-
-    def bwd(g, log_probs=log_probs, targets=targets, w=w, wsum=wsum, rows=rows):
-        if log_probs.requires_grad:
-            gbuf = np.zeros((rows.size, V))
-            gbuf[rows, targets] = -w / wsum * g
-            _accumulate(log_probs, gbuf.reshape(log_probs.data.shape))
-
-    return _make(value, (log_probs,), bwd)
-
-
-def pick_sum(log_probs, targets, coef, segments, n_segments):
-    """Per-segment sums of coef[j] * log_probs[j, targets[j]] over the rows j
-    of ``[N, V]`` log-probs: output ``[n_segments]``, entry s summing the rows
-    with segments[j] == s. Zero-coefficient rows contribute exactly 0."""
-    n, V = log_probs.data.shape
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size and (targets.min() < 0 or targets.max() >= V):
-        raise IndexError(f"pick_sum: target id out of range [0, {V})")
+    coef = np.asarray(coef, dtype=np.float64)
+    segments = np.asarray(segments, dtype=np.int64)
+    if not targets.shape == coef.shape == segments.shape == (n,):
+        raise ShapeError(f"logprob_sums: targets {targets.shape}, coef {coef.shape} and "
+                         f"segments {segments.shape} for {n} rows")
+    if n and (targets.min() < 0 or targets.max() >= V):
+        raise IndexError(f"logprob_sums: target id out of range [0, {V})")
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     rows = np.arange(n)
-    value = np.bincount(segments, weights=coef * log_probs.data[rows, targets],
-                        minlength=n_segments)
+    value = np.bincount(segments, weights=coef * ls[rows, targets], minlength=n_segments)
 
-    def bwd(g, log_probs=log_probs):
-        if log_probs.requires_grad:
-            gbuf = np.zeros((n, V))
-            gbuf[rows, targets] = coef * g[segments]
-            _accumulate(log_probs, gbuf)
+    def bwd(g, logits=logits):
+        if logits.requires_grad:
+            gc = coef * g[segments]
+            grad = np.exp(ls)
+            grad *= gc[:, None]
+            np.subtract(0.0, grad, out=grad)  # 0 - x, not -x: no negative zeros
+            grad[rows, targets] += gc
+            _accumulate(logits, grad)
 
-    return _make(value, (log_probs,), bwd)
+    return _make(value, (logits,), bwd)
 
 
 def log_sigmoid(x):
@@ -395,11 +366,6 @@ def log_sigmoid(x):
             _accumulate(x, g / (1.0 + np.exp(x.data)))  # sigmoid(-x)
 
     return _make(out, (x,), bwd)
-
-
-def cross_entropy_next_token(logits, targets):
-    """Mean over all positions of -log softmax(logits[..., t])[targets[..., t]]."""
-    return pick_nll(log_softmax_rows(logits), targets)
 
 
 # -- backward pass -----------------------------------------------------

@@ -4,18 +4,18 @@ binary checkpoints and the metrics log.
 Checkpoint layout: magic "QLNM", little-endian u32 version, u32 header
 length, UTF-8 JSON header (model config, training metadata, tensor
 index with shapes and byte offsets), then the parameter buffer and the
-adapter buffer (if any) as raw little-endian float64. The index tiles
-the payload exactly, in buffer order.
+adapter buffer (if any) as raw little-endian float64. The index follows
+from the model and adapter configs alone: a load recomputes it and
+requires the header's to be equal.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import os
 import struct
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +23,8 @@ import numpy as np
 from . import kernels
 from . import model as M
 from . import objectives as O
-from .data import PreferencePair, SftExample, render_prompt
+from .atomic import atomic_write
+from .data import PreferencePair, SftExample
 from .errors import ConfigError, DataError, IntegrityError, TrainingError, check_fields
 from .tensor import backward
 
@@ -122,9 +123,6 @@ def _check_schema(cfg, dataset):
     want = {"cpt": list, "sft": SftExample, "dpo": PreferencePair}
     if not all(isinstance(r, want[cfg.stage]) for r in dataset):
         raise ConfigError(f"dataset does not match stage {cfg.stage!r} schema")
-    if cfg.stage == "cpt" and len({len(b) for b in dataset}) > 1:
-        # a CPT batch is one stacked [B, T] forward
-        raise ConfigError("cpt dataset: blocks differ in length")
 
 
 def run_stage(state, cfg, dataset, vocab=None, log_path=None):
@@ -168,8 +166,7 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
         if cfg.stage == "cpt":
             return O.cpt_loss(params, adapter, batch, train_rng=train_rng), {}
         if cfg.stage == "sft":
-            return O.sft_loss(params, adapter, batch, vocab, render_prompt,
-                              train_rng=train_rng), {}
+            return O.sft_loss(params, adapter, batch, vocab, train_rng=train_rng), {}
         loss, rewards = O.dpo_loss(params, adapter, cfg.beta, batch, vocab, reference[idx],
                                    train_rng=train_rng)
         return loss, {"reward_margin": float(rewards.mean()),
@@ -198,96 +195,49 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
 
 
 def write_metrics(metrics, path):
-    import io
-
     buf = io.StringIO()
     fields = list(metrics[0]) if metrics else ["step", "stage", "lr", "loss", "grad_norm"]
     writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
     writer.writerows(metrics)
-    atomic_write_text(buf.getvalue(), path)
-
-
-def atomic_write_text(text, path):
-    dirname = os.path.dirname(os.path.abspath(path))
-    os.makedirs(dirname, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=dirname)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(buf.getvalue(), path)
 
 
 # -- checkpoints -------------------------------------------------------
 
 
-def _tensor_index(kind, table, offset):
-    index = []
-    for name, shape in table.shapes.items():
-        index.append({"kind": kind, "name": name, "shape": list(shape), "offset": offset})
-        offset += 8 * math.prod(shape)
-    return index
+def _layout(config, lora_config):
+    """(tensor shapes by kind, tensor index, payload bytes) of a checkpoint of
+    this model and adapter config: the index lists every parameter ("p"),
+    then every adapter tensor ("a"), in buffer order, each starting where the
+    previous one ends."""
+    shapes = {"p": {name: shape for name, shape, _ in M.param_spec(config)},
+              "a": {} if lora_config is None else M.lora_shapes(config, lora_config)}
+    index, offset = [], 0
+    for kind, table in shapes.items():
+        for name, shape in table.items():
+            index.append({"kind": kind, "name": name, "shape": list(shape), "offset": offset})
+            offset += 8 * math.prod(shape)
+    return shapes, index, offset
 
 
 def save_checkpoint(state, path):
-    """Atomic write: temp file in the target directory, then rename."""
-    tables = [state.params]
-    index = _tensor_index("p", state.params, 0)
-    adapter_info = None
-    if state.adapter is not None:
-        adapter_info = asdict(state.adapter.config)
-        tables.append(state.adapter)
-        index += _tensor_index("a", state.adapter, state.params.data.nbytes)
+    """Write the checkpoint atomically (temp file in the target directory,
+    then rename)."""
+    tables = [state.params] if state.adapter is None else [state.params, state.adapter]
+    lora_config = None if state.adapter is None else state.adapter.config
+    _, index, payload_bytes = _layout(state.params.config, lora_config)
     header = {
         "config": asdict(state.params.config),
-        "adapter": adapter_info,
+        "adapter": None if lora_config is None else asdict(lora_config),
         "meta": {"stage": state.stage, "step": state.step, "seed": state.seed},
         "tensors": index,
-        "payload_bytes": sum(t.data.nbytes for t in tables),
+        "payload_bytes": payload_bytes,
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            for table in tables:
-                fh.write(table.data.astype("<f8", copy=False))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _tile(index, payload_bytes, path):
-    """Shapes of the 'p' and 'a' tensors, from an index that must tile the
-    payload exactly: each offset where the previous tensor ends, every
-    parameter before every adapter tensor, the last one ending at the end."""
-    shapes = {"p": {}, "a": {}}
-    offset = 0
-    for entry in index:
-        kind, name, shape = entry["kind"], entry["name"], tuple(entry["shape"])
-        where = f"{path}: tensor {name!r}"
-        if kind not in shapes or (kind == "p" and shapes["a"]) or name in shapes[kind]:
-            raise IntegrityError(f"{where}: unexpected {kind!r} entry in the index")
-        if entry["offset"] != offset:
-            raise IntegrityError(f"{where} at offset {entry['offset']}, expected {offset}")
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise IntegrityError(f"{where}: bad shape {list(shape)}")
-        shapes[kind][name] = shape
-        offset += 8 * math.prod(shape)
-    if offset != payload_bytes:
-        raise IntegrityError(f"{path}: tensor index ends at offset {offset}, "
-                             f"payload has {payload_bytes} bytes")
-    return shapes
+    atomic_write(b"".join([MAGIC, struct.pack("<II", VERSION, len(header_bytes)), header_bytes,
+                           *(t.data.astype("<f8", copy=False).tobytes() for t in tables)]),
+                 path)
 
 
 def load_checkpoint(path):
@@ -305,33 +255,24 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{path}: corrupt header ({exc})") from exc
+        raise IntegrityError(f"{path}: corrupt header ({exc})") from None
     try:
-        expected = header_end + header["payload_bytes"]
-        if len(blob) != expected:
-            raise IntegrityError(
-                f"{path}: payload size mismatch at offset {min(len(blob), expected)}"
-            )
-        shapes = _tile(header["tensors"], header["payload_bytes"], path)
         config = M.ModelConfig(**header["config"])
         a = header["adapter"]
         lcfg = None if a is None else M.LoraConfig(
             rank=a["rank"], alpha=a["alpha"], dropout=a["dropout"],
             targets=tuple(a["targets"]))
-        want = {"p": {name: shape for name, shape, _ in M.param_spec(config)},
-                "a": {} if lcfg is None else M.lora_shapes(config, lcfg)}
         meta = header["meta"]
         stage, step, seed = meta["stage"], meta["step"], meta["seed"]
+        shapes, index, payload_bytes = _layout(config, lcfg)
+        if header["tensors"] != index or header["payload_bytes"] != payload_bytes:
+            raise IntegrityError(f"{path}: malformed header (tensor index does not match "
+                                 f"the model config and adapter config)")
     except (KeyError, TypeError, ConfigError) as exc:
         raise IntegrityError(f"{path}: malformed header ({exc!r})") from None
-    if lcfg is None and shapes["a"]:
-        raise IntegrityError(f"{path}: adapter tensors without an adapter config")
-    for kind in ("p", "a"):
-        got, expected = shapes[kind], want[kind]
-        if got != expected:
-            bad = next(n for n in [*got, *expected] if got.get(n) != expected.get(n))
-            raise IntegrityError(f"{path}: tensor {bad!r} in the index does not match "
-                                 f"the model config")
+    expected = header_end + payload_bytes
+    if len(blob) != expected:
+        raise IntegrityError(f"{path}: payload size mismatch at offset {min(len(blob), expected)}")
     payload = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
     n_base = sum(math.prod(shape) for shape in shapes["p"].values())
     params = M.ModelParams(config, shapes["p"], payload[:n_base])

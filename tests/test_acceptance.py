@@ -56,7 +56,7 @@ def test_gradient_fidelity():
     results = {}
 
     block = [0] + M.encode(vocab, "abcdefg？药。abcdef")
-    results["cpt"] = grad_check(lambda: O.cpt_loss(params, None, block),
+    results["cpt"] = grad_check(lambda: O.cpt_loss(params, None, [block]),
                                 tensors, step=1e-6, tolerance=1e-5, n_samples=200)
     stack = [block, [0] + M.encode(vocab, "gfedcba。药？abcdef")]
     results["cpt-stack"] = grad_check(lambda: O.cpt_loss(params, None, stack),
@@ -64,13 +64,13 @@ def test_gradient_fidelity():
 
     ex = D.SftExample(instruction="ab？", output="cd药。")
     results["sft"] = grad_check(
-        lambda: O.sft_loss(params, None, [ex], vocab, D.render_prompt),
+        lambda: O.sft_loss(params, None, [ex], vocab),
         tensors, step=1e-6, tolerance=1e-5, n_samples=200)
     # a ragged batch: three examples of different lengths, two of them equal
     batch = [ex, D.SftExample(instruction="gfedcb？", output="a。"),
              D.SftExample(instruction="ba？", output="dc药。")]
     results["sft-batch"] = grad_check(
-        lambda: O.sft_loss(params, None, batch, vocab, D.render_prompt),
+        lambda: O.sft_loss(params, None, batch, vocab),
         tensors, step=1e-6, tolerance=1e-5, n_samples=200)
 
     ref = params.copy()
@@ -157,13 +157,13 @@ def test_sft_masking():
         ex = D.SftExample(
             instruction="".join(rng.choice(list(chars), n_i)) + "？",
             output="".join(rng.choice(list(chars), n_o)) + "。")
-        ids, weights = O.sft_tokens(ex, vocab, D.render_prompt)
+        ids, weights = O.sft_tokens(ex, vocab)
         targets = ids[1:]
         scrambled = [
             (t if w else int(rng.integers(len(vocab)))) for t, w in zip(targets, weights)
         ]
-        a = O.sft_loss(params, None, [ex], vocab, D.render_prompt).item()
-        b = O.sft_loss(params, None, [ex], vocab, D.render_prompt,
+        a = O.sft_loss(params, None, [ex], vocab).item()
+        b = O.sft_loss(params, None, [ex], vocab,
                        target_override=scrambled).item()
         max_delta = max(max_delta, abs(a - b))
     _report("sft-masking", max_delta == 0.0, f"max |delta loss| = {max_delta!r}")
@@ -444,12 +444,12 @@ def test_checkpoint_roundtrip(tmp_path):
                             np.random.default_rng(8))
     state = TR.TrainState(params=params, adapter=adapter, stage="sft", step=3)
     block = [0] + M.encode(vocab, "abcdef药。")
-    before = O.cpt_loss(params, adapter, block).item()
+    before = O.cpt_loss(params, adapter, [block]).item()
 
     path = tmp_path / "model.ckpt"
     TR.save_checkpoint(state, path)
     loaded = TR.load_checkpoint(path)
-    after = O.cpt_loss(loaded.params, loaded.adapter, block).item()
+    after = O.cpt_loss(loaded.params, loaded.adapter, [block]).item()
     roundtrip_ok = before == after
 
     rejected = 0

@@ -306,6 +306,24 @@ class TestPipelineCommands:
             assert err.startswith("error: ") and message in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, content, command", [
+        ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "B": "b"}, "gold": "A"}\n{"q',
+         ["eval", "mcq"]),
+        ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "B": "b"}}\n', ["eval", "mcq"]),
+        ("dialogue_eval.jsonl", b'{"prompt": "p"}\n', ["eval", "dialogue"]),
+        ("sft.jsonl", b'{"instruction": "q", "output": "a", "history": [["q0"]]}\n',
+         ["train", "sft"]),
+        ("cpt.jsonl", b'{"text": "\xff"}\n', ["train", "cpt"]),
+    ], ids=["mcq-malformed-line", "mcq-without-gold", "dialogue-without-reference",
+            "sft-history-not-a-pair", "not-utf8"])
+    def test_bad_jsonl_fails_cleanly(self, built, tmp_path, capsys, name, content, command):
+        assert cli.main(["--config", str(built), "train", "cpt"]) == 0
+        (tmp_path / "data" / name).write_bytes(content)
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), *command]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
     def test_eval_mcq_without_checkpoint_scores_prefilled(self, built, tmp_path):
         assert cli.main(["--config", str(built), "eval", "mcq"]) == 0
         report = json.loads((tmp_path / "reports" / "mcq_report.json")

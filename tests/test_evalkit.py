@@ -175,8 +175,8 @@ class TestPerplexity:
         b1, b2 = [0, 4, 5], [0, 6, 7, 8, 9, 10]
         from medlm import objectives as O
 
-        l1 = O.cpt_loss(tiny_params, None, b1).item()
-        l2 = O.cpt_loss(tiny_params, None, b2).item()
+        l1 = O.cpt_loss(tiny_params, None, [b1]).item()
+        l2 = O.cpt_loss(tiny_params, None, [b2]).item()
         expected = math.exp((l1 * 2 + l2 * 5) / 7)
         assert E.perplexity(tiny_params, None, [b1, b2]) == pytest.approx(expected)
 

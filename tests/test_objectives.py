@@ -27,7 +27,7 @@ def params(vocab):
 class TestCptLoss:
     def test_matches_manual_cross_entropy(self, params):
         block = [0, 4, 5, 6, 7]
-        loss = O.cpt_loss(params, None, block)
+        loss = O.cpt_loss(params, None, [block])
         logits = M.forward_logits(params, None, block[:-1]).data
         manual = 0.0
         for t, tgt in enumerate(block[1:]):
@@ -42,12 +42,12 @@ class TestCptLoss:
                             n_heads=2, max_seq_len=32)
         params = M.init_params(cfg, np.random.default_rng(0))
         params["head"].data[:] = 0.0  # logits all zero -> uniform
-        loss = O.cpt_loss(params, None, [0, 4, 5, 6])
+        loss = O.cpt_loss(params, None, [[0, 4, 5, 6]])
         assert abs(loss.item() - math.log(len(vocab))) < 1e-12
 
     def test_produces_gradients(self, params):
         params.set_requires_grad(True)
-        loss = O.cpt_loss(params, None, [0, 4, 5, 6])
+        loss = O.cpt_loss(params, None, [[0, 4, 5, 6]])
         backward(loss)
         assert float(np.abs(params["embed"].grad).sum()) > 0
 
@@ -58,7 +58,7 @@ class TestCptLoss:
         backward(stacked)
         stacked_grad = params.grad.copy()
         params.grad.fill(0.0)
-        per_block = [O.cpt_loss(params, None, b) for b in blocks]
+        per_block = [O.cpt_loss(params, None, [b]) for b in blocks]
         mean = (1.0 / len(blocks)) * sum(per_block[1:], per_block[0])
         backward(mean)
         assert abs(stacked.item() - mean.item()) < 1e-12
@@ -68,7 +68,7 @@ class TestCptLoss:
 class TestSftTokens:
     def test_weights_mask_prompt(self, vocab):
         ex = D.SftExample(instruction="ab", output="cd")
-        ids, weights = O.sft_tokens(ex, vocab, D.render_prompt)
+        ids, weights = O.sft_tokens(ex, vocab)
         prompt = D.render_prompt(ex)
         assert len(ids) == 1 + len(prompt) + len(ex.output) + 1  # BOS ... EOS
         assert ids[0] == M.BOS and ids[-1] == M.EOS
@@ -79,12 +79,11 @@ class TestSftTokens:
     def test_masking_is_exact(self, vocab, params):
         """Scrambling every zero-weight target leaves the loss bit-identical."""
         ex = D.SftExample(instruction="ab", output="cd")
-        ids, weights = O.sft_tokens(ex, vocab, D.render_prompt)
+        ids, weights = O.sft_tokens(ex, vocab)
         targets = ids[1:]
         scrambled = [(t if w else (t + 3) % len(vocab)) for t, w in zip(targets, weights)]
-        a = O.sft_loss(params, None, [ex], vocab, D.render_prompt)
-        b = O.sft_loss(params, None, [ex], vocab, D.render_prompt,
-                       target_override=scrambled)
+        a = O.sft_loss(params, None, [ex], vocab)
+        b = O.sft_loss(params, None, [ex], vocab, target_override=scrambled)
         assert a.item() == b.item()
 
     def test_batch_is_mean_of_examples(self, vocab, params):
@@ -94,11 +93,11 @@ class TestSftTokens:
                  D.SftExample(instruction="abcdef", output="g"),
                  D.SftExample(instruction="h", output="abcdefgh")]
         params.set_requires_grad(True)
-        joint = O.sft_loss(params, None, batch, vocab, D.render_prompt)
+        joint = O.sft_loss(params, None, batch, vocab)
         backward(joint)
         joint_grad = params.grad.copy()
         params.grad.fill(0.0)
-        single = [O.sft_loss(params, None, [ex], vocab, D.render_prompt) for ex in batch]
+        single = [O.sft_loss(params, None, [ex], vocab) for ex in batch]
         mean = (1.0 / len(batch)) * sum(single[1:], single[0])
         backward(mean)
         assert abs(joint.item() - mean.item()) < 1e-12
@@ -107,7 +106,7 @@ class TestSftTokens:
     def test_overlong_example_rejected(self, vocab, params):
         ex = D.SftExample(instruction="ab" * 40, output="cd")
         with pytest.raises(DataError):
-            O.sft_loss(params, None, [ex], vocab, D.render_prompt)
+            O.sft_loss(params, None, [ex], vocab)
 
 
 class TestSequenceLogprob:

@@ -35,10 +35,15 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
-    """Row softmax, as exp of the engine's log_softmax_rows."""
+    """Row softmax, as exp of the log-probs logprob_sums picks, one column
+    per call."""
 
     def _softmax(self, rows):
-        return np.exp(T.log_softmax_rows(Tensor(rows)).data)
+        rows = np.asarray(rows, dtype=np.float64)
+        n, v = rows.shape
+        return np.exp(np.stack([
+            T.logprob_sums(Tensor(rows), [c] * n, np.ones(n), np.arange(n), n).data
+            for c in range(v)], axis=1))
 
     def test_uniform_row(self):
         out = self._softmax([[0.0, 0.0, 0.0]])
@@ -133,17 +138,23 @@ class TestCausalAttention:
             T.causal_attention(q, k, v, [2, 1], n_heads=2)
 
 
+def _mean_nll(logits, targets):
+    """Token-mean NLL as the objectives take it: coefficient -1/N on every row."""
+    n = len(targets)
+    return T.logprob_sums(logits, targets, np.full(n, -1.0 / n), np.zeros(n, dtype=int), 1)
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((4, 16)))
-        loss = T.cross_entropy_next_token(logits, [0, 5, 9, 15])
+        loss = _mean_nll(logits, [0, 5, 9, 15])
         assert abs(loss.item() - np.log(16)) < 1e-12
 
     def test_confident_correct(self):
         logits = np.full((3, 8), -50.0)
         for t, tgt in enumerate([1, 2, 3]):
             logits[t, tgt] = 50.0
-        loss = T.cross_entropy_next_token(Tensor(logits), [1, 2, 3])
+        loss = _mean_nll(Tensor(logits), [1, 2, 3])
         assert loss.item() < 1e-12
 
     def test_matches_manual_computation(self):
@@ -154,12 +165,12 @@ class TestCrossEntropy:
             p = np.exp(logits[t]) / np.exp(logits[t]).sum()
             manual += -np.log(p[targets[t]])
         manual /= 2
-        loss = T.cross_entropy_next_token(Tensor(logits), targets)
+        loss = _mean_nll(Tensor(logits), targets)
         assert abs(loss.item() - manual) < 1e-12
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            T.cross_entropy_next_token(Tensor(np.zeros((2, 4))), [0, 4])
+            _mean_nll(Tensor(np.zeros((2, 4))), [0, 4])
 
 
 class TestBackward:
@@ -203,7 +214,8 @@ class TestBackward:
 
         def run():
             a = Tensor(a_data.copy(), requires_grad=True)
-            loss = T.tsum(T.log_softmax_rows(a @ Tensor(a_data)))
+            loss = T.tsum(T.logprob_sums(a @ Tensor(a_data), np.arange(5), np.ones(5),
+                                         np.arange(5), 5))
             backward(loss)
             return loss.data.copy(), a.grad.copy()
 
@@ -290,11 +302,51 @@ class TestLogSigmoid:
         assert abs(x.grad - 1 / (1 + np.exp(0.7))) < 1e-12
 
 
-def test_pick_nll_zero_weight_positions_are_inert():
-    logits = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    ls = T.log_softmax_rows(logits)
-    w = [0.0, 1.0, 1.0]
-    a = T.pick_nll(T.log_softmax_rows(logits), [0, 1, 2], w)
-    b = T.pick_nll(T.log_softmax_rows(logits), [3, 1, 2], w)
-    assert a.item() == b.item()
+def _log_softmax_reference(x):
+    """Plain numpy log-softmax, one row at a time."""
+    out = np.empty_like(x)
+    for i, row in enumerate(x):
+        shifted = row - row.max()
+        out[i] = shifted - np.log(np.exp(shifted).sum())
+    return out
 
+
+class TestLogprobSums:
+    # four segments of 3, 1, 2 and 2 rows; coefficients zero, positive and negative
+    TARGETS = [2, 0, 4, 1, 3, 3, 0, 2]
+    COEF = [0.5, -1.0, 0.0, 2.0, -0.25, 0.0, 1.0, -1.5]
+    SEGMENTS = [0, 0, 0, 1, 2, 2, 3, 3]
+
+    def _sums(self, logits, targets=TARGETS):
+        return T.logprob_sums(logits, targets, self.COEF, self.SEGMENTS, 4)
+
+    def test_gradient_vs_finite_differences(self, rng):
+        logits = Tensor(rng.standard_normal((8, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal(4))
+
+        report = grad_check(lambda: T.tsum(self._sums(logits) * w), [logits],
+                            tolerance=1e-6, n_samples=40)
+        assert report["n_checked"] == 40 and not report["failures"]
+
+    def test_matches_numpy_reference(self, rng):
+        x = 10.0 * rng.standard_normal((8, 5))
+        ls = _log_softmax_reference(x)
+        expected = np.zeros(4)
+        for j, (t, c, s) in enumerate(zip(self.TARGETS, self.COEF, self.SEGMENTS)):
+            expected[s] += c * ls[j, t]
+        assert np.allclose(self._sums(Tensor(x)).data, expected, rtol=0.0, atol=1e-12)
+
+    def test_zero_coefficient_rows_are_inert(self, rng):
+        x = rng.standard_normal((8, 5))
+        w = Tensor(rng.standard_normal(4))
+        scrambled = [t if c else (t + 1 + j) % 5
+                     for j, (t, c) in enumerate(zip(self.TARGETS, self.COEF))]
+        assert scrambled != self.TARGETS
+        runs = []
+        for targets in (self.TARGETS, scrambled):
+            logits = Tensor(x.copy(), requires_grad=True)
+            out = self._sums(logits, targets)
+            backward(T.tsum(out * w))
+            runs.append((out.data, logits.grad))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])

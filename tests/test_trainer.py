@@ -9,6 +9,7 @@ import pytest
 from medlm import data as D
 from medlm import model as M
 from medlm import trainer as TR
+from medlm.atomic import atomic_write
 from medlm.errors import ConfigError, IntegrityError, TrainingError
 
 
@@ -204,11 +205,19 @@ class TestRunStage:
         with pytest.raises(ConfigError):
             TR.run_stage(state, _cpt_cfg(), [D.SftExample(instruction="a", output="b")])
 
-    def test_mixed_length_cpt_blocks_rejected(self, state):
-        blocks = self._blocks()
-        blocks[3] = blocks[3][:-1]
-        with pytest.raises(ConfigError, match="differ in length"):
-            TR.run_stage(state, _cpt_cfg(), blocks)
+    def test_mixed_length_cpt_batch_trains(self, state):
+        blocks = [b[:n] for b, n in zip(self._blocks(), (8, 5, 2, 8, 3, 6))]
+        new_state, metrics = TR.run_stage(state, _cpt_cfg(epochs=10, batch_size=6), blocks)
+        # the first step's loss is the token-weighted mean NLL at the initial params
+        nll = []
+        for b in blocks:
+            logits = M.forward_logits(state.params, None, b[:-1]).data
+            logp = logits - logits.max(axis=1, keepdims=True)
+            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            nll += [-logp[t, target] for t, target in enumerate(b[1:])]
+        assert metrics[0]["loss"] == pytest.approx(np.mean(nll), rel=1e-12)
+        assert metrics[-1]["loss"] < metrics[0]["loss"]
+        assert not np.array_equal(new_state.params.data, state.params.data)
 
     def test_seeded_run_is_bit_reproducible(self, state):
         blocks = self._blocks()
@@ -460,6 +469,8 @@ def test_tensors_stay_views_of_their_buffers(state, vocab, tmp_path):
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")
-    TR.atomic_write_text("new", path)
+    atomic_write("new", path)
     assert path.read_text() == "new"
+    atomic_write(b"\x00bytes", path)
+    assert path.read_bytes() == b"\x00bytes"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
