@@ -16,6 +16,9 @@ def atomic_write(content, path):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(content)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # open()'s mode for a new file; mkstemp's is 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

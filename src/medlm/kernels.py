@@ -31,10 +31,20 @@ def adamw_update(w, g, m, v, step, lr, weight_decay, beta1, beta2, eps):
     w <- w - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * w)
     with bias-corrected first/second moments at the (1-based) step count.
     """
+    # two buffers, each reused: no m_hat, v_hat, sqrt or sum temporaries
+    upd = np.multiply(g, 1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += upd
+    np.multiply(g, g, out=upd)
+    upd *= 1.0 - beta2
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    w -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
+    v += upd
+    den = np.divide(v, 1.0 - beta2**step)  # v_hat, then sqrt(v_hat) + eps in place
+    np.sqrt(den, out=den)
+    den += eps
+    np.divide(m, 1.0 - beta1**step, out=upd)
+    upd /= den
+    np.multiply(w, weight_decay, out=den)
+    upd += den
+    upd *= lr
+    w -= upd

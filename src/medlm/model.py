@@ -67,19 +67,23 @@ def save_vocab(vocab, path):
 
 
 def load_vocab(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")[:-1]
+    except UnicodeDecodeError:
+        raise VocabError(f"vocab file {path} is not UTF-8") from None
     symbols = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh.read().split("\n")[:-1]:
-            out = []
-            i = 0
-            while i < len(line):
-                if line[i] == "\\" and line[i : i + 2] in _UNESCAPES:
-                    out.append(_UNESCAPES[line[i : i + 2]])
-                    i += 2
-                else:
-                    out.append(line[i])
-                    i += 1
-            symbols.append("".join(out))
+    for line in lines:
+        out = []
+        i = 0
+        while i < len(line):
+            if line[i] == "\\" and line[i : i + 2] in _UNESCAPES:
+                out.append(_UNESCAPES[line[i : i + 2]])
+                i += 2
+            else:
+                out.append(line[i])
+                i += 1
+        symbols.append("".join(out))
     if tuple(symbols[: len(SPECIAL_SYMBOLS)]) != SPECIAL_SYMBOLS:
         raise VocabError(f"vocab file {path} missing special symbols")
     return Vocab(symbols=tuple(symbols), id_of={s: i for i, s in enumerate(symbols)})
@@ -286,8 +290,9 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
     start = len(cache[0][0]) if cache else 0
     if start + lengths.max() > c.max_seq_len:
         raise DataError(f"sequence length {start + lengths.max()} > max_seq_len {c.max_seq_len}")
-    positions = start + np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths,
-                                                            lengths)
+    positions = np.arange(start, start + tokens.size)
+    if len(lengths) > 1:
+        positions -= np.repeat(np.cumsum(lengths) - lengths, lengths)
 
     x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"], positions)
     x = T.dropout(x, c.dropout, train_rng)

@@ -15,6 +15,12 @@ grad exists only during backward: its first contribution is assigned, and
 may be an array shared with another node, later ones are added out of
 place, and it is dropped once the node's own backward has run.
 
+Kernels may work in place on temporaries they own (a fresh product, a
+difference, a reduction), never on an input, an incoming gradient (it may
+be shared) or an array once it is saved for backward. Each in-place form
+applies the same operations in the same order as the plain expression it
+replaces, so the results are bit-identical to it.
+
 Numerical guards: softmax variants subtract the row max, and log_sigmoid
 never takes the log of 0, so any forward pass on finite inputs stays
 finite.
@@ -178,13 +184,16 @@ def matmul(a, b):
 
 
 def relu(a):
+    """max(a, 0), with gradient 1 where a > 0 and 0 elsewhere. Edge values
+    are ``np.maximum``'s: relu(-0.0) is a zero of the sign it picks, and
+    relu(nan) is nan."""
     mask = a.data > 0
 
     def bwd(g, a=a, mask=mask):
         if a.requires_grad:
             _accumulate(a, g * mask)
 
-    return _make(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _make(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def tsum(a):
@@ -205,9 +214,11 @@ def gather_rows(table, ids):
 
     def bwd(g, table=table, ids=ids):
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            _accumulate(table, full)
+            # one bincount adds in input order, as np.add.at(full, ids, g) would
+            rows, d = table.data.shape
+            flat = (ids.reshape(-1, 1) * d + np.arange(d)).ravel()
+            full = np.bincount(flat, weights=g.ravel(), minlength=rows * d)
+            _accumulate(table, full.reshape(rows, d))
 
     return _make(table.data[ids], (table,), bwd)
 
@@ -227,10 +238,14 @@ def dropout(a, rate, rng):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    # sum / n is how np.mean and np.var reduce, so the bits are theirs
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
         if bias.requires_grad:
@@ -239,11 +254,14 @@ def layer_norm(x, gain, bias, eps=1e-5):
             _accumulate(gain, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
         if x.requires_grad:
             gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (gy - m1 - xhat * m2))
+            m1 = gy.sum(axis=-1, keepdims=True) / n
+            m2 = (gy * xhat).sum(axis=-1, keepdims=True) / n
+            gy -= m1
+            gy -= xhat * m2
+            gy *= inv
+            _accumulate(x, gy)
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return _make(out, (x, gain, bias), bwd)
 
 
 def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
@@ -266,7 +284,15 @@ def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
         raise ShapeError(f"causal_attention: lengths {lengths.tolist()}, {n} queries, "
                          f"{n + past} keys")
     c = 1.0 / np.sqrt(dh)
-    starts = np.cumsum(lengths) - lengths
+    if len(lengths) == 1:  # one segment: one group of every row, no regrouping
+        plan = [(n, None, 1)]
+    else:
+        starts = np.cumsum(lengths) - lengths
+        plan = []  # (length, rows, segments) of each group of equal-length segments
+        for length in np.unique(lengths):
+            first = starts[lengths == length]
+            rows = None if len(first) == len(lengths) else first[:, None] + np.arange(length)
+            plan.append((length, rows, len(first)))
 
     def split(x, rows, n_seg):
         """Token-flat rows -> [G, H, L, dh]; a view when one group holds every row."""
@@ -283,14 +309,16 @@ def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
 
     groups = []
     out = np.empty((n, d))
-    for length in np.unique(lengths):
-        first = starts[lengths == length]
-        rows = None if len(first) == len(lengths) else first[:, None] + np.arange(length)
-        qg, kg, vg = (split(t.data, rows, len(first)) for t in (q, k, v))
-        mask = np.tril(np.ones((length, length + past), dtype=bool), k=past)
-        s = np.where(mask, c * (qg @ kg.swapaxes(-1, -2)), -np.inf)
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
+    for length, rows, n_seg in plan:
+        qg, kg, vg = (split(t.data, rows, n_seg) for t in (q, k, v))
+        p = qg @ kg.swapaxes(-1, -2)
+        p *= c
+        if length > 1:  # a one-row segment (a decode step) sees every key
+            future = np.arange(length + past) > np.arange(past, length + past)[:, None]
+            np.copyto(p, -np.inf, where=future)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
         keep = None
         if rate > 0.0 and rng is not None:
             keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
@@ -304,10 +332,12 @@ def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
             go = split(g, rows, len(lengths))
             if gv is not None:
                 gv = merge(gv, rows, pd.swapaxes(-1, -2) @ go)
-            gp = go @ vg.swapaxes(-1, -2)
+            gs = go @ vg.swapaxes(-1, -2)  # d/dp, then d/dscores in place
             if keep is not None:
-                gp = gp * keep
-            gs = c * (p * (gp - (gp * p).sum(axis=-1, keepdims=True)))
+                gs *= keep
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= c
             if gq is not None:
                 gq = merge(gq, rows, gs @ kg)
             if gk is not None:

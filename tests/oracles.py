@@ -2,11 +2,15 @@
 
 Deliberately written with different machinery than the package code
 (list.count, recursion with memo, sorted scans) so agreement is
-meaningful.
+meaningful. The reference formulas of the engine kernels at the end are
+the exception: they are the plain numpy expressions the in-place kernels
+must reproduce bit for bit.
 """
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 
 def ngrams(tokens, n):
@@ -117,3 +121,90 @@ def duplicate_spans_exist_allpairs(docs, min_span):
             if positions[i] == positions[j]:
                 return True
     return False
+
+
+# -- reference formulas of the engine kernels ---------------------------
+# The engine's kernels run in place on buffers they own; these are the
+# plain formulas they replaced, kept so tests can require the same bits.
+
+def relu_ref(x, g):
+    """Forward and input gradient for upstream g."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), g * mask
+
+
+def layer_norm_ref(x, gain, bias, g, eps=1e-5):
+    """Forward and the gradients of x, gain and bias for upstream g."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    axes = tuple(range(g.ndim - 1))
+    gy = g * gain
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias, inv * (gy - m1 - xhat * m2),
+            (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+def gather_rows_grad_ref(table_shape, ids, g):
+    full = np.zeros(table_shape)
+    np.add.at(full, np.asarray(ids), g)
+    return full
+
+
+def causal_attention_ref(q, k, v, lengths, n_heads, g, rate=0.0, rng=None):
+    """Forward and the gradients of q, k and v for upstream g, with an
+    explicit ``np.where`` mask; segments of equal length run as one group."""
+    n, d = q.shape
+    dh = d // n_heads
+    lengths = np.asarray(lengths, dtype=np.int64)
+    past = k.shape[0] - n
+    c = 1.0 / np.sqrt(dh)
+    starts = np.cumsum(lengths) - lengths
+
+    def split(x, rows, n_seg):
+        x = x.reshape(n_seg, -1, d) if rows is None else x[rows]
+        return x.reshape(x.shape[:2] + (n_heads, dh)).transpose(0, 2, 1, 3)
+
+    def merge(dst, rows, y):
+        y = y.transpose(0, 2, 1, 3).reshape(-1, d)
+        if rows is None:
+            return y
+        dst[rows.ravel()] = y
+        return dst
+
+    out, gq, gk, gv = (np.empty(x.shape) for x in (q, q, k, v))
+    for length in np.unique(lengths):
+        first = starts[lengths == length]
+        rows = None if len(first) == len(lengths) else first[:, None] + np.arange(length)
+        qg, kg, vg = (split(t, rows, len(first)) for t in (q, k, v))
+        mask = np.tril(np.ones((length, length + past), dtype=bool), k=past)
+        s = np.where(mask, c * (qg @ kg.swapaxes(-1, -2)), -np.inf)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        keep = None
+        if rate > 0.0 and rng is not None:
+            keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
+        pd = p if keep is None else p * keep
+        out = merge(out, rows, pd @ vg)
+        go = split(g, rows, len(lengths))
+        gv = merge(gv, rows, pd.swapaxes(-1, -2) @ go)
+        gp = go @ vg.swapaxes(-1, -2)
+        if keep is not None:
+            gp = gp * keep
+        gs = c * (p * (gp - (gp * p).sum(axis=-1, keepdims=True)))
+        gq = merge(gq, rows, gs @ kg)
+        gk = merge(gk, rows, gs.swapaxes(-1, -2) @ qg)
+    return out, gq, gk, gv
+
+
+def adamw_ref(w, g, m, v, step, lr, weight_decay, beta1, beta2, eps):
+    """One in-place AdamW step on flat arrays."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    w -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)

@@ -324,6 +324,17 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["train", "cpt"],
+                                         ["generate", "--checkpoint", "x.ckpt", "--prompt", "一"]])
+    def test_vocab_not_utf8_fails_cleanly(self, built, tmp_path, capsys, command):
+        with (tmp_path / "data" / "vocab.txt").open("ab") as fh:
+            fh.write(b"\xff\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_eval_mcq_without_checkpoint_scores_prefilled(self, built, tmp_path):
         assert cli.main(["--config", str(built), "eval", "mcq"]) == 0
         report = json.loads((tmp_path / "reports" / "mcq_report.json")

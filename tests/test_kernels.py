@@ -39,3 +39,15 @@ class TestAdamwPaths:
         v = np.zeros(1)
         kernels.adamw_update(w, np.zeros(1), m, v, 1, 0.1, 0.5, 0.9, 0.999, 1e-8)
         assert w[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+    def test_matches_reference_bits(self, rng):
+        # five steps from a shared start, with weight decay and a fresh
+        # gradient per step; w, m and v must agree bit for bit
+        state = [rng.standard_normal(1000), np.zeros(1000), np.zeros(1000)]
+        ref = [a.copy() for a in state]
+        for step in range(1, 6):
+            g = rng.standard_normal(1000)
+            kernels.adamw_update(*state[:1], g, *state[1:], step, 0.005, 0.01, 0.9, 0.999, 1e-8)
+            oracles.adamw_ref(*ref[:1], g, *ref[1:], step, 0.005, 0.01, 0.9, 0.999, 1e-8)
+            for got, want in zip(state, ref):
+                assert np.array_equal(got, want)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from medlm import tensor as T
 from medlm.errors import ContractError, ShapeError
 from medlm.tensor import Tensor, backward, grad_check
@@ -32,6 +33,45 @@ class TestMatmul:
         report = grad_check(fn, [a, b], tolerance=1e-6, n_samples=20)
         assert report["max_rel_err"] < 1e-6
         assert not report["failures"]
+
+
+def _grads(op, inputs, upstream):
+    """op(*inputs) and the gradient of each input for the given upstream."""
+    out = op(*inputs)
+    backward(T.tsum(out * Tensor(upstream)))
+    return out.data, [t.grad for t in inputs]
+
+
+class TestRelu:
+    def test_matches_reference_bits(self, rng):
+        x = rng.standard_normal((37, 16))
+        x[0, :4] = 0.0
+        g = rng.standard_normal(x.shape)
+        out, (gx,) = _grads(T.relu, [Tensor(x, requires_grad=True)], g)
+        ref_out, ref_gx = oracles.relu_ref(x, g)
+        assert np.array_equal(out, ref_out) and np.array_equal(gx, ref_gx)
+
+    def test_edge_values(self):
+        # relu(-0.0) is a zero (np.maximum picks its sign) and nan stays nan,
+        # where np.where(x > 0, x, 0.0) gave 0.0; the gradient is 0 at both
+        x = Tensor(np.array([-0.0, np.nan, -1.0, 2.0]), requires_grad=True)
+        out = T.relu(x)
+        assert out.data[0] == 0.0
+        assert np.isnan(out.data[1])
+        assert out.data[2:].tolist() == [0.0, 2.0]
+        backward(T.tsum(out))
+        assert x.grad.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("ids_shape", [(40,), (5, 8)])
+    def test_grad_matches_add_at_bits(self, rng, ids_shape):
+        table = rng.standard_normal((7, 6))
+        ids = rng.integers(0, 7, size=ids_shape)  # many repeats
+        g = rng.standard_normal(ids_shape + (6,))
+        out, (gt,) = _grads(lambda t: T.gather_rows(t, ids), [Tensor(table, requires_grad=True)], g)
+        assert np.array_equal(out, table[ids])
+        assert np.array_equal(gt, oracles.gather_rows_grad_ref(table.shape, ids, g))
 
 
 class TestSoftmaxRows:
@@ -131,6 +171,32 @@ class TestCausalAttention:
         full = T.causal_attention(q, k, v, [6], n_heads=2).data
         last = T.causal_attention(Tensor(q.data[4:]), k, v, [2], n_heads=2).data
         assert np.allclose(last, full[4:], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("lengths", [[7], [4, 4], [3, 1, 3, 2, 5, 2]])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_matches_reference_bits(self, rng, lengths, rate):
+        # head width 6: the scale 1/sqrt(6) rounds, so the order it is applied in shows
+        n = sum(lengths)
+        q, k, v = (rng.standard_normal((n, 12)) for _ in range(3))
+        g = rng.standard_normal((n, 12))
+        out, grads = _grads(
+            lambda *qkv: T.causal_attention(*qkv, lengths, n_heads=2, rate=rate,
+                                            rng=np.random.default_rng(5)),
+            [Tensor(x, requires_grad=True) for x in (q, k, v)], g)
+        ref = oracles.causal_attention_ref(q, k, v, lengths, 2, g, rate=rate,
+                                           rng=np.random.default_rng(5))
+        for got, want in zip([out] + grads, ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_queries", [1, 3])
+    def test_cached_keys_match_reference_bits(self, rng, n_queries):
+        # decoding: the queries follow 9 cached keys and values
+        q = rng.standard_normal((n_queries, 12))
+        k, v = (rng.standard_normal((9 + n_queries, 12)) for _ in range(2))
+        with T.no_grad():
+            out = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), [n_queries], n_heads=2)
+        ref = oracles.causal_attention_ref(q, k, v, [n_queries], 2, np.zeros(q.shape))
+        assert np.array_equal(out.data, ref[0])
 
     def test_lengths_must_cover_rows(self, rng):
         q, k, v = _attention_inputs(rng, 4)
@@ -232,6 +298,17 @@ class TestLayerNorm:
         out = T.layer_norm(x, g, b)
         assert np.allclose(out.data.mean(axis=-1), 0, atol=1e-12)
         assert np.allclose(out.data.std(axis=-1), 1, atol=1e-3)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (37, 64), (3, 5, 16)])
+    def test_matches_reference_bits(self, rng, shape):
+        x = 3.0 * rng.standard_normal(shape) + 1.0
+        gain, bias = rng.standard_normal((2, shape[-1]))
+        g = rng.standard_normal(shape)
+        out, grads = _grads(T.layer_norm, [Tensor(a, requires_grad=True)
+                                           for a in (x, gain, bias)], g)
+        ref = oracles.layer_norm_ref(x, gain, bias, g)
+        for got, want in zip([out] + grads, ref):
+            assert np.array_equal(got, want)
 
     def test_gradients(self, rng):
         x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)

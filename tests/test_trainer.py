@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -474,3 +476,13 @@ def test_atomic_write_replaces_existing(tmp_path):
     atomic_write(b"\x00bytes", path)
     assert path.read_bytes() == b"\x00bytes"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_gives_the_umask_mode(tmp_path):
+    # like open(path, "w"): 0o666 less the umask, not mkstemp's 0o600
+    old = os.umask(0o022)
+    try:
+        atomic_write("x", tmp_path / "a.txt")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o644
