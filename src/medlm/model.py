@@ -264,19 +264,30 @@ def _project(x, params, adapter, name, rng):
     return y
 
 
-def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=None):
+def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=None,
+                   rows=None):
     """Logits [N, V] for token-flat tokens [N]: one sequence, or several back
     to back with segment ``lengths`` (default: one segment). Position ids
     restart at 0 in each segment, and a position sees only the tokens <= it
     of its own segment (causal mask).
 
+    ``rows``, strictly increasing indices into the N positions (default:
+    every one), selects which rows of logits to return, ``[len(rows), V]``.
+    Every position still runs through attention in every layer, since later
+    positions read its keys and values; after the last layer's attention
+    only the selected rows go on through ``wo``, the feed-forward block,
+    the final norm and the head. When ``rows`` names every position no
+    gather is added, so the result is the full forward's.
+
     ``cache`` is an optional per-request KV cache for decoding one sequence:
     a list holding one ``(K, V)`` pair of ``[S, d_model]`` arrays per layer,
     or empty before the first call. ``tokens`` then continue the ``S`` cached
     positions: they take position ids ``S, S+1, ...``, attend to the cached
-    keys and values, and their own K/V are appended to the list in place.
-    A cache is only legal under ``no_grad``, and ``S + len(tokens)`` must
-    not exceed ``max_seq_len``.
+    keys and values, and their own K/V are written after them in place. The
+    first call allocates each layer's K and V as ``[max_seq_len, d_model]``
+    buffers and the pairs are views of their first ``S`` rows, so a step
+    copies only its own rows. A cache is only legal under ``no_grad``, and
+    ``S + len(tokens)`` must not exceed ``max_seq_len``.
     """
     c = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -287,9 +298,18 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
         raise DataError(f"forward_logits: lengths {lengths.tolist()} for {tokens.size} tokens")
     if cache is not None and (T._GRAD_ENABLED or len(lengths) > 1):
         raise ContractError("forward_logits: a KV cache needs no_grad and one sequence")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= tokens.size
+                                             or (rows[1:] <= rows[:-1]).any())):
+            raise DataError(f"forward_logits: rows must be strictly increasing indices "
+                            f"in [0, {tokens.size})")
+        if rows.size == tokens.size:
+            rows = None
     start = len(cache[0][0]) if cache else 0
-    if start + lengths.max() > c.max_seq_len:
-        raise DataError(f"sequence length {start + lengths.max()} > max_seq_len {c.max_seq_len}")
+    end = start + lengths.max()
+    if end > c.max_seq_len:
+        raise DataError(f"sequence length {end} > max_seq_len {c.max_seq_len}")
     positions = np.arange(start, start + tokens.size)
     if len(lengths) > 1:
         positions -= np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -301,10 +321,15 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
         h = T.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
         q, k, v = (_project(h, params, adapter, p + w, train_rng) for w in ("wq", "wk", "wv"))
         if cache is not None:
-            if start:
-                k, v = (Tensor(np.concatenate([kv, t.data])) for kv, t in zip(cache[i], (k, v)))
-            cache[i:i + 1] = [(k.data, v.data)]  # replace, or append on prefill
+            bufs = ([kv.base for kv in cache[i]] if start else
+                    [np.empty((c.max_seq_len, c.d_model)) for _ in range(2)])
+            for buf, t in zip(bufs, (k, v)):
+                buf[start:end] = t.data
+            cache[i:i + 1] = [(bufs[0][:end], bufs[1][:end])]  # replace, or append on prefill
+            k, v = (Tensor(kv) for kv in cache[i])
         att = T.causal_attention(q, k, v, lengths, c.n_heads, c.dropout, train_rng)
+        if rows is not None and i == c.n_layers - 1:
+            att, x = T.gather_rows(att, rows), T.gather_rows(x, rows)
         attn_out = _project(att, params, adapter, p + "wo", train_rng)
         x = x + T.dropout(attn_out, c.dropout, train_rng)
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
@@ -318,9 +343,10 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
 def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     """Argmax decoding; ties break toward the lowest token id (np.argmax).
 
-    The prompt is encoded once into a KV cache and each step feeds only the
-    new token. Past ``max_seq_len`` the window slides, which moves every
-    absolute position, so the cache is dropped and the last window re-encoded.
+    The prompt is encoded once into a KV cache, with logits for its last
+    position only, and each step feeds only the new token. Past
+    ``max_seq_len`` the window slides, which moves every absolute position,
+    so the cache is dropped and the last window re-encoded.
     """
     if not prompt_ids:
         raise DataError("generate_greedy: empty prompt")
@@ -330,8 +356,8 @@ def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     cache, feed = [], ids[-window:]
     with T.no_grad():
         for _ in range(max_new):
-            logits = forward_logits(params, adapter, feed, cache=cache)
-            nxt = int(np.argmax(logits.data[-1]))
+            logits = forward_logits(params, adapter, feed, cache=cache, rows=[len(feed) - 1])
+            nxt = int(np.argmax(logits.data[0]))
             out.append(nxt)
             if nxt == stop_id:
                 break

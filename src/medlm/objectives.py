@@ -5,11 +5,14 @@ against a frozen reference model.
 Each objective is a coefficient-weighted sum of target log-probs over
 one ragged batch, so all three go through one scorer: one
 ``model.forward_logits`` over the batch's sequences, of any lengths, and
-one ``tensor.logprob_sums``. The CPT loss is the token mean over every
-position of the batch; the SFT loss is the batch mean of each example's
-token mean over its response; a DPO batch scores each pair's chosen
-minus rejected response log-prob. Means keep learning rates independent
-of sequence length.
+one ``tensor.logprob_sums``. Only the positions with a nonzero
+coefficient are scored: the forward returns logits for those rows alone,
+so the last layer's feed-forward block, the final norm, the head and the
+log-softmax skip the prompt positions an SFT or DPO batch masks out. The
+CPT loss is the token mean over every position of the batch; the SFT
+loss is the batch mean of each example's token mean over its response; a
+DPO batch scores each pair's chosen minus rejected response log-prob.
+Means keep learning rates independent of sequence length.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .data import render_bare_prompt, render_prompt
-from .errors import DataError
+from .errors import DataError, ShapeError
 
 
 def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
@@ -30,10 +33,15 @@ def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
     if not inputs:
         raise DataError("empty batch: no sequences to score")
     lengths = [len(x) for x in inputs]
-    logits = M.forward_logits(params, adapter, np.concatenate(inputs), train_rng=train_rng,
-                              lengths=lengths)
-    return T.logprob_sums(logits, np.concatenate(targets), np.concatenate(coef),
-                          np.repeat(groups, lengths), max(groups) + 1)
+    tokens, targets, coef = (np.concatenate(a) for a in (inputs, targets, coef))
+    if not targets.shape == coef.shape == tokens.shape:
+        raise ShapeError(f"_score: {targets.size} targets and {coef.size} coefficients "
+                         f"for {tokens.size} positions")
+    rows = np.flatnonzero(coef)
+    logits = M.forward_logits(params, adapter, tokens, train_rng=train_rng, lengths=lengths,
+                              rows=rows)
+    return T.logprob_sums(logits, targets[rows], coef[rows],
+                          np.repeat(groups, lengths)[rows], max(groups) + 1)
 
 
 def cpt_loss(params, adapter, blocks, train_rng=None):

@@ -4,13 +4,17 @@ Deliberately written with different machinery than the package code
 (list.count, recursion with memo, sorted scans) so agreement is
 meaningful. The reference formulas of the engine kernels at the end are
 the exception: they are the plain numpy expressions the in-place kernels
-must reproduce bit for bit.
+must reproduce bit for bit, and the full-row scorer the trimmed one must
+agree with.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from medlm import model as M
+from medlm import tensor as T
 
 
 def ngrams(tokens, n):
@@ -208,3 +212,13 @@ def adamw_ref(w, g, m, v, step, lr, weight_decay, beta1, beta2, eps):
     m_hat = m / (1.0 - beta1**step)
     v_hat = v / (1.0 - beta2**step)
     w -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
+
+
+def score_full_ref(params, adapter, inputs, targets, coef, groups, train_rng=None):
+    """``objectives._score`` as it was before it trimmed rows: logits and
+    log-probs for every position, zero-coefficient rows multiplied by 0."""
+    lengths = [len(x) for x in inputs]
+    logits = M.forward_logits(params, adapter, np.concatenate(inputs), train_rng=train_rng,
+                              lengths=lengths)
+    return T.logprob_sums(logits, np.concatenate(targets), np.concatenate(coef),
+                          np.repeat(groups, lengths), max(groups) + 1)

@@ -183,6 +183,60 @@ class TestForward:
             M.forward_logits(tiny_params, None, [0] * (n + 2), lengths=[1, n + 1])
 
 
+class TestScoredRows:
+    @settings(max_examples=25, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 24), min_size=1, max_size=5),
+           with_adapter=st.booleans(), seed=st.integers(0, 2**16))
+    def test_rows_match_full_forward(self, lengths, with_adapter, seed):
+        config = M.ModelConfig(vocab_size=13, d_model=16, n_layers=2, n_heads=2,
+                               max_seq_len=24)  # conftest's tiny config
+        params = M.init_params(config, np.random.default_rng(42))
+        rng = np.random.default_rng(seed)
+        adapter = None
+        if with_adapter:
+            adapter = M.attach_lora(params, M.LoraConfig(dropout=0.0,
+                                                         targets=("wq", "wv", "wo")), rng)
+            adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
+        tokens = rng.integers(0, config.vocab_size, size=sum(lengths))
+        rows = np.flatnonzero(rng.random(tokens.size) < 0.4)
+        full = M.forward_logits(params, adapter, tokens, lengths=lengths).data
+        kept = M.forward_logits(params, adapter, tokens, lengths=lengths, rows=rows).data
+        assert kept.shape == (rows.size, config.vocab_size)
+        np.testing.assert_allclose(kept, full[rows], rtol=0, atol=1e-12)
+
+    def test_every_row_is_the_full_forward(self, tiny_params):
+        tokens = [0, 4, 5, 6, 0, 7, 8]
+        full = M.forward_logits(tiny_params, None, tokens, lengths=[4, 3]).data
+        every = M.forward_logits(tiny_params, None, tokens, lengths=[4, 3],
+                                 rows=range(7)).data
+        assert np.array_equal(every, full)
+
+    def test_empty_rows_give_no_logits(self, tiny_config, tiny_params):
+        logits = M.forward_logits(tiny_params, None, [0, 4, 5], rows=[]).data
+        assert logits.shape == (0, tiny_config.vocab_size)
+
+    def test_cached_prefill_keeps_last_row(self, tiny_config, tiny_params):
+        tokens = [0, 4, 5, 6, 7, 8, 9]
+        cache = []
+        with T.no_grad():
+            full = M.forward_logits(tiny_params, None, tokens).data
+            last = M.forward_logits(tiny_params, None, tokens[:5], cache=cache, rows=[4]).data
+            step = M.forward_logits(tiny_params, None, tokens[5:], cache=cache, rows=[1]).data
+        np.testing.assert_allclose(last, full[4:5], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step, full[6:7], rtol=0, atol=1e-12)
+        assert [k.shape for k, _ in cache] == [(7, tiny_config.d_model)] * 2
+
+    @pytest.mark.parametrize("rows", [[3], [-1], [1, 1], [2, 0], [[0, 1]]])
+    def test_bad_rows_rejected(self, tiny_params, rows):
+        with pytest.raises(DataError, match="rows"):
+            M.forward_logits(tiny_params, None, [0, 4, 5], rows=rows)
+
+    def test_rows_with_a_multi_segment_cache_rejected(self, tiny_params):
+        with T.no_grad(), pytest.raises(ContractError):
+            M.forward_logits(tiny_params, None, [0, 4, 5], lengths=[1, 2], cache=[],
+                             rows=[2])
+
+
 class TestLora:
     def test_fresh_adapter_is_identity(self, tiny_params, rng):
         """B is zero-initialized, so attaching an adapter must not change
@@ -318,6 +372,18 @@ class TestKvCache:
         assert len(cache) == tiny_config.n_layers
         for k, v in cache:
             assert k.shape == v.shape == (len(tokens), tiny_config.d_model)
+
+    def test_steps_write_into_one_buffer_per_layer(self, tiny_config, params):
+        cache = []
+        with T.no_grad():
+            M.forward_logits(params, None, [0, 4, 5], cache=cache)
+            bases = [(k.base, v.base) for k, v in cache]
+            keys = [k.copy() for k, _ in cache]
+            M.forward_logits(params, None, [6], cache=cache)
+        for (k, v), (kb, vb), k_before in zip(cache, bases, keys):
+            assert k.base is kb and v.base is vb
+            assert kb.shape == (tiny_config.max_seq_len, tiny_config.d_model)
+            assert np.array_equal(k[:3], k_before)  # earlier rows stay in place
 
     def test_cache_needs_no_grad(self, params):
         with pytest.raises(ContractError):

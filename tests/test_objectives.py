@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from medlm import data as D
@@ -8,8 +9,8 @@ from medlm import model as M
 from medlm import objectives as O
 from medlm import tensor as T
 from medlm import trainer as TR
-from medlm.errors import ConfigError, DataError
-from medlm.tensor import backward
+from medlm.errors import ConfigError, DataError, ShapeError
+from medlm.tensor import backward, grad_check
 
 
 @pytest.fixture
@@ -102,6 +103,13 @@ class TestSftTokens:
         backward(mean)
         assert abs(joint.item() - mean.item()) < 1e-12
         assert np.allclose(joint_grad, params.grad, rtol=0.0, atol=1e-12)
+
+    def test_target_override_of_wrong_length_rejected(self, vocab, params):
+        ex = D.SftExample(instruction="ab", output="cd")
+        ids, _ = O.sft_tokens(ex, vocab)
+        for targets in (ids[2:], ids + [4]):
+            with pytest.raises(ShapeError):
+                O.sft_loss(params, None, [ex], vocab, target_override=targets)
 
     def test_overlong_example_rejected(self, vocab, params):
         ex = D.SftExample(instruction="ab" * 40, output="cd")
@@ -211,3 +219,72 @@ class TestDpo:
     def test_beta_must_be_positive(self, params):
         with pytest.raises(ConfigError):
             TR.StageConfig(stage="dpo", learning_rate=0.1, beta=0.0)
+
+
+class TestScoredRows:
+    """The scorer keeps only the rows with a nonzero coefficient; the
+    full-row scorer it replaced (tests/oracles.py) must agree with it."""
+
+    BATCH = [D.SftExample(instruction="ab", output="cd"),
+             D.SftExample(instruction="abcdef", output="g"),
+             D.SftExample(instruction="h", output="abcdefgh")]
+    SEQS = [([0, 4, 5], [6, 7, 1]), ([0, 9], [4, 1]), ([0, 5, 6, 7, 8], [9, 1]),
+            ([0, 4], [5])]
+
+    @pytest.fixture
+    def adapter(self, params):
+        rng = np.random.default_rng(8)
+        adapter = M.attach_lora(params, M.LoraConfig(dropout=0.0, targets=("wq", "wv", "wo")),
+                                rng)
+        adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
+        return adapter
+
+    def _value_and_grads(self, params, adapter, loss_fn):
+        params.set_requires_grad(True)
+        adapter.set_requires_grad(True)
+        loss = T.tsum(loss_fn())
+        backward(loss)
+        return loss.item(), params.grad.copy(), adapter.grad.copy()
+
+    @pytest.mark.parametrize("objective", ["cpt", "sft", "sequence", "paired"])
+    def test_matches_full_row_scorer(self, params, adapter, vocab, monkeypatch, objective):
+        blocks = [[0, 4, 5, 6, 7], [0, 8, 9], [0, 4, 4, 5, 5, 6]]
+        loss_fn = {
+            "cpt": lambda: O.cpt_loss(params, adapter, blocks),
+            "sft": lambda: O.sft_loss(params, adapter, self.BATCH, vocab),
+            "sequence": lambda: O.sequence_logprob(params, adapter, self.SEQS),
+            "paired": lambda: O.sequence_logprob(params, adapter, self.SEQS, paired=True),
+        }[objective]
+        trimmed = self._value_and_grads(params, adapter, loss_fn)
+        monkeypatch.setattr(O, "_score", oracles.score_full_ref)
+        full = self._value_and_grads(params, adapter, loss_fn)
+        assert abs(trimmed[0] - full[0]) < 1e-12
+        for a, b in zip(trimmed[1:], full[1:]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_forward_returns_only_scored_rows(self, params, vocab, monkeypatch):
+        shapes = []
+        forward = M.forward_logits
+
+        def spy(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            shapes.append(out.data.shape[0])
+            return out
+
+        monkeypatch.setattr(M, "forward_logits", spy)
+        O.sft_loss(params, None, self.BATCH, vocab)
+        n_response = sum(len(ex.output) + 1 for ex in self.BATCH)  # + EOS
+        assert shapes == [n_response]
+
+    def test_grad_check_on_ragged_sft_batch(self, params, adapter, vocab):
+        params.set_requires_grad(False)
+        result = grad_check(lambda: O.sft_loss(params, adapter, self.BATCH, vocab),
+                            [t for _, t in adapter.named()], n_samples=100)
+        assert not result["failures"], result
+
+    def test_no_scored_rows_give_zeros(self, params):
+        params.set_requires_grad(True)
+        lp = O.sequence_logprob(params, None, [([0, 4], []), ([0, 5, 6], [])])
+        assert np.array_equal(lp.data, [0.0, 0.0])
+        backward(T.tsum(lp))
+        assert not params.grad.any()

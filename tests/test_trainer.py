@@ -229,6 +229,21 @@ class TestRunStage:
         for name, t in s1.params.named():
             assert np.array_equal(t.data, s2.params.tensors[name].data)
 
+    def test_seeded_sft_with_dropout_is_bit_reproducible(self, state, vocab):
+        # model and adapter dropout both draw from the stage's random stream
+        cfg = M.ModelConfig(**{**state.params.config.__dict__, "dropout": 0.1})
+        params = M.ModelParams(cfg, state.params.shapes, state.params.data.copy())
+        examples = [D.SftExample(instruction="ab" * i + "？", output="cd。"[:i])
+                    for i in range(1, 4)]
+        sft = TR.StageConfig(stage="sft", learning_rate=0.01, warmup_ratio=0.0, epochs=2,
+                             batch_size=2, seed=3, lora=M.LoraConfig(dropout=0.1))
+        runs = [TR.run_stage(TR.TrainState(params=p, seed=0), sft, examples, vocab=vocab)
+                for p in (params, params, state.params)]
+        (s1, m1), (s2, m2), (s0, _) = runs
+        assert m1 == m2
+        assert s1.adapter.data.tobytes() == s2.adapter.data.tobytes()
+        assert not np.array_equal(s1.adapter.data, s0.adapter.data)  # dropout was drawn
+
     def test_metrics_csv_format(self, state, vocab, tmp_path):
         log = tmp_path / "metrics.csv"
         TR.run_stage(state, _cpt_cfg(epochs=1), self._blocks(), log_path=log)
