@@ -331,11 +331,14 @@ def cmd_eval(cfg, kind, checkpoint):
 def cmd_generate(cfg, checkpoint, prompt, max_new):
     vocab = _load_vocab(cfg)
     state = TR.load_checkpoint(checkpoint)
-    text = D.render_bare_prompt(prompt)
-    ids = [M.BOS] + M.encode(vocab, text)
-    out_ids = M.generate_greedy(state.params, state.adapter, ids, max_new)
-    print(M.decode_text(vocab, out_ids))
+    print(E.generate_text(state, vocab, D.render_bare_prompt(prompt), max_new))
     return 0
+
+
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def build_parser():
@@ -363,7 +366,7 @@ def build_parser():
     p_gen = sub.add_parser("generate", help="greedy generation from a prompt")
     p_gen.add_argument("--checkpoint", required=True)
     p_gen.add_argument("--prompt", required=True)
-    p_gen.add_argument("--max-new", type=int, default=64)
+    p_gen.add_argument("--max-new", type=_positive_int, default=64)
 
     sub.add_parser("validate-config", help="check the config file and exit")
     return parser

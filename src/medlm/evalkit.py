@@ -201,7 +201,8 @@ def render_mcq_question(item):
     return render_exam_question(item.question, item.options)
 
 
-def _generate_text(state, vocab, prompt, max_new):
+def generate_text(state, vocab, prompt, max_new):
+    """Greedy continuation of the text prompt, BOS first, special tokens dropped."""
     prompt_ids = [M.BOS] + M.encode(vocab, prompt)
     out_ids = M.generate_greedy(state.params, state.adapter, prompt_ids, max_new)
     return M.decode_text(vocab, out_ids)
@@ -219,7 +220,7 @@ def evaluate_mcq(state, vocab, items, spec, max_new_tokens=8):
     for idx, item in enumerate(items):
         try:
             prompt = build_few_shot_prompt(spec, render_mcq_question(item), max_prompt)
-            item.generated = _generate_text(state, vocab, prompt, max_new_tokens)
+            item.generated = generate_text(state, vocab, prompt, max_new_tokens)
         except Exception as exc:
             raise DataError(f"item {idx}: {exc}") from exc
     report = EvalReport(n_items=len(items), accuracy=accuracy(items),
@@ -237,7 +238,7 @@ def evaluate_dialogue(state, vocab, pairs, max_new_tokens=64):
     scored = []
     for idx, (prompt, reference) in enumerate(pairs):
         try:
-            generated = _generate_text(state, vocab, prompt, max_new_tokens)
+            generated = generate_text(state, vocab, prompt, max_new_tokens)
         except Exception as exc:
             raise DataError(f"item {idx}: {exc}") from exc
         scored.append((generated, reference))

@@ -265,19 +265,18 @@ def _project(x, params, adapter, name, rng):
 
 
 def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=None,
-                   rows=None):
-    """Logits [N, V] for token-flat tokens [N]: one sequence, or several back
-    to back with segment ``lengths`` (default: one segment). Position ids
+                   scored=None):
+    """Logits for token-flat tokens [N]: one sequence, or several back to
+    back with segment ``lengths`` (default: one segment). Position ids
     restart at 0 in each segment, and a position sees only the tokens <= it
     of its own segment (causal mask).
 
-    ``rows``, strictly increasing indices into the N positions (default:
-    every one), selects which rows of logits to return, ``[len(rows), V]``.
-    Every position still runs through attention in every layer, since later
-    positions read its keys and values; after the last layer's attention
-    only the selected rows go on through ``wo``, the feed-forward block,
-    the final norm and the head. When ``rows`` names every position no
-    gather is added, so the result is the full forward's.
+    ``scored`` holds, per segment, how many of its last positions get
+    logits (default: all of them); the result is ``[sum(scored), V]``,
+    segment by segment. Every position runs through the layers below the
+    last and gives the last layer its key and value, since later positions
+    read them; only the scored positions run the last layer's ``wq``,
+    attention, ``wo`` and feed-forward block, the final norm and the head.
 
     ``cache`` is an optional per-request KV cache for decoding one sequence:
     a list holding one ``(K, V)`` pair of ``[S, d_model]`` arrays per layer,
@@ -296,16 +295,11 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
     lengths = np.asarray([tokens.size] if lengths is None else lengths, dtype=np.int64)
     if lengths.sum() != tokens.size or lengths.min() < 1:
         raise DataError(f"forward_logits: lengths {lengths.tolist()} for {tokens.size} tokens")
+    scored = lengths if scored is None else np.asarray(scored, dtype=np.int64)
+    if scored.shape != lengths.shape or ((scored < 1) | (scored > lengths)).any():
+        raise DataError(f"forward_logits: scored {scored.tolist()} for lengths {lengths.tolist()}")
     if cache is not None and (T._GRAD_ENABLED or len(lengths) > 1):
         raise ContractError("forward_logits: a KV cache needs no_grad and one sequence")
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= tokens.size
-                                             or (rows[1:] <= rows[:-1]).any())):
-            raise DataError(f"forward_logits: rows must be strictly increasing indices "
-                            f"in [0, {tokens.size})")
-        if rows.size == tokens.size:
-            rows = None
     start = len(cache[0][0]) if cache else 0
     end = start + lengths.max()
     if end > c.max_seq_len:
@@ -313,13 +307,20 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
     positions = np.arange(start, start + tokens.size)
     if len(lengths) > 1:
         positions -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # the scored positions; None when every position is scored
+    rows = None if (scored == lengths).all() else np.flatnonzero(
+        np.arange(tokens.size) >= np.repeat(np.cumsum(lengths) - scored, lengths))
 
     x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"], positions)
     x = T.dropout(x, c.dropout, train_rng)
     for i in range(c.n_layers):
         p = f"layer{i}."
         h = T.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        q, k, v = (_project(h, params, adapter, p + w, train_rng) for w in ("wq", "wk", "wv"))
+        hq, q_lengths = h, lengths
+        if rows is not None and i == c.n_layers - 1:  # from here on, the scored rows only
+            hq, x, q_lengths = T.gather_rows(h, rows), T.gather_rows(x, rows), scored
+        q, k, v = (_project(t, params, adapter, p + w, train_rng)
+                   for t, w in ((hq, "wq"), (h, "wk"), (h, "wv")))
         if cache is not None:
             bufs = ([kv.base for kv in cache[i]] if start else
                     [np.empty((c.max_seq_len, c.d_model)) for _ in range(2)])
@@ -327,9 +328,8 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
                 buf[start:end] = t.data
             cache[i:i + 1] = [(bufs[0][:end], bufs[1][:end])]  # replace, or append on prefill
             k, v = (Tensor(kv) for kv in cache[i])
-        att = T.causal_attention(q, k, v, lengths, c.n_heads, c.dropout, train_rng)
-        if rows is not None and i == c.n_layers - 1:
-            att, x = T.gather_rows(att, rows), T.gather_rows(x, rows)
+        att = T.causal_attention(q, k, v, q_lengths, lengths + start, c.n_heads, c.dropout,
+                                 train_rng)
         attn_out = _project(att, params, adapter, p + "wo", train_rng)
         x = x + T.dropout(attn_out, c.dropout, train_rng)
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
@@ -356,7 +356,7 @@ def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     cache, feed = [], ids[-window:]
     with T.no_grad():
         for _ in range(max_new):
-            logits = forward_logits(params, adapter, feed, cache=cache, rows=[len(feed) - 1])
+            logits = forward_logits(params, adapter, feed, cache=cache, scored=[1])
             nxt = int(np.argmax(logits.data[0]))
             out.append(nxt)
             if nxt == stop_id:

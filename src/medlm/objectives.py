@@ -5,14 +5,16 @@ against a frozen reference model.
 Each objective is a coefficient-weighted sum of target log-probs over
 one ragged batch, so all three go through one scorer: one
 ``model.forward_logits`` over the batch's sequences, of any lengths, and
-one ``tensor.logprob_sums``. Only the positions with a nonzero
-coefficient are scored: the forward returns logits for those rows alone,
-so the last layer's feed-forward block, the final norm, the head and the
-log-softmax skip the prompt positions an SFT or DPO batch masks out. The
-CPT loss is the token mean over every position of the batch; the SFT
-loss is the batch mean of each example's token mean over its response; a
-DPO batch scores each pair's chosen minus rejected response log-prob.
-Means keep learning rates independent of sequence length.
+one ``tensor.logprob_sums``. Each sequence is scored from its first
+nonzero coefficient to its end, or at its last row, which then
+contributes exactly 0, if it has none: the forward returns logits for
+that suffix alone, so the last layer's queries, attention, feed-forward
+block, the final norm, the head and the log-softmax skip the prompt
+positions an SFT or DPO batch masks out. The CPT loss is the token mean
+over every position of the batch; the SFT loss is the batch mean of each
+example's token mean over its response; a DPO batch scores each pair's
+chosen minus rejected response log-prob. Means keep learning rates
+independent of sequence length.
 """
 
 from __future__ import annotations
@@ -32,16 +34,20 @@ def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
     coefficient per position; ``groups`` holds one group per input sequence."""
     if not inputs:
         raise DataError("empty batch: no sequences to score")
-    lengths = [len(x) for x in inputs]
+    lengths = np.array([len(x) for x in inputs])
     tokens, targets, coef = (np.concatenate(a) for a in (inputs, targets, coef))
     if not targets.shape == coef.shape == tokens.shape:
         raise ShapeError(f"_score: {targets.size} targets and {coef.size} coefficients "
                          f"for {tokens.size} positions")
-    rows = np.flatnonzero(coef)
+    ends = np.cumsum(lengths)
+    nonzero = np.append(np.flatnonzero(coef), tokens.size)
+    first = nonzero[np.searchsorted(nonzero, ends - lengths)]  # the first at or after each start
+    first = np.minimum(first, ends - 1)  # none in the sequence: its last row
+    keep = np.arange(tokens.size) >= np.repeat(first, lengths)
     logits = M.forward_logits(params, adapter, tokens, train_rng=train_rng, lengths=lengths,
-                              rows=rows)
-    return T.logprob_sums(logits, targets[rows], coef[rows],
-                          np.repeat(groups, lengths)[rows], max(groups) + 1)
+                              scored=ends - first)
+    return T.logprob_sums(logits, targets[keep], coef[keep],
+                          np.repeat(groups, lengths)[keep], max(groups) + 1)
 
 
 def cpt_loss(params, adapter, blocks, train_rng=None):

@@ -264,35 +264,43 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(out, (x, gain, bias), bwd)
 
 
-def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
-    """Multi-head causal self-attention over token-flat ``[N, D]`` q, k, v.
+def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None):
+    """Multi-head causal attention of token-flat queries ``[Nq, D]`` over
+    token-flat keys and values ``[Nk, D]``.
 
-    The rows are segments of the given lengths, back to back; a row attends
-    to itself and the earlier rows of its own segment only, and masked
-    entries contribute exactly 0. Segments of equal length run as one
-    ``[G, H, L, dh]`` batched product. With ``rate > 0`` and an ``rng``,
-    inverted dropout is applied to the attention probabilities.
-
-    For decoding, k and v may hold ``P`` more rows than q (one segment, no
-    grad): the cached keys and values of the ``P`` positions before q's.
+    Segment s has ``k_lengths[s]`` key rows, the segments back to back, and
+    its queries are its last ``q_lengths[s]`` positions, with
+    ``1 <= q_lengths[s] <= k_lengths[s]``: self-attention, a decode step
+    over cached keys, or a scored suffix. A query attends to the keys at
+    and before its own position in its own segment only, and masked entries
+    contribute exactly 0. Segments of equal ``(q_lengths, k_lengths)`` run
+    as one ``[G, H, L, dh]`` batched product. With ``rate > 0`` and an
+    ``rng``, inverted dropout is applied to the attention probabilities.
     """
-    n, d = q.data.shape
+    (nq, d), nk = q.data.shape, k.data.shape[0]
     dh = d // n_heads
-    lengths = np.asarray(lengths, dtype=np.int64)
-    past = k.data.shape[0] - n
-    if lengths.sum() != n or past < 0 or (past and len(lengths) != 1):
-        raise ShapeError(f"causal_attention: lengths {lengths.tolist()}, {n} queries, "
-                         f"{n + past} keys")
-    c = 1.0 / np.sqrt(dh)
-    if len(lengths) == 1:  # one segment: one group of every row, no regrouping
-        plan = [(n, None, 1)]
+    one = len(q_lengths) == len(k_lengths) == 1  # one group of every row, no regrouping
+    if one:  # plain int checks: a decode step makes this call once per layer and token
+        ok = q_lengths[0] == nq and k_lengths[0] == nk and 0 < nq <= nk
     else:
-        starts = np.cumsum(lengths) - lengths
-        plan = []  # (length, rows, segments) of each group of equal-length segments
-        for length in np.unique(lengths):
-            first = starts[lengths == length]
-            rows = None if len(first) == len(lengths) else first[:, None] + np.arange(length)
-            plan.append((length, rows, len(first)))
+        q_lengths, k_lengths = (np.asarray(x, dtype=np.int64) for x in (q_lengths, k_lengths))
+        ok = (q_lengths.shape == k_lengths.shape and q_lengths.sum() == nq
+              and k_lengths.sum() == nk and ((q_lengths >= 1) & (q_lengths <= k_lengths)).all())
+    if not ok:
+        raise ShapeError(f"causal_attention: q_lengths {np.asarray(q_lengths).tolist()} and "
+                         f"k_lengths {np.asarray(k_lengths).tolist()} for {nq} queries and "
+                         f"{nk} keys; need 1 <= q_lengths <= k_lengths")
+    c = 1.0 / np.sqrt(dh)
+    if one:
+        plan = [(nq, nk, None, None, 1)]
+    else:
+        q_starts, k_starts = (np.cumsum(x) - x for x in (q_lengths, k_lengths))
+        plan = []  # (Lq, Lk, query rows, key rows, segments) of each group
+        for lq, lk in sorted(set(zip(q_lengths.tolist(), k_lengths.tolist()))):
+            group = (q_lengths == lq) & (k_lengths == lk)
+            rows = (None, None) if group.all() else (q_starts[group][:, None] + np.arange(lq),
+                                                     k_starts[group][:, None] + np.arange(lk))
+            plan.append((lq, lk, *rows, int(group.sum())))
 
     def split(x, rows, n_seg):
         """Token-flat rows -> [G, H, L, dh]; a view when one group holds every row."""
@@ -308,13 +316,14 @@ def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
         return dst
 
     groups = []
-    out = np.empty((n, d))
-    for length, rows, n_seg in plan:
-        qg, kg, vg = (split(t.data, rows, n_seg) for t in (q, k, v))
+    out = np.empty(q.data.shape)
+    for lq, lk, q_rows, k_rows, n_seg in plan:
+        qg, kg, vg = (split(t.data, rows, n_seg)
+                      for t, rows in ((q, q_rows), (k, k_rows), (v, k_rows)))
         p = qg @ kg.swapaxes(-1, -2)
         p *= c
-        if length > 1:  # a one-row segment (a decode step) sees every key
-            future = np.arange(length + past) > np.arange(past, length + past)[:, None]
+        if lq > 1:  # a lone query is its segment's last position: it sees every key
+            future = np.arange(lk) > np.arange(lk - lq, lk)[:, None]
             np.copyto(p, -np.inf, where=future)
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
@@ -323,15 +332,15 @@ def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
         if rate > 0.0 and rng is not None:
             keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
         pd = p if keep is None else p * keep
-        out = merge(out, rows, pd @ vg)
-        groups.append((rows, qg, kg, vg, p, keep, pd))
+        out = merge(out, q_rows, pd @ vg)
+        groups.append((q_rows, k_rows, n_seg, qg, kg, vg, p, keep, pd))
 
     def bwd(g, q=q, k=k, v=v, groups=groups):
-        gq, gk, gv = (np.empty((n, d)) if t.requires_grad else None for t in (q, k, v))
-        for rows, qg, kg, vg, p, keep, pd in groups:
-            go = split(g, rows, len(lengths))
+        gq, gk, gv = (np.empty(t.data.shape) if t.requires_grad else None for t in (q, k, v))
+        for q_rows, k_rows, n_seg, qg, kg, vg, p, keep, pd in groups:
+            go = split(g, q_rows, n_seg)
             if gv is not None:
-                gv = merge(gv, rows, pd.swapaxes(-1, -2) @ go)
+                gv = merge(gv, k_rows, pd.swapaxes(-1, -2) @ go)
             gs = go @ vg.swapaxes(-1, -2)  # d/dp, then d/dscores in place
             if keep is not None:
                 gs *= keep
@@ -339,9 +348,9 @@ def causal_attention(q, k, v, lengths, n_heads, rate=0.0, rng=None):
             gs *= p
             gs *= c
             if gq is not None:
-                gq = merge(gq, rows, gs @ kg)
+                gq = merge(gq, q_rows, gs @ kg)
             if gk is not None:
-                gk = merge(gk, rows, gs.swapaxes(-1, -2) @ qg)
+                gk = merge(gk, k_rows, gs.swapaxes(-1, -2) @ qg)
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(t, grad)

@@ -245,10 +245,11 @@ def load_checkpoint(path):
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise IntegrityError(f"{path}: bad magic at offset 0")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < 12:
+        raise IntegrityError(f"{path}: truncated header at offset {len(blob)}")
+    version, header_len = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise IntegrityError(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack_from("<I", blob, 8)
     header_end = 12 + header_len
     if len(blob) < header_end:
         raise IntegrityError(f"{path}: truncated header at offset {len(blob)}")

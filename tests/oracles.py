@@ -157,15 +157,15 @@ def gather_rows_grad_ref(table_shape, ids, g):
     return full
 
 
-def causal_attention_ref(q, k, v, lengths, n_heads, g, rate=0.0, rng=None):
+def causal_attention_ref(q, k, v, q_lengths, k_lengths, n_heads, g, rate=0.0, rng=None):
     """Forward and the gradients of q, k and v for upstream g, with an
-    explicit ``np.where`` mask; segments of equal length run as one group."""
-    n, d = q.shape
+    explicit ``np.where`` mask; segments of equal (query, key) lengths run
+    as one group, in increasing order of the pair."""
+    (nq, d), nk = q.shape, k.shape[0]
     dh = d // n_heads
-    lengths = np.asarray(lengths, dtype=np.int64)
-    past = k.shape[0] - n
+    q_lengths, k_lengths = (np.asarray(x, dtype=np.int64) for x in (q_lengths, k_lengths))
     c = 1.0 / np.sqrt(dh)
-    starts = np.cumsum(lengths) - lengths
+    q_starts, k_starts = (np.cumsum(x) - x for x in (q_lengths, k_lengths))
 
     def split(x, rows, n_seg):
         x = x.reshape(n_seg, -1, d) if rows is None else x[rows]
@@ -178,12 +178,18 @@ def causal_attention_ref(q, k, v, lengths, n_heads, g, rate=0.0, rng=None):
         dst[rows.ravel()] = y
         return dst
 
-    out, gq, gk, gv = (np.empty(x.shape) for x in (q, q, k, v))
-    for length in np.unique(lengths):
-        first = starts[lengths == length]
-        rows = None if len(first) == len(lengths) else first[:, None] + np.arange(length)
-        qg, kg, vg = (split(t, rows, len(first)) for t in (q, k, v))
-        mask = np.tril(np.ones((length, length + past), dtype=bool), k=past)
+    out, gq = np.empty((nq, d)), np.empty((nq, d))
+    gk, gv = np.empty((nk, d)), np.empty((nk, d))
+    for lq, lk in sorted(set(zip(q_lengths.tolist(), k_lengths.tolist()))):
+        group = (q_lengths == lq) & (k_lengths == lk)
+        n_seg = int(group.sum())
+        q_rows = k_rows = None
+        if n_seg < len(q_lengths):
+            q_rows = q_starts[group][:, None] + np.arange(lq)
+            k_rows = k_starts[group][:, None] + np.arange(lk)
+        qg = split(q, q_rows, n_seg)
+        kg, vg = split(k, k_rows, n_seg), split(v, k_rows, n_seg)
+        mask = np.tril(np.ones((lq, lk), dtype=bool), k=lk - lq)
         s = np.where(mask, c * (qg @ kg.swapaxes(-1, -2)), -np.inf)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
@@ -191,15 +197,15 @@ def causal_attention_ref(q, k, v, lengths, n_heads, g, rate=0.0, rng=None):
         if rate > 0.0 and rng is not None:
             keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
         pd = p if keep is None else p * keep
-        out = merge(out, rows, pd @ vg)
-        go = split(g, rows, len(lengths))
-        gv = merge(gv, rows, pd.swapaxes(-1, -2) @ go)
+        out = merge(out, q_rows, pd @ vg)
+        go = split(g, q_rows, n_seg)
+        gv = merge(gv, k_rows, pd.swapaxes(-1, -2) @ go)
         gp = go @ vg.swapaxes(-1, -2)
         if keep is not None:
             gp = gp * keep
         gs = c * (p * (gp - (gp * p).sum(axis=-1, keepdims=True)))
-        gq = merge(gq, rows, gs @ kg)
-        gk = merge(gk, rows, gs.swapaxes(-1, -2) @ qg)
+        gq = merge(gq, q_rows, gs @ kg)
+        gk = merge(gk, k_rows, gs.swapaxes(-1, -2) @ qg)
     return out, gq, gk, gv
 
 

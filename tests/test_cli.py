@@ -193,6 +193,14 @@ class TestExitCodes:
             cli.main(["train", "rl"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("max_new", ["0", "-3", "x"])
+    def test_max_new_below_one_is_two(self, capsys, max_new):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--checkpoint", "x.ckpt", "--prompt", "一",
+                      "--max-new", max_new])
+        assert exc.value.code == 2
+        assert "--max-new" in capsys.readouterr().err
+
 
 class TestDataCommands:
     def test_build_writes_all_artifacts(self, tmp_path, capsys):
@@ -305,6 +313,16 @@ class TestPipelineCommands:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("blob", [b"QLNMx", b"QLNM\x01\x00\x00\x00\x10"])
+    def test_sft_on_short_checkpoint_fails_cleanly(self, built, tmp_path, capsys, blob):
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "cpt.ckpt").write_bytes(blob)
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), "train", "sft"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"truncated header at offset {len(blob)}" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("name, content, command", [
         ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "B": "b"}, "gold": "A"}\n{"q',

@@ -184,10 +184,11 @@ class TestForward:
 
 
 class TestScoredRows:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(lengths=st.lists(st.integers(1, 24), min_size=1, max_size=5),
            with_adapter=st.booleans(), seed=st.integers(0, 2**16))
     def test_rows_match_full_forward(self, lengths, with_adapter, seed):
+        # scored: a random suffix of each segment, from one row to all of them
         config = M.ModelConfig(vocab_size=13, d_model=16, n_layers=2, n_heads=2,
                                max_seq_len=24)  # conftest's tiny config
         params = M.init_params(config, np.random.default_rng(42))
@@ -198,9 +199,11 @@ class TestScoredRows:
                                                          targets=("wq", "wv", "wo")), rng)
             adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
         tokens = rng.integers(0, config.vocab_size, size=sum(lengths))
-        rows = np.flatnonzero(rng.random(tokens.size) < 0.4)
+        scored = [int(rng.integers(1, n + 1)) for n in lengths]
+        rows = np.concatenate([np.arange(end - s, end)
+                               for end, s in zip(np.cumsum(lengths), scored)])
         full = M.forward_logits(params, adapter, tokens, lengths=lengths).data
-        kept = M.forward_logits(params, adapter, tokens, lengths=lengths, rows=rows).data
+        kept = M.forward_logits(params, adapter, tokens, lengths=lengths, scored=scored).data
         assert kept.shape == (rows.size, config.vocab_size)
         np.testing.assert_allclose(kept, full[rows], rtol=0, atol=1e-12)
 
@@ -208,33 +211,30 @@ class TestScoredRows:
         tokens = [0, 4, 5, 6, 0, 7, 8]
         full = M.forward_logits(tiny_params, None, tokens, lengths=[4, 3]).data
         every = M.forward_logits(tiny_params, None, tokens, lengths=[4, 3],
-                                 rows=range(7)).data
+                                 scored=[4, 3]).data
         assert np.array_equal(every, full)
-
-    def test_empty_rows_give_no_logits(self, tiny_config, tiny_params):
-        logits = M.forward_logits(tiny_params, None, [0, 4, 5], rows=[]).data
-        assert logits.shape == (0, tiny_config.vocab_size)
 
     def test_cached_prefill_keeps_last_row(self, tiny_config, tiny_params):
         tokens = [0, 4, 5, 6, 7, 8, 9]
         cache = []
         with T.no_grad():
             full = M.forward_logits(tiny_params, None, tokens).data
-            last = M.forward_logits(tiny_params, None, tokens[:5], cache=cache, rows=[4]).data
-            step = M.forward_logits(tiny_params, None, tokens[5:], cache=cache, rows=[1]).data
+            last = M.forward_logits(tiny_params, None, tokens[:5], cache=cache, scored=[1]).data
+            step = M.forward_logits(tiny_params, None, tokens[5:], cache=cache, scored=[1]).data
         np.testing.assert_allclose(last, full[4:5], rtol=0, atol=1e-12)
         np.testing.assert_allclose(step, full[6:7], rtol=0, atol=1e-12)
         assert [k.shape for k, _ in cache] == [(7, tiny_config.d_model)] * 2
 
-    @pytest.mark.parametrize("rows", [[3], [-1], [1, 1], [2, 0], [[0, 1]]])
+    # rows: how many trailing rows of each segment are scored, for lengths [3]
+    @pytest.mark.parametrize("rows", [[0], [4], [-1], [1, 1], [[1]]])
     def test_bad_rows_rejected(self, tiny_params, rows):
-        with pytest.raises(DataError, match="rows"):
-            M.forward_logits(tiny_params, None, [0, 4, 5], rows=rows)
+        with pytest.raises(DataError, match="scored"):
+            M.forward_logits(tiny_params, None, [0, 4, 5], scored=rows)
 
     def test_rows_with_a_multi_segment_cache_rejected(self, tiny_params):
         with T.no_grad(), pytest.raises(ContractError):
             M.forward_logits(tiny_params, None, [0, 4, 5], lengths=[1, 2], cache=[],
-                             rows=[2])
+                             scored=[1, 1])
 
 
 class TestLora:

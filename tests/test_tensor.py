@@ -112,42 +112,55 @@ def _attention_inputs(rng, n, d=8, requires_grad=False):
             for _ in range(3)]
 
 
+def _suffix_lengths(lengths):
+    """(q_lengths, k_lengths): a ragged suffix as a (queries, keys) pair, or
+    self-attention for one list of lengths."""
+    return lengths if isinstance(lengths, tuple) else (lengths, lengths)
+
+
+# segment s's queries are the last q[s] of its k[s] positions
+RAGGED_SUFFIX = ([2, 1, 3], [4, 1, 5])
+
+
 class TestCausalAttention:
     def test_future_key_leaves_earlier_rows_bit_identical(self, rng):
         # segments [3, 2]: the last key of each set to 1e9 is masked for
         # every earlier row of its segment and for the whole other segment
         q, k, v = _attention_inputs(rng, 5)
-        a = T.causal_attention(q, k, v, [3, 2], n_heads=2).data
+        a = T.causal_attention(q, k, v, [3, 2], [3, 2], n_heads=2).data
         k.data[[2, 4]] = 1e9
         v.data[[2, 4]] = 1e9
-        b = T.causal_attention(q, k, v, [3, 2], n_heads=2).data
+        b = T.causal_attention(q, k, v, [3, 2], [3, 2], n_heads=2).data
         assert np.array_equal(a[[0, 1, 3]], b[[0, 1, 3]])
         assert np.all(np.isfinite(b))
 
     def test_segments_match_separate_calls(self, rng):
         q, k, v = _attention_inputs(rng, 9)
         lengths = [4, 2, 3]
-        joint = T.causal_attention(q, k, v, lengths, n_heads=2).data
+        joint = T.causal_attention(q, k, v, lengths, lengths, n_heads=2).data
         start = 0
         for n in lengths:
             rows = slice(start, start + n)
             alone = T.causal_attention(Tensor(q.data[rows]), Tensor(k.data[rows]),
-                                       Tensor(v.data[rows]), [n], n_heads=2).data
+                                       Tensor(v.data[rows]), [n], [n], n_heads=2).data
             assert np.allclose(joint[rows], alone, rtol=0.0, atol=1e-15)
             start += n
 
     def test_first_row_copies_its_value(self, rng):
         q, k, v = _attention_inputs(rng, 3)
-        out = T.causal_attention(q, k, v, [1, 2], n_heads=2).data
+        out = T.causal_attention(q, k, v, [1, 2], [1, 2], n_heads=2).data
         assert np.array_equal(out[[0, 1]], v.data[[0, 1]])
 
-    @pytest.mark.parametrize("lengths", [[5], [2, 2, 2], [3, 1, 3, 2]])
+    @pytest.mark.parametrize("lengths", [[5], [2, 2, 2], [3, 1, 3, 2], RAGGED_SUFFIX])
     def test_gradients(self, rng, lengths):
-        q, k, v = _attention_inputs(rng, sum(lengths), requires_grad=True)
-        w = rng.standard_normal((sum(lengths), 8))
+        q_lengths, k_lengths = _suffix_lengths(lengths)
+        q = _attention_inputs(rng, sum(q_lengths), requires_grad=True)[0]
+        k, v = _attention_inputs(rng, sum(k_lengths), requires_grad=True)[1:]
+        w = rng.standard_normal(q.data.shape)
 
         def fn():
-            return T.tsum(T.causal_attention(q, k, v, lengths, n_heads=2) * Tensor(w))
+            out = T.causal_attention(q, k, v, q_lengths, k_lengths, n_heads=2)
+            return T.tsum(out * Tensor(w))
 
         report = grad_check(fn, [q, k, v], tolerance=1e-6, n_samples=60)
         assert not report["failures"]
@@ -158,7 +171,7 @@ class TestCausalAttention:
         w = rng.standard_normal((7, 8))
 
         def fn(rate=0.3):
-            out = T.causal_attention(q, k, v, [4, 3], n_heads=2, rate=rate,
+            out = T.causal_attention(q, k, v, [4, 3], [4, 3], n_heads=2, rate=rate,
                                      rng=np.random.default_rng(7))
             return T.tsum(out * Tensor(w))
 
@@ -168,40 +181,71 @@ class TestCausalAttention:
 
     def test_cached_keys_match_full_call(self, rng):
         q, k, v = _attention_inputs(rng, 6)
-        full = T.causal_attention(q, k, v, [6], n_heads=2).data
-        last = T.causal_attention(Tensor(q.data[4:]), k, v, [2], n_heads=2).data
+        full = T.causal_attention(q, k, v, [6], [6], n_heads=2).data
+        last = T.causal_attention(Tensor(q.data[4:]), k, v, [2], [6], n_heads=2).data
         assert np.allclose(last, full[4:], rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("lengths", [[7], [4, 4], [3, 1, 3, 2, 5, 2]])
+    def test_suffix_queries_match_full_rows(self, rng):
+        # the full op with an upstream gradient of 0 on every unqueried row
+        q_lengths, k_lengths = RAGGED_SUFFIX
+        n = sum(k_lengths)
+        q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
+        suffix = np.flatnonzero(np.arange(n) >= np.repeat(np.cumsum(k_lengths) - q_lengths,
+                                                          k_lengths))
+        g = np.zeros((n, 8))
+        g[suffix] = rng.standard_normal((suffix.size, 8))
+        full, (gq, gk, gv) = _grads(
+            lambda *qkv: T.causal_attention(*qkv, k_lengths, k_lengths, n_heads=2),
+            [Tensor(x, requires_grad=True) for x in (q, k, v)], g)
+        out, (sq, sk, sv) = _grads(
+            lambda *qkv: T.causal_attention(*qkv, q_lengths, k_lengths, n_heads=2),
+            [Tensor(x, requires_grad=True) for x in (q[suffix], k, v)], g[suffix])
+        for got, want in ((out, full[suffix]), (sq, gq[suffix]), (sk, gk), (sv, gv)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[7], [4, 4], [3, 1, 3, 2, 5, 2], RAGGED_SUFFIX])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_matches_reference_bits(self, rng, lengths, rate):
         # head width 6: the scale 1/sqrt(6) rounds, so the order it is applied in shows
-        n = sum(lengths)
-        q, k, v = (rng.standard_normal((n, 12)) for _ in range(3))
-        g = rng.standard_normal((n, 12))
+        q_lengths, k_lengths = _suffix_lengths(lengths)
+        q = rng.standard_normal((sum(q_lengths), 12))
+        k, v = (rng.standard_normal((sum(k_lengths), 12)) for _ in range(2))
+        g = rng.standard_normal(q.shape)
         out, grads = _grads(
-            lambda *qkv: T.causal_attention(*qkv, lengths, n_heads=2, rate=rate,
+            lambda *qkv: T.causal_attention(*qkv, q_lengths, k_lengths, n_heads=2, rate=rate,
                                             rng=np.random.default_rng(5)),
             [Tensor(x, requires_grad=True) for x in (q, k, v)], g)
-        ref = oracles.causal_attention_ref(q, k, v, lengths, 2, g, rate=rate,
+        ref = oracles.causal_attention_ref(q, k, v, q_lengths, k_lengths, 2, g, rate=rate,
                                            rng=np.random.default_rng(5))
         for got, want in zip([out] + grads, ref):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n_queries", [1, 3])
+    @pytest.mark.parametrize("n_queries", [1, 3, RAGGED_SUFFIX[0]])
     def test_cached_keys_match_reference_bits(self, rng, n_queries):
-        # decoding: the queries follow 9 cached keys and values
-        q = rng.standard_normal((n_queries, 12))
-        k, v = (rng.standard_normal((9 + n_queries, 12)) for _ in range(2))
+        # decoding: 1 or 3 queries follow 9 cached keys and values; the
+        # ragged suffix's segments follow 2, 0 and 2 earlier keys
+        q_lengths, k_lengths = (RAGGED_SUFFIX if isinstance(n_queries, list)
+                                else ([n_queries], [9 + n_queries]))
+        q = rng.standard_normal((sum(q_lengths), 12))
+        k, v = (rng.standard_normal((sum(k_lengths), 12)) for _ in range(2))
         with T.no_grad():
-            out = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), [n_queries], n_heads=2)
-        ref = oracles.causal_attention_ref(q, k, v, [n_queries], 2, np.zeros(q.shape))
+            out = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), q_lengths, k_lengths,
+                                     n_heads=2)
+        ref = oracles.causal_attention_ref(q, k, v, q_lengths, k_lengths, 2,
+                                           np.zeros(q.shape))
         assert np.array_equal(out.data, ref[0])
 
     def test_lengths_must_cover_rows(self, rng):
         q, k, v = _attention_inputs(rng, 4)
-        with pytest.raises(ShapeError):
-            T.causal_attention(q, k, v, [2, 1], n_heads=2)
+        for q_lengths, k_lengths in (([2, 1], [2, 1]), ([4], [3]), ([2, 2], [3, 1]),
+                                     ([4, 0], [3, 1]), ([4], [2, 2]), ([2, 2], [4])):
+            with pytest.raises(ShapeError, match="q_lengths"):
+                T.causal_attention(q, k, v, q_lengths, k_lengths, n_heads=2)
+        # one segment: keys not covered, more queries than keys, no query
+        for n_q, n_k, k_length in ((3, 4, 3), (4, 3, 3), (0, 4, 4)):
+            with pytest.raises(ShapeError, match="q_lengths"):
+                T.causal_attention(Tensor(q.data[:n_q]), Tensor(k.data[:n_k]),
+                                   Tensor(v.data[:n_k]), [n_q], [k_length], n_heads=2)
 
 
 def _mean_nll(logits, targets):

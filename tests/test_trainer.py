@@ -310,8 +310,12 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         TR.save_checkpoint(state, path)
         blob = path.read_bytes()
+        for n in range(4, 12):  # inside the version or header-length field
+            path.write_bytes(blob[:n])
+            with pytest.raises(IntegrityError, match=f"truncated header at offset {n}$"):
+                TR.load_checkpoint(path)
         path.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="offset"):
             TR.load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, state, tmp_path):
