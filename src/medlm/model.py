@@ -166,8 +166,9 @@ class ParamTable:
             t.grad = g
 
     def copy(self):
-        return type(self)(self.config, self.shapes, self.data.copy(),
-                          requires_grad=self.grad is not None)
+        """A deep copy of the values, without grads; ``set_requires_grad(True)``
+        gives it a fresh gradient buffer."""
+        return type(self)(self.config, self.shapes, self.data.copy(), requires_grad=False)
 
 
 class ModelParams(ParamTable):
@@ -290,26 +291,40 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
     """
     c = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
+    n = tokens.size
+    if tokens.ndim != 1 or n == 0:
         raise DataError(f"forward_logits: need non-empty [N] tokens, got {tokens.shape}")
-    lengths = np.asarray([tokens.size] if lengths is None else lengths, dtype=np.int64)
-    if lengths.sum() != tokens.size or lengths.min() < 1:
-        raise DataError(f"forward_logits: lengths {lengths.tolist()} for {tokens.size} tokens")
-    scored = lengths if scored is None else np.asarray(scored, dtype=np.int64)
-    if scored.shape != lengths.shape or ((scored < 1) | (scored > lengths)).any():
-        raise DataError(f"forward_logits: scored {scored.tolist()} for lengths {lengths.tolist()}")
-    if cache is not None and (T._GRAD_ENABLED or len(lengths) > 1):
+    one = lengths is None or len(lengths) == 1
+    if one:  # plain int checks: a decode step makes this call once per token
+        length = n if lengths is None else lengths[0]
+        count = length if scored is None else scored[0] if len(scored) == 1 else None
+        if not (isinstance(length, (int, np.integer)) and length == n):
+            raise DataError(f"forward_logits: lengths {lengths} for {n} tokens")
+        if not (isinstance(count, (int, np.integer)) and 1 <= count <= n):
+            raise DataError(f"forward_logits: scored {scored} for lengths [{n}]")
+        lengths, scored, all_scored = [n], [count], count == n
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.sum() != n or lengths.min() < 1:
+            raise DataError(f"forward_logits: lengths {lengths.tolist()} for {n} tokens")
+        scored = lengths if scored is None else np.asarray(scored, dtype=np.int64)
+        if scored.shape != lengths.shape or ((scored < 1) | (scored > lengths)).any():
+            raise DataError(f"forward_logits: scored {scored.tolist()} for lengths "
+                            f"{lengths.tolist()}")
+        all_scored = (scored == lengths).all()
+    if cache is not None and (T._GRAD_ENABLED or not one):
         raise ContractError("forward_logits: a KV cache needs no_grad and one sequence")
-    start = len(cache[0][0]) if cache else 0
-    end = start + lengths.max()
+    start = len(cache[0][0]) if cache else 0  # 0 unless one segment
+    end = start + (n if one else lengths.max())
     if end > c.max_seq_len:
         raise DataError(f"sequence length {end} > max_seq_len {c.max_seq_len}")
-    positions = np.arange(start, start + tokens.size)
-    if len(lengths) > 1:
+    k_lengths = [end] if one else lengths
+    positions = np.arange(start, start + n)
+    if not one:
         positions -= np.repeat(np.cumsum(lengths) - lengths, lengths)
     # the scored positions; None when every position is scored
-    rows = None if (scored == lengths).all() else np.flatnonzero(
-        np.arange(tokens.size) >= np.repeat(np.cumsum(lengths) - scored, lengths))
+    rows = None if all_scored else np.flatnonzero(
+        np.arange(n) >= np.repeat(np.cumsum(lengths) - scored, lengths))
 
     x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"], positions)
     x = T.dropout(x, c.dropout, train_rng)
@@ -328,7 +343,7 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
                 buf[start:end] = t.data
             cache[i:i + 1] = [(bufs[0][:end], bufs[1][:end])]  # replace, or append on prefill
             k, v = (Tensor(kv) for kv in cache[i])
-        att = T.causal_attention(q, k, v, q_lengths, lengths + start, c.n_heads, c.dropout,
+        att = T.causal_attention(q, k, v, q_lengths, k_lengths, c.n_heads, c.dropout,
                                  train_rng)
         attn_out = _project(att, params, adapter, p + "wo", train_rng)
         x = x + T.dropout(attn_out, c.dropout, train_rng)
@@ -343,13 +358,19 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
 def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     """Argmax decoding; ties break toward the lowest token id (np.argmax).
 
-    The prompt is encoded once into a KV cache, with logits for its last
+    An adapter is folded into a copy of the weights once per call
+    (``merge_lora``), so each step runs the plain projections; the merged
+    weights round differently from the unmerged forward, so with a trained
+    adapter the logits agree with it within rounding, not bit for bit. The
+    prompt is encoded once into a KV cache, with logits for its last
     position only, and each step feeds only the new token. Past
     ``max_seq_len`` the window slides, which moves every absolute position,
     so the cache is dropped and the last window re-encoded.
     """
     if not prompt_ids:
         raise DataError("generate_greedy: empty prompt")
+    if adapter is not None:
+        params, adapter = merge_lora(params, adapter), None
     window = params.config.max_seq_len
     ids = list(prompt_ids)
     out = []

@@ -53,7 +53,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an op's output is already a float64 array: keep it, skip np.asarray
+        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents = ()
@@ -322,11 +324,14 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None)
                       for t, rows in ((q, q_rows), (k, k_rows), (v, k_rows)))
         p = qg @ kg.swapaxes(-1, -2)
         p *= c
-        if lq > 1:  # a lone query is its segment's last position: it sees every key
-            future = np.arange(lk) > np.arange(lk - lq, lk)[:, None]
-            np.copyto(p, -np.inf, where=future)
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
+        # a lone query is its segment's last position: it sees every key
+        seen = np.arange(lk) <= np.arange(lk - lq, lk)[:, None] if lq > 1 else True
+        # masked entries skip the max and the exp (numpy's exp is slow on
+        # -inf lanes) and are then set to exactly 0
+        p -= p.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
+        np.exp(p, out=p, where=seen)
+        if lq > 1:
+            np.copyto(p, 0.0, where=~seen)
         p /= p.sum(axis=-1, keepdims=True)
         keep = None
         if rate > 0.0 and rng is not None:

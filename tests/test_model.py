@@ -177,6 +177,30 @@ class TestForward:
         with pytest.raises(DataError):
             M.forward_logits(tiny_params, None, [0, 4, 5, 6], lengths=lengths)
 
+    def test_one_segment_lengths_and_scored_accepted(self, tiny_params):
+        tokens = [0, 4, 5]
+        full = M.forward_logits(tiny_params, None, tokens).data
+        for lengths in ([3], (3,), np.array([3])):
+            out = M.forward_logits(tiny_params, None, tokens, lengths=lengths).data
+            assert np.array_equal(out, full)
+            for scored in ([3], np.array([3]), [np.int64(3)]):
+                out = M.forward_logits(tiny_params, None, tokens, lengths=lengths,
+                                       scored=scored).data
+                assert np.array_equal(out, full)
+        last = M.forward_logits(tiny_params, None, tokens, lengths=np.array([3]),
+                                scored=np.array([1])).data
+        np.testing.assert_allclose(last, full[2:], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths, scored, match", [
+        ([4], None, "lengths"), ([2], None, "lengths"), ([0], None, "lengths"),
+        ([[3]], None, "lengths"), ([3.0], None, "lengths"),
+        ([3], [0], "scored"), ([3], [4], "scored"), ([3], [[1]], "scored"),
+        ([3], [1, 1], "scored"), (np.array([3]), [1.0], "scored"),
+        (np.array([4]), np.array([1]), "lengths"), (None, np.array([4]), "scored")])
+    def test_one_segment_rejects_bad_counts(self, tiny_params, lengths, scored, match):
+        with pytest.raises(DataError, match=match):
+            M.forward_logits(tiny_params, None, [0, 4, 5], lengths=lengths, scored=scored)
+
     def test_rejects_overlong_segment(self, tiny_config, tiny_params):
         n = tiny_config.max_seq_len
         with pytest.raises(DataError):
@@ -350,6 +374,22 @@ class TestKvCache:
         ref = _uncached_greedy(params, adapter, prompt, 12, stop_id=-1)
         assert len(set(ref)) > 1
         assert M.generate_greedy(params, adapter, prompt, 12, stop_id=-1) == ref
+
+    @pytest.mark.parametrize("prompt_len", [5, 30])
+    def test_generate_decodes_on_a_merged_copy(self, tiny_config, params, adapter,
+                                               prompt_len, monkeypatch):
+        prompt = self._prompt(tiny_config, prompt_len)
+        before = params.data.tobytes(), adapter.data.tobytes()
+        adapters, forward = [], M.forward_logits
+        monkeypatch.setattr(M, "forward_logits", lambda p, a, *args, **kwargs:
+                            adapters.append(a) or forward(p, a, *args, **kwargs))
+        out = M.generate_greedy(params, adapter, prompt, 12, stop_id=-1)
+        monkeypatch.undo()
+        assert adapters and all(a is None for a in adapters)  # no step runs the adapter
+        assert (params.data.tobytes(), adapter.data.tobytes()) == before
+        merged = M.merge_lora(params, adapter)
+        assert out == _uncached_greedy(merged, None, prompt, 12, stop_id=-1)
+        assert out == _uncached_greedy(params, adapter, prompt, 12, stop_id=-1)
 
     def test_early_stop_matches_uncached(self, tiny_config, params):
         prompt = self._prompt(tiny_config, 5)

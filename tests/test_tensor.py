@@ -9,6 +9,16 @@ from medlm.errors import ContractError, ShapeError
 from medlm.tensor import Tensor, backward, grad_check
 
 
+def test_float64_arrays_are_kept_others_converted():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Tensor(a).data is a
+    f32 = np.arange(3, dtype=np.float32)
+    for x in (f32, np.arange(3), [0, 1, 2]):
+        t = Tensor(x)
+        assert t.data.dtype == np.float64 and np.array_equal(t.data, [0.0, 1.0, 2.0])
+    assert not np.shares_memory(Tensor(f32).data, f32)
+
+
 class TestMatmul:
     def test_identity(self):
         out = Tensor([[1.0, 0.0], [0.0, 1.0]]) @ Tensor([[5.0, 6.0], [7.0, 8.0]])

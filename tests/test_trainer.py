@@ -461,6 +461,7 @@ def test_tensors_stay_views_of_their_buffers(state, vocab, tmp_path):
     _assert_views(params)
     adapter = M.attach_lora(params, M.LoraConfig(dropout=0.0), np.random.default_rng(1))
     _assert_views(adapter)
+    assert params.grad is not None and params.copy().grad is None
     _assert_views(params.copy())
     _assert_views(adapter.copy())
     adapter.data += 0.01
