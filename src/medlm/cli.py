@@ -169,15 +169,20 @@ def cmd_data_build(cfg):
         n_diseases=cfg.data.n_diseases, seed=cfg.seed,
         duplicate_docs=cfg.data.duplicate_docs,
     )
-    vocab = M.build_vocab(synth.vocab_corpus(bundle))
     kept_docs, _report = D.dedup_corpus(bundle["cpt_docs"], cfg.data.min_span)
-
     stats = D.PipelineStats()
-    sft_examples = []
-    for rec in bundle["sft_records"]:
-        ex = D.standardize_instruction(rec, stats)
-        if ex is not None:
-            sft_examples.append(ex)
+    sft_examples = [D.standardize_instruction(rec, stats) for rec in bundle["sft_records"]]
+    if stats.rejected:  # the corpus is the program's own: a rejection is a defect
+        raise DataError(f"data build: {len(stats.rejected)} synthetic SFT records rejected "
+                        f"(first: {stats.rejected[0]})")
+    pairs = [D.PreferencePair(d["prompt"], d["chosen"], d["rejected"])
+             for d in bundle["dpo_records"]]
+    # every text written below, and the MCQ prompts eval builds from it
+    vocab = M.build_vocab(
+        [D.record_text(r) for r in (*kept_docs, *sft_examples, *pairs)]
+        + [D.render_exam_question(it["question"], it["options"]) + it["gold"]
+           for it in bundle["mcq_items"]]
+        + [p + r for p, r in bundle["dialogue_eval"]])
 
     paths = _data_paths(cfg)
     os.makedirs(cfg.paths.data, exist_ok=True)
@@ -202,8 +207,6 @@ def cmd_data_build(cfg):
     )
     M.save_vocab(vocab, paths["vocab"])
 
-    pairs = [D.PreferencePair(d["prompt"], d["chosen"], d["rejected"])
-             for d in bundle["dpo_records"]]
     rows = [(name, len(records), sum(len(M.encode(vocab, D.record_text(r))) for r in records),
              os.path.getsize(paths[name]))
             for name, records in (("cpt", kept_docs), ("sft", sft_examples), ("dpo", pairs))]

@@ -294,36 +294,25 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
     n = tokens.size
     if tokens.ndim != 1 or n == 0:
         raise DataError(f"forward_logits: need non-empty [N] tokens, got {tokens.shape}")
-    one = lengths is None or len(lengths) == 1
-    if one:  # plain int checks: a decode step makes this call once per token
-        length = n if lengths is None else lengths[0]
-        count = length if scored is None else scored[0] if len(scored) == 1 else None
-        if not (isinstance(length, (int, np.integer)) and length == n):
-            raise DataError(f"forward_logits: lengths {lengths} for {n} tokens")
-        if not (isinstance(count, (int, np.integer)) and 1 <= count <= n):
-            raise DataError(f"forward_logits: scored {scored} for lengths [{n}]")
-        lengths, scored, all_scored = [n], [count], count == n
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.sum() != n or lengths.min() < 1:
-            raise DataError(f"forward_logits: lengths {lengths.tolist()} for {n} tokens")
-        scored = lengths if scored is None else np.asarray(scored, dtype=np.int64)
-        if scored.shape != lengths.shape or ((scored < 1) | (scored > lengths)).any():
-            raise DataError(f"forward_logits: scored {scored.tolist()} for lengths "
-                            f"{lengths.tolist()}")
-        all_scored = (scored == lengths).all()
-    if cache is not None and (T._GRAD_ENABLED or not one):
+    lengths = [n] if lengths is None else list(lengths)
+    scored = lengths if scored is None else list(scored)
+    if not (all(isinstance(x, (int, np.integer)) for x in lengths)
+            and sum(lengths) == n and min(lengths) >= 1):
+        raise DataError(f"forward_logits: lengths {lengths} for {n} tokens")
+    if not (len(scored) == len(lengths)
+            and all(isinstance(s, (int, np.integer)) and 1 <= s <= x
+                    for s, x in zip(scored, lengths))):
+        raise DataError(f"forward_logits: scored {scored} for lengths {lengths}")
+    if cache is not None and (T._GRAD_ENABLED or len(lengths) > 1):
         raise ContractError("forward_logits: a KV cache needs no_grad and one sequence")
     start = len(cache[0][0]) if cache else 0  # 0 unless one segment
-    end = start + (n if one else lengths.max())
+    end = start + max(lengths)
     if end > c.max_seq_len:
         raise DataError(f"sequence length {end} > max_seq_len {c.max_seq_len}")
-    k_lengths = [end] if one else lengths
-    positions = np.arange(start, start + n)
-    if not one:
-        positions -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    k_lengths = [start + x for x in lengths]
+    positions = np.concatenate([np.arange(start, start + x) for x in lengths])
     # the scored positions; None when every position is scored
-    rows = None if all_scored else np.flatnonzero(
+    rows = None if scored == lengths else np.flatnonzero(
         np.arange(n) >= np.repeat(np.cumsum(lengths) - scored, lengths))
 
     x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"], positions)

@@ -55,21 +55,18 @@ def make_diseases(n=20, seed=0):
     return diseases
 
 
-def _kg_entity(d, with_drug=True):
-    relations = [("症状", s) for s in d.symptoms] + [("病因", d.cause)]
-    if with_drug:
-        relations.append(("推荐用药", d.drug))
+def _kg_entity(d):
+    relations = ([("症状", s) for s in d.symptoms]
+                 + [("病因", d.cause), ("推荐用药", d.drug)])
     return KgEntity(name=d.name, relations=tuple(relations))
 
 
-def _qa_records(d, with_drug=True):
-    recs = [
+def _qa_records(d):
+    return [
         QaRecord(f"{d.name}有什么症状？", f"{d.name}的症状是{'、'.join(d.symptoms)}。"),
         QaRecord(f"{d.name}的病因是什么？", f"{d.name}的病因是{d.cause}。"),
+        QaRecord(f"{d.name}应该吃什么药？", f"推荐服用{d.drug}。"),
     ]
-    if with_drug:
-        recs.append(QaRecord(f"{d.name}应该吃什么药？", f"推荐服用{d.drug}。"))
-    return recs
 
 
 def _dialogue(d):
@@ -109,7 +106,6 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
     """
     diseases = make_diseases(n_diseases, seed)
     half = n_diseases // 2
-    drug_cut = n_diseases  # all drug facts visible to pre-training
 
     cpt_docs = []
     sft_records = []
@@ -117,12 +113,10 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
     mcq_items = []
 
     for i, d in enumerate(diseases):
-        cpt_has_drug = i < drug_cut
-        cpt_docs.append(linearize_kg(_kg_entity(d, with_drug=cpt_has_drug)))
-        for qa in _qa_records(d, with_drug=cpt_has_drug):
+        cpt_docs.append(linearize_kg(_kg_entity(d)))
+        for qa in _qa_records(d):
             cpt_docs.append(render_turns(qa.question) + qa.answer)
-        if cpt_has_drug:
-            cpt_docs.append(flatten_dialogue(_dialogue(d), "pretrain_text"))
+        cpt_docs.append(flatten_dialogue(_dialogue(d), "pretrain_text"))
 
         item = exam_item(d, seed_offset=i)
         if i < half:
@@ -130,7 +124,7 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
         mcq_items.append(item)
 
         # SFT covers everything, exam items included
-        for qa in _qa_records(d, with_drug=True):
+        for qa in _qa_records(d):
             sft_records.append({"kind": "qa", "question": qa.question,
                                 "answer": qa.answer})
         sft_records.append({"kind": "exam", "question": item["question"],
@@ -168,21 +162,3 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
         "mcq_items": mcq_items,
         "dialogue_eval": dialogue_eval,
     }
-
-
-def vocab_corpus(bundle):
-    """All text whose characters must be encodable, eval prompts included."""
-    texts = list(bundle["cpt_docs"])
-    for rec in bundle["sft_records"]:
-        texts.append(rec["question"] if "question" in rec else rec.get("instruction", ""))
-        texts.append(rec.get("answer", "") or rec.get("output", ""))
-        for v in (rec.get("options") or {}).values():
-            texts.append(v)
-    for rec in bundle["dpo_records"]:
-        texts.extend([rec["prompt"], rec["chosen"], rec["rejected"]])
-    for item in bundle["mcq_items"]:
-        texts.append(item["question"])
-        texts.extend(item["options"].values())
-        texts.append(item["gold"])
-    texts.append("Q:A:\n .ABCD")
-    return texts

@@ -29,6 +29,7 @@ finite.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -281,28 +282,26 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None)
     """
     (nq, d), nk = q.data.shape, k.data.shape[0]
     dh = d // n_heads
-    one = len(q_lengths) == len(k_lengths) == 1  # one group of every row, no regrouping
-    if one:  # plain int checks: a decode step makes this call once per layer and token
-        ok = q_lengths[0] == nq and k_lengths[0] == nk and 0 < nq <= nk
-    else:
-        q_lengths, k_lengths = (np.asarray(x, dtype=np.int64) for x in (q_lengths, k_lengths))
-        ok = (q_lengths.shape == k_lengths.shape and q_lengths.sum() == nq
-              and k_lengths.sum() == nk and ((q_lengths >= 1) & (q_lengths <= k_lengths)).all())
-    if not ok:
+    pairs = sorted(set(zip(q_lengths, k_lengths)))  # the distinct (Lq, Lk)
+    if not (len(q_lengths) == len(k_lengths)
+            and all(isinstance(lq, (int, np.integer)) and isinstance(lk, (int, np.integer))
+                    and 1 <= lq <= lk for lq, lk in pairs)
+            and sum(q_lengths) == nq and sum(k_lengths) == nk):
         raise ShapeError(f"causal_attention: q_lengths {np.asarray(q_lengths).tolist()} and "
                          f"k_lengths {np.asarray(k_lengths).tolist()} for {nq} queries and "
                          f"{nk} keys; need 1 <= q_lengths <= k_lengths")
-    c = 1.0 / np.sqrt(dh)
-    if one:
-        plan = [(nq, nk, None, None, 1)]
+    c = 1.0 / math.sqrt(dh)
+    # (Lq, Lk, query rows, key rows, segments) of each group
+    if len(pairs) == 1:  # one group holds every row: no regrouping
+        plan = [(*pairs[0], None, None, len(q_lengths))]
     else:
+        plan = []
+        q_lengths, k_lengths = np.asarray(q_lengths), np.asarray(k_lengths)
         q_starts, k_starts = (np.cumsum(x) - x for x in (q_lengths, k_lengths))
-        plan = []  # (Lq, Lk, query rows, key rows, segments) of each group
-        for lq, lk in sorted(set(zip(q_lengths.tolist(), k_lengths.tolist()))):
+        for lq, lk in pairs:
             group = (q_lengths == lq) & (k_lengths == lk)
-            rows = (None, None) if group.all() else (q_starts[group][:, None] + np.arange(lq),
-                                                     k_starts[group][:, None] + np.arange(lk))
-            plan.append((lq, lk, *rows, int(group.sum())))
+            plan.append((lq, lk, q_starts[group][:, None] + np.arange(lq),
+                         k_starts[group][:, None] + np.arange(lk), int(group.sum())))
 
     def split(x, rows, n_seg):
         """Token-flat rows -> [G, H, L, dh]; a view when one group holds every row."""

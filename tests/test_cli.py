@@ -7,6 +7,7 @@ import pytest
 
 from medlm import cli
 from medlm import model as M
+from medlm import synth
 from medlm.errors import ConfigError
 
 SYNTHETIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
@@ -227,6 +228,21 @@ class TestDataCommands:
         lines = (tmp_path / "data" / "dpo.jsonl").read_text("utf-8").splitlines()
         first = json.loads(lines[0])
         assert set(first) == {"prompt", "chosen", "rejected"}
+
+    def test_build_fails_on_a_rejected_record(self, tmp_path, capsys, monkeypatch):
+        build_corpus = synth.build_corpus
+
+        def with_mystery(**kwargs):
+            bundle = build_corpus(**kwargs)
+            bundle["sft_records"].append({"kind": "mystery"})
+            return bundle
+
+        monkeypatch.setattr(synth, "build_corpus", with_mystery)
+        path = _write_config(tmp_path)
+        assert cli.main(["--config", str(path), "data", "build"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "mystery" in err
+        assert not (tmp_path / "data").exists()
 
     def test_dedup_is_idempotent(self, tmp_path, capsys):
         path = _write_config(tmp_path)

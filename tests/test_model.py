@@ -190,13 +190,22 @@ class TestForward:
         last = M.forward_logits(tiny_params, None, tokens, lengths=np.array([3]),
                                 scored=np.array([1])).data
         np.testing.assert_allclose(last, full[2:], rtol=0, atol=1e-12)
+        # the same counts for two segments go through the same check
+        tokens = [0, 4, 5, 6]
+        full = M.forward_logits(tiny_params, None, tokens, lengths=[2, 2]).data
+        for counts in (np.array([2, 2]), (2, 2), [np.int64(2)] * 2):
+            for kwargs in ({"lengths": counts}, {"lengths": counts, "scored": counts}):
+                out = M.forward_logits(tiny_params, None, tokens, **kwargs).data
+                assert np.array_equal(out, full)
 
     @pytest.mark.parametrize("lengths, scored, match", [
         ([4], None, "lengths"), ([2], None, "lengths"), ([0], None, "lengths"),
         ([[3]], None, "lengths"), ([3.0], None, "lengths"),
         ([3], [0], "scored"), ([3], [4], "scored"), ([3], [[1]], "scored"),
         ([3], [1, 1], "scored"), (np.array([3]), [1.0], "scored"),
-        (np.array([4]), np.array([1]), "lengths"), (None, np.array([4]), "scored")])
+        (np.array([4]), np.array([1]), "lengths"), (None, np.array([4]), "scored"),
+        # two segments: a float count is rejected, never truncated
+        ([2.9, 1.2], None, "lengths"), ([2, 1], [1.7, 1.2], "scored")])
     def test_one_segment_rejects_bad_counts(self, tiny_params, lengths, scored, match):
         with pytest.raises(DataError, match=match):
             M.forward_logits(tiny_params, None, [0, 4, 5], lengths=lengths, scored=scored)

@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
+from medlm import cli
 from medlm import data as D
+from medlm import evalkit as E
 from medlm import model as M
 from medlm import synth
+
+SYNTHETIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
 
 
 def test_build_corpus_is_deterministic():
@@ -27,18 +32,42 @@ def test_duplicate_docs_give_dedup_work():
     assert report  # dedup removed something
 
 
-def test_vocab_covers_every_surface():
-    bundle = synth.build_corpus(n_diseases=8, seed=1)
-    vocab = M.build_vocab(synth.vocab_corpus(bundle))
-    for doc in bundle["cpt_docs"]:
-        M.encode(vocab, doc)
-    for rec in bundle["sft_records"]:
-        ex = D.standardize_instruction(rec)
-        assert ex is not None
+def _strings(value):
+    """Every string leaf of a parsed JSON value."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _strings(v)
+
+
+def test_vocab_covers_every_surface(tmp_path):
+    cfg = json.loads(SYNTHETIC_CONFIG.read_text("utf-8"))
+    cfg["seed"], cfg["data"]["n_diseases"] = 1, 8
+    cfg["paths"] = {k: str(tmp_path / k) for k in ("data", "checkpoints", "reports")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["--config", str(path), "data", "build"]) == 0
+    data = tmp_path / "data"
+    vocab = M.load_vocab(data / "vocab.txt")
+    for name in ("cpt", "sft", "dpo", "mcq", "dialogue_eval"):
+        for _, obj in D.read_jsonl(data / f"{name}.jsonl"):
+            for text in _strings(obj):
+                M.encode(vocab, text)
+    # and the prompts training and eval render from those files
+    sft, _ = D.load_dataset(data / "sft.jsonl", "sft")
+    for ex in sft:
         M.encode(vocab, D.render_prompt(ex) + ex.output)
-    for rec in bundle["dpo_records"]:
-        M.encode(vocab, D.render_bare_prompt(rec["prompt"])
-                 + rec["chosen"] + rec["rejected"])
+    dpo, _ = D.load_dataset(data / "dpo.jsonl", "dpo")
+    for pair in dpo:
+        M.encode(vocab, D.render_bare_prompt(pair.prompt) + pair.preferred + pair.rejected)
+    items = cli._load_mcq_items(data / "mcq.jsonl")  # as `medlm eval mcq` builds its prompts
+    spec = E.FewShotSpec(exemplars=[(E.render_mcq_question(it), "".join(sorted(it.gold)))
+                                    for it in items[: cfg["eval"]["few_shot_k"]]])
+    for it in items:
+        M.encode(vocab, E.build_few_shot_prompt(spec, E.render_mcq_question(it)))
+    for _, obj in D.read_jsonl(data / "dialogue_eval.jsonl"):
+        M.encode(vocab, D.render_bare_prompt(obj["prompt"]))
 
 
 def test_mcq_items_are_consistent():

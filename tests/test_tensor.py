@@ -248,7 +248,8 @@ class TestCausalAttention:
     def test_lengths_must_cover_rows(self, rng):
         q, k, v = _attention_inputs(rng, 4)
         for q_lengths, k_lengths in (([2, 1], [2, 1]), ([4], [3]), ([2, 2], [3, 1]),
-                                     ([4, 0], [3, 1]), ([4], [2, 2]), ([2, 2], [4])):
+                                     ([4, 0], [3, 1]), ([4], [2, 2]), ([2, 2], [4]),
+                                     ([2.9, 2.2], [2.9, 2.2])):
             with pytest.raises(ShapeError, match="q_lengths"):
                 T.causal_attention(q, k, v, q_lengths, k_lengths, n_heads=2)
         # one segment: keys not covered, more queries than keys, no query
