@@ -21,7 +21,7 @@ from . import model as M
 from . import synth
 from . import trainer as TR
 from .atomic import atomic_write
-from .errors import ConfigError, DataError, MedlmError, check_fields
+from .errors import ConfigError, DataError, MedlmError, VocabError, check_fields
 
 KNOWN_TOP_KEYS = {"seed", "paths", "model", "data", "stages", "eval"}
 STAGE_KEYS = {f.name for f in dataclasses.fields(TR.StageConfig)} - {"stage"}
@@ -234,6 +234,16 @@ def _load_vocab(cfg):
     return M.load_vocab(_data_paths(cfg)["vocab"])
 
 
+def _load_state(path, vocab):
+    """The checkpoint at path, whose model must have one embedding row per
+    symbol of vocab."""
+    state = TR.load_checkpoint(path)
+    if state.params.config.vocab_size != len(vocab):
+        raise VocabError(f"{path}: checkpoint vocab_size {state.params.config.vocab_size} "
+                         f"but vocab.txt has {len(vocab)} symbols")
+    return state
+
+
 def _load_records(cfg, stage):
     """One stage's training records; skipped malformed records are reported."""
     records, stats = D.load_dataset(_data_paths(cfg)[stage], stage)
@@ -268,7 +278,7 @@ def cmd_train(cfg, stage):
         dataset = train_blocks
     else:
         prev = "cpt" if stage == "sft" else "sft"
-        state = TR.load_checkpoint(_ckpt_path(cfg, prev))
+        state = _load_state(_ckpt_path(cfg, prev), vocab)
         dataset = _load_records(cfg, stage)
     log_path = os.path.join(cfg.paths.reports, f"{stage}_metrics.csv")
     os.makedirs(cfg.paths.reports, exist_ok=True)
@@ -301,7 +311,7 @@ def _load_mcq_items(path):
 
 def cmd_eval(cfg, kind, checkpoint):
     vocab = _load_vocab(cfg)
-    state = TR.load_checkpoint(checkpoint) if checkpoint else None
+    state = _load_state(checkpoint, vocab) if checkpoint else None
     paths = _data_paths(cfg)
     os.makedirs(cfg.paths.reports, exist_ok=True)
     if kind == "mcq":
@@ -333,7 +343,7 @@ def cmd_eval(cfg, kind, checkpoint):
 
 def cmd_generate(cfg, checkpoint, prompt, max_new):
     vocab = _load_vocab(cfg)
-    state = TR.load_checkpoint(checkpoint)
+    state = _load_state(checkpoint, vocab)
     print(E.generate_text(state, vocab, D.render_bare_prompt(prompt), max_new))
     return 0
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .atomic import atomic_write
-from .errors import ConfigError, ContractError, DataError, VocabError, check_fields, field_errors
+from .errors import ConfigError, DataError, VocabError, check_fields, field_errors
 from .tensor import Tensor
 
 SPECIAL_SYMBOLS = ("<BOS>", "<EOS>", "<PAD>", "<SEP>")
@@ -242,15 +242,19 @@ def attach_lora(params, lora_config, rng, init_scale=0.02):
     return adapter
 
 
-def merge_lora(params, adapter):
-    """Fold (alpha/r) * A @ B into each adapted weight; returns new params."""
-    merged = params.copy()
+def folded_weights(params, adapter):
+    """name -> ``W + (alpha/r) * A @ B`` as a new array, for each weight W
+    the adapter adapts; the one merge formula."""
     s = adapter.scaling()
-    for name, t in merged.named():
-        pair = adapter.pair(name)
-        if pair is not None:
-            a, b = pair
-            t.data += s * (a.data @ b.data)
+    return {name: params[name].data + s * (pair[0].data @ pair[1].data)
+            for name in params.shapes if (pair := adapter.pair(name)) is not None}
+
+
+def merge_lora(params, adapter):
+    """Fold the adapter into a copy of params (``folded_weights``); returns new params."""
+    merged = params.copy()
+    for name, w in folded_weights(params, adapter).items():
+        merged[name].data[...] = w
     return merged
 
 
@@ -265,8 +269,7 @@ def _project(x, params, adapter, name, rng):
     return y
 
 
-def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=None,
-                   scored=None):
+def forward_logits(params, adapter, tokens, train_rng=None, lengths=None, scored=None):
     """Logits for token-flat tokens [N]: one sequence, or several back to
     back with segment ``lengths`` (default: one segment). Position ids
     restart at 0 in each segment, and a position sees only the tokens <= it
@@ -278,16 +281,6 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
     last and gives the last layer its key and value, since later positions
     read them; only the scored positions run the last layer's ``wq``,
     attention, ``wo`` and feed-forward block, the final norm and the head.
-
-    ``cache`` is an optional per-request KV cache for decoding one sequence:
-    a list holding one ``(K, V)`` pair of ``[S, d_model]`` arrays per layer,
-    or empty before the first call. ``tokens`` then continue the ``S`` cached
-    positions: they take position ids ``S, S+1, ...``, attend to the cached
-    keys and values, and their own K/V are written after them in place. The
-    first call allocates each layer's K and V as ``[max_seq_len, d_model]``
-    buffers and the pairs are views of their first ``S`` rows, so a step
-    copies only its own rows. A cache is only legal under ``no_grad``, and
-    ``S + len(tokens)`` must not exceed ``max_seq_len``.
     """
     c = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -303,14 +296,9 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
             and all(isinstance(s, (int, np.integer)) and 1 <= s <= x
                     for s, x in zip(scored, lengths))):
         raise DataError(f"forward_logits: scored {scored} for lengths {lengths}")
-    if cache is not None and (T._GRAD_ENABLED or len(lengths) > 1):
-        raise ContractError("forward_logits: a KV cache needs no_grad and one sequence")
-    start = len(cache[0][0]) if cache else 0  # 0 unless one segment
-    end = start + max(lengths)
-    if end > c.max_seq_len:
-        raise DataError(f"sequence length {end} > max_seq_len {c.max_seq_len}")
-    k_lengths = [start + x for x in lengths]
-    positions = np.concatenate([np.arange(start, start + x) for x in lengths])
+    if max(lengths) > c.max_seq_len:
+        raise DataError(f"sequence length {max(lengths)} > max_seq_len {c.max_seq_len}")
+    positions = np.concatenate([np.arange(x) for x in lengths])
     # the scored positions; None when every position is scored
     rows = None if scored == lengths else np.flatnonzero(
         np.arange(n) >= np.repeat(np.cumsum(lengths) - scored, lengths))
@@ -325,14 +313,7 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
             hq, x, q_lengths = T.gather_rows(h, rows), T.gather_rows(x, rows), scored
         q, k, v = (_project(t, params, adapter, p + w, train_rng)
                    for t, w in ((hq, "wq"), (h, "wk"), (h, "wv")))
-        if cache is not None:
-            bufs = ([kv.base for kv in cache[i]] if start else
-                    [np.empty((c.max_seq_len, c.d_model)) for _ in range(2)])
-            for buf, t in zip(bufs, (k, v)):
-                buf[start:end] = t.data
-            cache[i:i + 1] = [(bufs[0][:end], bufs[1][:end])]  # replace, or append on prefill
-            k, v = (Tensor(kv) for kv in cache[i])
-        att = T.causal_attention(q, k, v, q_lengths, k_lengths, c.n_heads, c.dropout,
+        att = T.causal_attention(q, k, v, q_lengths, lengths, c.n_heads, c.dropout,
                                  train_rng)
         attn_out = _project(att, params, adapter, p + "wo", train_rng)
         x = x + T.dropout(attn_out, c.dropout, train_rng)
@@ -344,36 +325,84 @@ def forward_logits(params, adapter, tokens, train_rng=None, cache=None, lengths=
     return x @ params["head"]
 
 
+def decode_logits(config, weights, cache, tokens):
+    """Logits ``[V]`` of the last of ``tokens``, the transformer run on plain
+    arrays: ``weights`` maps each parameter name to its array, with no
+    adapter, graph or dropout. On an empty cache it is ``forward_logits``
+    of one segment with ``scored=[1]``, layer for layer the same arithmetic.
+
+    ``cache`` is the request's KV cache: a list holding one ``(K, V)`` pair
+    of ``[S, d_model]`` arrays per layer, or empty before the first call.
+    ``tokens`` continue the ``S`` cached positions: they take position ids
+    ``S, S+1, ...``, attend to the cached keys and values, and their own
+    K/V are written after them in place. The first call allocates each
+    layer's K and V as ``[max_seq_len, d_model]`` buffers and the pairs are
+    views of their first ``S`` rows, so a call copies only its own rows.
+    ``S + len(tokens)`` must not exceed ``max_seq_len``, and every id must
+    be in ``[0, vocab_size)``: an array index does not check its sign.
+    """
+    c = config
+    start = len(cache[0][0]) if cache else 0
+    end = start + len(tokens)
+    if not start < end <= c.max_seq_len:
+        raise DataError(f"decode_logits: positions [{start}, {end}) "
+                        f"for max_seq_len {c.max_seq_len}")
+    x = weights["embed"][tokens] + weights["pos"][start:end]
+    for i in range(c.n_layers):
+        p = f"layer{i}."
+        h = T._layer_norm(x, weights[p + "ln1.g"], weights[p + "ln1.b"])[0]
+        if i == c.n_layers - 1:  # from here on, the last position only
+            x = x[-1:]
+        bufs = ([kv.base for kv in cache[i]] if start else
+                [np.empty((c.max_seq_len, c.d_model)) for _ in range(2)])
+        for buf, w in zip(bufs, ("wk", "wv")):
+            buf[start:end] = h @ weights[p + w]
+        cache[i:i + 1] = [(bufs[0][:end], bufs[1][:end])]  # replace, or append on prefill
+        q = h[-len(x):] @ weights[p + "wq"]
+        qg, kg, vg = (T._heads(t[None], c.n_heads) for t in (q, *cache[i]))
+        att = (T._attention_probs(qg, kg) @ vg).transpose(0, 2, 1, 3).reshape(-1, c.d_model)
+        x = x + att @ weights[p + "wo"]
+        h2 = T._layer_norm(x, weights[p + "ln2.g"], weights[p + "ln2.b"])[0]
+        ff = np.maximum(h2 @ weights[p + "ffn.w1"] + weights[p + "ffn.b1"], 0.0)
+        x = x + (ff @ weights[p + "ffn.w2"] + weights[p + "ffn.b2"])
+    x = T._layer_norm(x, weights["ln_f.g"], weights["ln_f.b"])[0]
+    return (x @ weights["head"])[0]
+
+
 def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     """Argmax decoding; ties break toward the lowest token id (np.argmax).
 
-    An adapter is folded into a copy of the weights once per call
-    (``merge_lora``), so each step runs the plain projections; the merged
-    weights round differently from the unmerged forward, so with a trained
-    adapter the logits agree with it within rounding, not bit for bit. The
-    prompt is encoded once into a KV cache, with logits for its last
+    Each step runs ``decode_logits`` on the weights as arrays. An adapter
+    is folded into the weights it adapts once per call
+    (``folded_weights``); every other weight is the caller's own array,
+    only read. The folded weights round differently from the unmerged
+    forward, so with a trained adapter the logits agree with it within
+    rounding, not bit for bit. Prompt ids must be in ``[0, vocab_size)``.
+    The prompt is encoded once into a KV cache, with logits for its last
     position only, and each step feeds only the new token. Past
-    ``max_seq_len`` the window slides, which moves every absolute position,
-    so the cache is dropped and the last window re-encoded.
+    ``max_seq_len`` the window slides, which moves every absolute
+    position, so the cache is dropped and the last window re-encoded.
     """
-    if not prompt_ids:
-        raise DataError("generate_greedy: empty prompt")
-    if adapter is not None:
-        params, adapter = merge_lora(params, adapter), None
-    window = params.config.max_seq_len
+    c = params.config
     ids = list(prompt_ids)
+    if not ids:
+        raise DataError("generate_greedy: empty prompt")
+    if min(ids) < 0 or max(ids) >= c.vocab_size:
+        raise DataError(f"generate_greedy: prompt id out of range [0, {c.vocab_size})")
+    weights = {name: t.data for name, t in params.named()}
+    if adapter is not None:
+        weights.update(folded_weights(params, adapter))
+    window = c.max_seq_len
     out = []
     cache, feed = [], ids[-window:]
-    with T.no_grad():
-        for _ in range(max_new):
-            logits = forward_logits(params, adapter, feed, cache=cache, scored=[1])
-            nxt = int(np.argmax(logits.data[0]))
-            out.append(nxt)
-            if nxt == stop_id:
-                break
-            ids.append(nxt)
-            if len(ids) > window:
-                cache, feed = [], ids[-window:]
-            else:
-                feed = [nxt]
+    for _ in range(max_new):
+        nxt = int(np.argmax(decode_logits(c, weights, cache, feed)))
+        out.append(nxt)
+        if nxt == stop_id:
+            break
+        ids.append(nxt)
+        if len(ids) > window:
+            cache, feed = [], ids[-window:]
+        else:
+            feed = [nxt]
     return out

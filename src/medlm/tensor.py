@@ -239,16 +239,24 @@ def dropout(a, rate, rng):
     return _make(a.data * keep, (a,), bwd)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
-    n = x.data.shape[-1]
+def _layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm of array x over its last axis: (out, xhat, inv), where xhat
+    is the normalized x and inv the reciprocal standard deviation per row."""
+    n = x.shape[-1]
     # sum / n is how np.mean and np.var reduce, so the bits are theirs
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
     var = np.square(xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize over the last axis, then scale and shift."""
+    n = x.data.shape[-1]
+    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
 
     def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
         if bias.requires_grad:
@@ -267,16 +275,40 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(out, (x, gain, bias), bwd)
 
 
+def _heads(x, n_heads):
+    """Rows [G, L, D] -> [G, H, L, D / H], head h taking columns h*D/H onward."""
+    return x.reshape(x.shape[:2] + (n_heads, -1)).transpose(0, 2, 1, 3)
+
+
+def _attention_probs(qg, kg):
+    """Causal attention probabilities [G, H, Lq, Lk] of queries qg
+    [G, H, Lq, dh] over keys kg [G, H, Lk, dh], the queries being the last Lq
+    of the Lk positions: softmax of the scaled scores over the keys at and
+    before each query's position, masked entries exactly 0."""
+    lq, lk = qg.shape[-2], kg.shape[-2]
+    p = qg @ kg.swapaxes(-1, -2)
+    p *= 1.0 / math.sqrt(qg.shape[-1])
+    # a lone query is its segment's last position: it sees every key
+    seen = np.arange(lk) <= np.arange(lk - lq, lk)[:, None] if lq > 1 else True
+    # masked entries skip the max and the exp (numpy's exp is slow on
+    # -inf lanes) and are then set to exactly 0
+    p -= p.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
+    np.exp(p, out=p, where=seen)
+    if lq > 1:
+        np.copyto(p, 0.0, where=~seen)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None):
     """Multi-head causal attention of token-flat queries ``[Nq, D]`` over
     token-flat keys and values ``[Nk, D]``.
 
     Segment s has ``k_lengths[s]`` key rows, the segments back to back, and
     its queries are its last ``q_lengths[s]`` positions, with
-    ``1 <= q_lengths[s] <= k_lengths[s]``: self-attention, a decode step
-    over cached keys, or a scored suffix. A query attends to the keys at
-    and before its own position in its own segment only, and masked entries
-    contribute exactly 0. Segments of equal ``(q_lengths, k_lengths)`` run
+    ``1 <= q_lengths[s] <= k_lengths[s]``: self-attention or a scored
+    suffix. A query attends to the keys at and before its own position in
+    its own segment only, and masked entries contribute exactly 0. Segments of equal ``(q_lengths, k_lengths)`` run
     as one ``[G, H, L, dh]`` batched product. With ``rate > 0`` and an
     ``rng``, inverted dropout is applied to the attention probabilities.
     """
@@ -290,23 +322,22 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None)
         raise ShapeError(f"causal_attention: q_lengths {np.asarray(q_lengths).tolist()} and "
                          f"k_lengths {np.asarray(k_lengths).tolist()} for {nq} queries and "
                          f"{nk} keys; need 1 <= q_lengths <= k_lengths")
-    c = 1.0 / math.sqrt(dh)
-    # (Lq, Lk, query rows, key rows, segments) of each group
+    c = 1.0 / math.sqrt(dh)  # the scale _attention_probs applies
+    # (query rows, key rows, segments) of each group
     if len(pairs) == 1:  # one group holds every row: no regrouping
-        plan = [(*pairs[0], None, None, len(q_lengths))]
+        plan = [(None, None, len(q_lengths))]
     else:
         plan = []
         q_lengths, k_lengths = np.asarray(q_lengths), np.asarray(k_lengths)
         q_starts, k_starts = (np.cumsum(x) - x for x in (q_lengths, k_lengths))
         for lq, lk in pairs:
             group = (q_lengths == lq) & (k_lengths == lk)
-            plan.append((lq, lk, q_starts[group][:, None] + np.arange(lq),
+            plan.append((q_starts[group][:, None] + np.arange(lq),
                          k_starts[group][:, None] + np.arange(lk), int(group.sum())))
 
     def split(x, rows, n_seg):
         """Token-flat rows -> [G, H, L, dh]; a view when one group holds every row."""
-        x = x.reshape(n_seg, -1, d) if rows is None else x[rows]
-        return x.reshape(x.shape[:2] + (n_heads, dh)).transpose(0, 2, 1, 3)
+        return _heads(x.reshape(n_seg, -1, d) if rows is None else x[rows], n_heads)
 
     def merge(dst, rows, y):
         """[G, H, L, dh] -> the group's token-flat rows of dst (or all of them)."""
@@ -318,20 +349,10 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None)
 
     groups = []
     out = np.empty(q.data.shape)
-    for lq, lk, q_rows, k_rows, n_seg in plan:
+    for q_rows, k_rows, n_seg in plan:
         qg, kg, vg = (split(t.data, rows, n_seg)
                       for t, rows in ((q, q_rows), (k, k_rows), (v, k_rows)))
-        p = qg @ kg.swapaxes(-1, -2)
-        p *= c
-        # a lone query is its segment's last position: it sees every key
-        seen = np.arange(lk) <= np.arange(lk - lq, lk)[:, None] if lq > 1 else True
-        # masked entries skip the max and the exp (numpy's exp is slow on
-        # -inf lanes) and are then set to exactly 0
-        p -= p.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
-        np.exp(p, out=p, where=seen)
-        if lq > 1:
-            np.copyto(p, 0.0, where=~seen)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = _attention_probs(qg, kg)
         keep = None
         if rate > 0.0 and rng is not None:
             keep = (rng.random(p.shape) >= rate) / (1.0 - rate)

@@ -369,6 +369,29 @@ class TestPipelineCommands:
         assert err.startswith("error: ") and "not UTF-8" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["train", "sft"], ["eval", "mcq", "--checkpoint", "{ckpt}"],
+        ["eval", "dialogue", "--checkpoint", "{ckpt}"],
+        ["generate", "--checkpoint", "{ckpt}", "--prompt", "？"],
+        ["generate", "--checkpoint", "{ckpt}", "--prompt", "一"]])
+    def test_checkpoint_of_another_vocab_size_fails_cleanly(self, built, tmp_path, capsys,
+                                                             command):
+        assert cli.main(["--config", str(built), "train", "cpt"]) == 0
+        n_before = len(M.load_vocab(tmp_path / "data" / "vocab.txt"))
+        raw = json.loads(built.read_text("utf-8"))
+        raw["data"]["n_diseases"] = 2
+        built.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["--config", str(built), "data", "build"]) == 0
+        n_after = len(M.load_vocab(tmp_path / "data" / "vocab.txt"))
+        assert n_after != n_before
+        ckpt = str(tmp_path / "ckpt" / "cpt.ckpt")
+        capsys.readouterr()
+        assert cli.main(["--config", str(built),
+                         *(w.format(ckpt=ckpt) for w in command)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {ckpt}: checkpoint vocab_size {n_before} "
+                       f"but vocab.txt has {n_after} symbols\n")
+
     def test_eval_mcq_without_checkpoint_scores_prefilled(self, built, tmp_path):
         assert cli.main(["--config", str(built), "eval", "mcq"]) == 0
         report = json.loads((tmp_path / "reports" / "mcq_report.json")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from medlm import model as M
 from medlm import tensor as T
-from medlm.errors import ConfigError, ContractError, DataError, VocabError
+from medlm.errors import ConfigError, DataError, VocabError
 
 
 class TestVocab:
@@ -249,13 +249,13 @@ class TestScoredRows:
 
     def test_cached_prefill_keeps_last_row(self, tiny_config, tiny_params):
         tokens = [0, 4, 5, 6, 7, 8, 9]
+        weights = {name: t.data for name, t in tiny_params.named()}
         cache = []
-        with T.no_grad():
-            full = M.forward_logits(tiny_params, None, tokens).data
-            last = M.forward_logits(tiny_params, None, tokens[:5], cache=cache, scored=[1]).data
-            step = M.forward_logits(tiny_params, None, tokens[5:], cache=cache, scored=[1]).data
-        np.testing.assert_allclose(last, full[4:5], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(step, full[6:7], rtol=0, atol=1e-12)
+        full = M.forward_logits(tiny_params, None, tokens).data
+        last = M.decode_logits(tiny_config, weights, cache, tokens[:5])
+        step = M.decode_logits(tiny_config, weights, cache, tokens[5:])
+        np.testing.assert_allclose(last, full[4], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step, full[6], rtol=0, atol=1e-12)
         assert [k.shape for k, _ in cache] == [(7, tiny_config.d_model)] * 2
 
     # rows: how many trailing rows of each segment are scored, for lengths [3]
@@ -263,11 +263,6 @@ class TestScoredRows:
     def test_bad_rows_rejected(self, tiny_params, rows):
         with pytest.raises(DataError, match="scored"):
             M.forward_logits(tiny_params, None, [0, 4, 5], scored=rows)
-
-    def test_rows_with_a_multi_segment_cache_rejected(self, tiny_params):
-        with T.no_grad(), pytest.raises(ContractError):
-            M.forward_logits(tiny_params, None, [0, 4, 5], lengths=[1, 2], cache=[],
-                             scored=[1, 1])
 
 
 class TestLora:
@@ -296,6 +291,15 @@ class TestLora:
         merged = M.merge_lora(tiny_params, adapter)
         folded = M.forward_logits(merged, None, [0, 4, 5, 6]).data
         assert np.max(np.abs(with_adapter - folded)) < 1e-10
+
+    def test_folded_weights_are_merge_lora_bits(self, tiny_params, rng):
+        adapter = M.attach_lora(tiny_params, M.LoraConfig(dropout=0.0), rng)
+        adapter.data[...] = 0.05 * np.random.default_rng(1).standard_normal(adapter.data.shape)
+        folded = M.folded_weights(tiny_params, adapter)
+        merged = M.merge_lora(tiny_params, adapter)
+        assert sorted(folded) == ["layer0.wq", "layer0.wv", "layer1.wq", "layer1.wv"]
+        for name, t in merged.named():
+            assert np.array_equal(t.data, folded.get(name, tiny_params[name].data))
 
     def test_scaling_is_alpha_over_rank(self):
         cfg = M.LoraConfig(rank=8, alpha=32.0)
@@ -333,6 +337,12 @@ class TestGenerate:
     def test_empty_prompt_rejected(self, tiny_params):
         with pytest.raises(DataError):
             M.generate_greedy(tiny_params, None, [], 5)
+
+    @pytest.mark.parametrize("bad", [-1, 13])  # the tiny vocab_size is 13
+    def test_prompt_id_out_of_range_rejected(self, tiny_config, tiny_params, bad):
+        assert tiny_config.vocab_size == 13
+        with pytest.raises(DataError, match="prompt id"):
+            M.generate_greedy(tiny_params, None, [0, bad, 4], 5)
 
     def test_window_slides_past_max_seq_len(self, tiny_config, tiny_params):
         prompt = [0] + [4] * (tiny_config.max_seq_len - 1)
@@ -389,12 +399,14 @@ class TestKvCache:
                                                prompt_len, monkeypatch):
         prompt = self._prompt(tiny_config, prompt_len)
         before = params.data.tobytes(), adapter.data.tobytes()
-        adapters, forward = [], M.forward_logits
-        monkeypatch.setattr(M, "forward_logits", lambda p, a, *args, **kwargs:
-                            adapters.append(a) or forward(p, a, *args, **kwargs))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("decoding must not run the graph forward or copy the table")
+
+        monkeypatch.setattr(M, "forward_logits", fail)
+        monkeypatch.setattr(M, "merge_lora", fail)
         out = M.generate_greedy(params, adapter, prompt, 12, stop_id=-1)
         monkeypatch.undo()
-        assert adapters and all(a is None for a in adapters)  # no step runs the adapter
         assert (params.data.tobytes(), adapter.data.tobytes()) == before
         merged = M.merge_lora(params, adapter)
         assert out == _uncached_greedy(merged, None, prompt, 12, stop_id=-1)
@@ -408,43 +420,41 @@ class TestKvCache:
         assert out == free[: j + 1]
         assert out == _uncached_greedy(params, None, prompt, 12, stop_id=free[j])
 
+    @staticmethod
+    def _weights(params):
+        return {name: t.data for name, t in params.named()}
+
     def test_prefill_then_steps_match_full_forward(self, tiny_config, params, adapter):
         tokens = self._prompt(tiny_config, tiny_config.max_seq_len)
+        weights = {**self._weights(params), **M.folded_weights(params, adapter)}
         cache = []
-        with T.no_grad():
-            full = M.forward_logits(params, adapter, tokens).data
-            rows = [M.forward_logits(params, adapter, tokens[:10], cache=cache).data]
-            for tok in tokens[10:]:
-                rows.append(M.forward_logits(params, adapter, [tok], cache=cache).data)
-        # the one-row matmuls may round differently from the full ones
-        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-12)
+        full = M.forward_logits(params, adapter, tokens).data
+        rows = [M.decode_logits(tiny_config, weights, cache, tokens[:10])]
+        for tok in tokens[10:]:
+            rows.append(M.decode_logits(tiny_config, weights, cache, [tok]))
+        # the folded weights and the one-row matmuls may round differently
+        np.testing.assert_allclose(np.stack(rows), full[9:], rtol=0, atol=1e-12)
         assert len(cache) == tiny_config.n_layers
         for k, v in cache:
             assert k.shape == v.shape == (len(tokens), tiny_config.d_model)
 
     def test_steps_write_into_one_buffer_per_layer(self, tiny_config, params):
-        cache = []
-        with T.no_grad():
-            M.forward_logits(params, None, [0, 4, 5], cache=cache)
-            bases = [(k.base, v.base) for k, v in cache]
-            keys = [k.copy() for k, _ in cache]
-            M.forward_logits(params, None, [6], cache=cache)
+        weights, cache = self._weights(params), []
+        M.decode_logits(tiny_config, weights, cache, [0, 4, 5])
+        bases = [(k.base, v.base) for k, v in cache]
+        keys = [k.copy() for k, _ in cache]
+        M.decode_logits(tiny_config, weights, cache, [6])
         for (k, v), (kb, vb), k_before in zip(cache, bases, keys):
             assert k.base is kb and v.base is vb
             assert kb.shape == (tiny_config.max_seq_len, tiny_config.d_model)
             assert np.array_equal(k[:3], k_before)  # earlier rows stay in place
 
-    def test_cache_needs_no_grad(self, params):
-        with pytest.raises(ContractError):
-            M.forward_logits(params, None, [0, 4], cache=[])
-
     def test_cache_overflow_rejected(self, tiny_config, params):
-        cache = []
-        with T.no_grad():
-            M.forward_logits(params, None, [0] * (tiny_config.max_seq_len - 1), cache=cache)
-            M.forward_logits(params, None, [4], cache=cache)  # exactly full
-            with pytest.raises(DataError):
-                M.forward_logits(params, None, [4], cache=cache)
+        weights, cache = self._weights(params), []
+        M.decode_logits(tiny_config, weights, cache, [0] * (tiny_config.max_seq_len - 1))
+        M.decode_logits(tiny_config, weights, cache, [4])  # exactly full
+        with pytest.raises(DataError):
+            M.decode_logits(tiny_config, weights, cache, [4])
 
 
 def test_init_params_is_seeded(tiny_config):
