@@ -170,11 +170,7 @@ def cmd_data_build(cfg):
         duplicate_docs=cfg.data.duplicate_docs,
     )
     kept_docs, _report = D.dedup_corpus(bundle["cpt_docs"], cfg.data.min_span)
-    stats = D.PipelineStats()
-    sft_examples = [D.standardize_instruction(rec, stats) for rec in bundle["sft_records"]]
-    if stats.rejected:  # the corpus is the program's own: a rejection is a defect
-        raise DataError(f"data build: {len(stats.rejected)} synthetic SFT records rejected "
-                        f"(first: {stats.rejected[0]})")
+    sft_examples = bundle["sft_examples"]
     pairs = [D.PreferencePair(d["prompt"], d["chosen"], d["rejected"])
              for d in bundle["dpo_records"]]
     # every text written below, and the MCQ prompts eval builds from it
@@ -219,10 +215,11 @@ def cmd_data_dedup(cfg, input_path=None, output_path=None):
     paths = _data_paths(cfg)
     input_path = input_path or paths["cpt"]
     output_path = output_path or input_path
-    records, _ = D.load_dataset(input_path, "cpt")
+    records, stats = _load_records(input_path, "cpt")
     kept, report = D.dedup_corpus(records, cfg.data.min_span)
     _write_jsonl([{"text": t} for t in kept], output_path)
-    print(f"kept {len(kept)}/{len(records)} docs, removed {len(report)} spans")
+    print(f"kept {len(kept)}/{len(records) + len(stats.rejected)} docs, "
+          f"removed {len(report)} spans")
     return 0
 
 
@@ -244,17 +241,17 @@ def _load_state(path, vocab):
     return state
 
 
-def _load_records(cfg, stage):
-    """One stage's training records; skipped malformed records are reported."""
-    records, stats = D.load_dataset(_data_paths(cfg)[stage], stage)
+def _load_records(path, schema):
+    """load_dataset's (records, stats); skipped malformed records are reported."""
+    records, stats = D.load_dataset(path, schema)
     if stats.rejected:
-        print(f"warning: {stage}: skipped {len(stats.rejected)} malformed records "
+        print(f"warning: {schema}: skipped {len(stats.rejected)} malformed records "
               f"(first: {stats.rejected[0]})", file=sys.stderr)
-    return records
+    return records, stats
 
 
 def _split_blocks(cfg, vocab):
-    records = _load_records(cfg, "cpt")
+    records, _ = _load_records(_data_paths(cfg)["cpt"], "cpt")
     blocks = D.pack_blocks(records, vocab, cfg.data.block_size)
     n_hold = max(1, int(len(blocks) * cfg.data.holdout_fraction))
     # The stream is ordered by disease, so a contiguous tail would keep the
@@ -279,7 +276,7 @@ def cmd_train(cfg, stage):
     else:
         prev = "cpt" if stage == "sft" else "sft"
         state = _load_state(_ckpt_path(cfg, prev), vocab)
-        dataset = _load_records(cfg, stage)
+        dataset, _ = _load_records(_data_paths(cfg)[stage], stage)
     log_path = os.path.join(cfg.paths.reports, f"{stage}_metrics.csv")
     os.makedirs(cfg.paths.reports, exist_ok=True)
     state, metrics = TR.run_stage(state, stage_cfg, dataset, vocab=vocab,
@@ -309,6 +306,13 @@ def _load_mcq_items(path):
         generated=obj.get("generated", ""), reference=obj.get("reference", "")))
 
 
+def _dialogue_pair(obj):
+    pair = (obj["prompt"], obj["reference"])
+    if not all(isinstance(t, str) for t in pair):
+        raise DataError("prompt and reference must be strings")
+    return pair
+
+
 def cmd_eval(cfg, kind, checkpoint):
     vocab = _load_vocab(cfg)
     state = _load_state(checkpoint, vocab) if checkpoint else None
@@ -327,8 +331,7 @@ def cmd_eval(cfg, kind, checkpoint):
                                   weighted_f1=E.weighted_f1(items))
         out = os.path.join(cfg.paths.reports, "mcq_report.json")
     else:
-        pairs = _read_eval_records(paths["dialogue"],
-                                   lambda obj: (obj["prompt"], obj["reference"]))
+        pairs = _read_eval_records(paths["dialogue"], _dialogue_pair)
         if state is None:
             raise ConfigError("eval dialogue requires --checkpoint")
         rendered = [(D.render_bare_prompt(p), r) for p, r in pairs]

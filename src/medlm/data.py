@@ -1,5 +1,6 @@
-"""Corpus construction: KG linearization, dialogue flattening, instruction
-standardization, exact-substring dedup, block packing and JSONL loading.
+"""Corpus construction: KG linearization, dialogue flattening, the SFT and
+preference record types, exact-substring dedup, block packing and JSONL
+loading.
 
 All stages are pure functions of their inputs and deterministic.
 """
@@ -10,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import model as M
-from .errors import DataError
+from .errors import DataError, field_errors
 
 # Relation labels rendered in this order; unknown labels sort after, lexicographic.
 KG_LABEL_ORDER = ("病因", "症状", "推荐用药")
@@ -20,16 +21,6 @@ PROMPT_Q = "Q:"
 PROMPT_A = "A:"
 
 MIN_RESIDUAL_TOKENS = 10  # docs shorter than this after span removal are dropped
-
-
-@dataclass(frozen=True)
-class QaRecord:
-    question: str
-    answer: str
-
-    def __post_init__(self):
-        if not self.question.strip() or not self.answer.strip():
-            raise DataError("QaRecord: question and answer must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -63,6 +54,11 @@ class SftExample:
     history: tuple = ()
 
     def __post_init__(self):
+        errors = [*field_errors(self).values(),
+                  *(f"history turn {i} must be strings" for i, turn in enumerate(self.history)
+                    if not all(isinstance(t, str) for t in turn))]
+        if errors:
+            raise DataError("SftExample: " + "; ".join(errors))
         if not self.instruction or not self.output:
             raise DataError("SftExample: instruction and output must be nonempty")
 
@@ -74,6 +70,9 @@ class PreferencePair:
     rejected: str
 
     def __post_init__(self):
+        errors = field_errors(self)
+        if errors:
+            raise DataError("PreferencePair: " + "; ".join(errors.values()))
         if not (self.prompt and self.preferred and self.rejected):
             raise DataError("PreferencePair: all fields must be nonempty")
         if self.preferred == self.rejected:
@@ -82,8 +81,6 @@ class PreferencePair:
 
 @dataclass
 class PipelineStats:
-    count: int = 0
-    warnings: int = 0
     rejected: list = field(default_factory=list)
 
 
@@ -99,11 +96,9 @@ def _canonical_relations(relations):
     return sorted(relations, key=key)
 
 
-def linearize_kg(entity, stats=None):
+def linearize_kg(entity):
     """One deterministic text per entity: name once, one sentence per label."""
     if not entity.relations:
-        if stats is not None:
-            stats.warnings += 1
         return f"{entity.name}。"
     by_label = {}
     for label, value in _canonical_relations(entity.relations):
@@ -115,67 +110,13 @@ def linearize_kg(entity, stats=None):
     return "".join(parts)
 
 
-def flatten_dialogue(dialogue, mode):
-    """pretrain_text -> speaker-tagged transcript; sft_multi_turn -> SftExamples."""
-    if mode == "pretrain_text":
-        lines = []
-        for speaker, utterance in dialogue.turns:
-            tag = PROMPT_Q if speaker == "patient" else PROMPT_A
-            lines.append(tag + utterance)
-        return "\n".join(lines)
-    if mode == "sft_multi_turn":
-        examples = []
-        history = []
-        for i in range(1, len(dialogue.turns), 2):
-            prompt = dialogue.turns[i - 1][1]
-            response = dialogue.turns[i][1]
-            examples.append(
-                SftExample(instruction=prompt, output=response, history=tuple(history))
-            )
-            history.append((prompt, response))
-        return examples
-    raise DataError(f"flatten_dialogue: unknown mode {mode!r}")
-
-
-def standardize_instruction(raw, stats=None):
-    """Map a source-tagged record into the uniform SFT schema.
-
-    Accepted kinds: qa, exam, dialogue, instruction, sft (already uniform).
-    Returns None (and logs a rejection) on unknown kinds.
-    """
-    kind = raw.get("kind")
-    try:
-        if kind == "qa":
-            return SftExample(instruction=raw["question"], output=raw["answer"])
-        if kind == "exam":
-            question = render_exam_question(raw["question"], raw.get("options"))
-            output = raw["answer"]
-            if raw.get("explanation"):
-                output = f"{output} {raw['explanation']}"
-            return SftExample(instruction=question, output=output)
-        if kind == "dialogue":
-            record = DialogueRecord(turns=tuple((s, u) for s, u in raw["turns"]))
-            return flatten_dialogue(record, "sft_multi_turn")[-1]
-        if kind == "instruction":
-            return SftExample(
-                instruction=raw["instruction"],
-                input=raw.get("input", ""),
-                output=raw["output"],
-            )
-        if kind == "sft":
-            return SftExample(
-                instruction=raw["instruction"],
-                input=raw.get("input", ""),
-                history=tuple((p, r) for p, r in raw.get("history", ())),
-                output=raw["output"],
-            )
-    except (KeyError, DataError) as exc:
-        if stats is not None:
-            stats.rejected.append(f"{kind}: {exc}")
-        return None
-    if stats is not None:
-        stats.rejected.append(f"unknown kind {kind!r}")
-    return None
+def flatten_dialogue(dialogue):
+    """Speaker-tagged transcript: 'Q:' before a patient turn, 'A:' before a doctor turn."""
+    lines = []
+    for speaker, utterance in dialogue.turns:
+        tag = PROMPT_Q if speaker == "patient" else PROMPT_A
+        lines.append(tag + utterance)
+    return "\n".join(lines)
 
 
 def render_turns(question, history=()):
@@ -187,8 +128,6 @@ def render_turns(question, history=()):
 
 def render_exam_question(question, options):
     """An exam question followed by its options, 'A.x B.y ...' in letter order."""
-    if not options:
-        return question
     return question + " " + " ".join(f"{k}.{v}" for k, v in sorted(options.items()))
 
 
@@ -295,7 +234,7 @@ def pack_blocks(docs, vocab, block_size):
 def _parse_cpt(obj):
     text = obj["text"]
     if not isinstance(text, str) or not text.strip():
-        raise DataError("cpt record: empty text")
+        raise DataError("cpt record: text must be a nonempty string")
     return text
 
 
@@ -359,7 +298,6 @@ def load_dataset(path, schema):
             records.append(parse(obj))
         except (KeyError, TypeError, ValueError, DataError) as exc:
             stats.rejected.append(f"line {lineno}: {exc}")
-    stats.count = len(records)
     return records, stats
 
 

@@ -19,7 +19,7 @@ from . import objectives as O
 from . import tensor as T
 from .atomic import atomic_write
 from .data import render_exam_question, render_turns
-from .errors import DataError
+from .errors import DataError, field_errors
 
 BLEU_EPS = 1e-9
 CHOICE_SEPARATORS = set("、,，/ ")
@@ -34,6 +34,12 @@ class McqItem:
     reference: str = ""  # optional explanation text
 
     def __post_init__(self):
+        errors = field_errors(self)
+        if errors:
+            raise DataError("McqItem: " + "; ".join(errors.values()))
+        if not (isinstance(self.options, dict)
+                and all(isinstance(t, str) for t in (*self.options, *self.options.values()))):
+            raise DataError("McqItem: options must map letters to strings")
         if len(self.options) < 2:
             raise DataError("McqItem: need at least 2 options")
         if not set(self.gold) <= set(self.options):

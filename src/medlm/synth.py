@@ -2,8 +2,10 @@
 
 Templated disease facts, QA, dialogues, exam items and preference pairs
 so training and evaluation runs need no external data. Everything is a
-deterministic function of the seed. Rejected preference responses are
-deliberately degraded (wrong drug or an unhelpful stock reply).
+deterministic function of the seed. SFT examples are built here; the
+CPT text of a QA pair or exam item is ``record_text`` of its example.
+Rejected preference responses are deliberately degraded (wrong drug or
+an unhelpful stock reply).
 
 Coverage is staged on purpose: knowledge, QA and dialogue text exists
 for every disease, but exam-formatted text enters pre-training for the
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DialogueRecord, KgEntity, QaRecord, flatten_dialogue, linearize_kg,
-                   render_exam_question, render_turns)
+from .data import (DialogueRecord, KgEntity, SftExample, flatten_dialogue, linearize_kg,
+                   record_text, render_exam_question)
 
 # single distinct leading character per disease name
 _NUMERALS = ["一", "二", "三", "四", "五", "六", "七", "八", "九", "十",
@@ -61,11 +63,11 @@ def _kg_entity(d):
     return KgEntity(name=d.name, relations=tuple(relations))
 
 
-def _qa_records(d):
+def _qa_examples(d):
     return [
-        QaRecord(f"{d.name}有什么症状？", f"{d.name}的症状是{'、'.join(d.symptoms)}。"),
-        QaRecord(f"{d.name}的病因是什么？", f"{d.name}的病因是{d.cause}。"),
-        QaRecord(f"{d.name}应该吃什么药？", f"推荐服用{d.drug}。"),
+        SftExample(f"{d.name}有什么症状？", f"{d.name}的症状是{'、'.join(d.symptoms)}。"),
+        SftExample(f"{d.name}的病因是什么？", f"{d.name}的病因是{d.cause}。"),
+        SftExample(f"{d.name}应该吃什么药？", f"推荐服用{d.drug}。"),
     ]
 
 
@@ -90,16 +92,8 @@ def exam_item(d, seed_offset=0):
     return {"question": f"{d.name}的推荐用药是？", "options": options, "gold": gold}
 
 
-def _exam_question_text(item):
-    return render_exam_question(item["question"], item["options"])
-
-
-def exam_text(item):
-    return render_turns(_exam_question_text(item)) + item["gold"]
-
-
 def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
-    """Returns dict with cpt docs, sft records, dpo records and mcq items.
+    """Returns dict with cpt docs, SftExamples, dpo records and mcq items.
 
     duplicate_docs controls how many CPT docs are repeated verbatim so the
     dedup stage has real work to do.
@@ -108,27 +102,25 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
     half = n_diseases // 2
 
     cpt_docs = []
-    sft_records = []
+    sft_examples = []
+    exam_examples = []
     dpo_records = []
     mcq_items = []
 
     for i, d in enumerate(diseases):
-        cpt_docs.append(linearize_kg(_kg_entity(d)))
-        for qa in _qa_records(d):
-            cpt_docs.append(render_turns(qa.question) + qa.answer)
-        cpt_docs.append(flatten_dialogue(_dialogue(d), "pretrain_text"))
-
+        qa_examples = _qa_examples(d)
         item = exam_item(d, seed_offset=i)
+        exam = SftExample(render_exam_question(item["question"], item["options"]), item["gold"])
+        cpt_docs.append(linearize_kg(_kg_entity(d)))
+        cpt_docs.extend(record_text(ex) for ex in qa_examples)
+        cpt_docs.append(flatten_dialogue(_dialogue(d)))
         if i < half:
-            cpt_docs.append(exam_text(item))
+            cpt_docs.append(record_text(exam))
         mcq_items.append(item)
+        exam_examples.append(exam)
 
         # SFT covers everything, exam items included
-        for qa in _qa_records(d):
-            sft_records.append({"kind": "qa", "question": qa.question,
-                                "answer": qa.answer})
-        sft_records.append({"kind": "exam", "question": item["question"],
-                            "options": item["options"], "answer": item["gold"]})
+        sft_examples += [*qa_examples, exam]
 
         wrong = diseases[(i + 1) % n_diseases].drug
         dpo_records.append({
@@ -139,12 +131,10 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
 
     # exam items again with two prior exam turns as history, so answering
     # works at few-shot prompt offsets too
-    for i in range(n_diseases):
-        shots = [mcq_items[(i - 2) % n_diseases], mcq_items[(i - 1) % n_diseases]]
-        history = [[_exam_question_text(s), s["gold"]] for s in shots]
-        sft_records.append({"kind": "sft",
-                            "instruction": _exam_question_text(mcq_items[i]),
-                            "history": history, "output": mcq_items[i]["gold"]})
+    for i, exam in enumerate(exam_examples):
+        shots = [exam_examples[(i - 2) % n_diseases], exam_examples[(i - 1) % n_diseases]]
+        history = tuple((s.instruction, s.output) for s in shots)
+        sft_examples.append(SftExample(exam.instruction, exam.output, history=history))
 
     rng = np.random.default_rng(seed + 7)
     for _ in range(duplicate_docs):
@@ -157,7 +147,7 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
     return {
         "diseases": diseases,
         "cpt_docs": cpt_docs,
-        "sft_records": sft_records,
+        "sft_examples": sft_examples,
         "dpo_records": dpo_records,
         "mcq_items": mcq_items,
         "dialogue_eval": dialogue_eval,

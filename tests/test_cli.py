@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from medlm import cli
+from medlm import data as D
 from medlm import model as M
 from medlm import synth
+from medlm import trainer as TR
 from medlm.errors import ConfigError
 
 SYNTHETIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
@@ -230,19 +232,27 @@ class TestDataCommands:
         assert set(first) == {"prompt", "chosen", "rejected"}
 
     def test_build_fails_on_a_rejected_record(self, tmp_path, capsys, monkeypatch):
-        build_corpus = synth.build_corpus
+        make_diseases = synth.make_diseases
 
-        def with_mystery(**kwargs):
-            bundle = build_corpus(**kwargs)
-            bundle["sft_records"].append({"kind": "mystery"})
-            return bundle
+        def with_a_nameless_disease(n, seed):
+            diseases = make_diseases(n, seed)
+            diseases[1] = dataclasses.replace(diseases[1], name="")
+            return diseases
 
-        monkeypatch.setattr(synth, "build_corpus", with_mystery)
+        monkeypatch.setattr(synth, "make_diseases", with_a_nameless_disease)
         path = _write_config(tmp_path)
         assert cli.main(["--config", str(path), "data", "build"]) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "mystery" in err
+        assert err.count("error:") == 1 and "empty name" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
+
+    def test_sft_jsonl_round_trips(self, tmp_path):
+        path = _write_config(tmp_path)
+        assert cli.main(["--config", str(path), "data", "build"]) == 0
+        examples, stats = D.load_dataset(tmp_path / "data" / "sft.jsonl", "sft")
+        bundle = synth.build_corpus(n_diseases=4, seed=0, duplicate_docs=1)
+        assert examples == bundle["sft_examples"] and stats.rejected == []
 
     def test_dedup_is_idempotent(self, tmp_path, capsys):
         path = _write_config(tmp_path)
@@ -251,6 +261,19 @@ class TestDataCommands:
         before = cpt.read_text("utf-8")
         assert cli.main(["--config", str(path), "data", "dedup"]) == 0
         assert cpt.read_text("utf-8") == before  # build already deduped
+
+    def test_dedup_reports_skipped_records(self, tmp_path, capsys):
+        path = _write_config(tmp_path)
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in [
+            {"text": "第一段足够长的文本内容"}, {"text": ""}, {"text": 42},
+            {"text": "第二段足够长的文本内容"}]), encoding="utf-8")
+        assert cli.main(["--config", str(path), "data", "dedup", "--input", str(docs)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: cpt: skipped 2 malformed records "
+                       "(first: line 2: cpt record: text must be a nonempty string)\n")
+        assert out.startswith("kept 2/4 docs")
+        assert len(docs.read_text("utf-8").splitlines()) == 2
 
 
 class TestPipelineCommands:
@@ -301,6 +324,23 @@ class TestPipelineCommands:
                 in err)
         assert (tmp_path / "ckpt" / "sft.ckpt").exists()
 
+    @pytest.mark.parametrize("stage, record", [
+        ("sft", {"instruction": "q", "output": 5}),
+        ("dpo", {"prompt": "p", "chosen": 7, "rejected": "r"}),
+    ], ids=["sft-output-int", "dpo-chosen-int"])
+    def test_train_skips_non_string_text(self, built, tmp_path, capsys, stage, record):
+        path = tmp_path / "data" / f"{stage}.jsonl"
+        n_good = len(path.read_text("utf-8").splitlines())
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        for prev in ("cpt", "sft")[: TR.STAGES.index(stage)]:
+            assert cli.main(["--config", str(built), "train", prev]) == 0
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), "train", stage]) == 0
+        err = capsys.readouterr().err
+        assert (f"warning: {stage}: skipped 1 malformed records (first: line {n_good + 1}: "
+                in err) and "must be a string" in err
+
     def test_sft_without_cpt_checkpoint_fails_cleanly(self, built):
         assert cli.main(["--config", str(built), "train", "sft"]) == 1
 
@@ -340,23 +380,33 @@ class TestPipelineCommands:
         assert err.startswith("error: ") and f"truncated header at offset {len(blob)}" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("name, content, command", [
+    @pytest.mark.parametrize("name, content, command, message", [
         ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "B": "b"}, "gold": "A"}\n{"q',
-         ["eval", "mcq"]),
-        ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "B": "b"}}\n', ["eval", "mcq"]),
-        ("dialogue_eval.jsonl", b'{"prompt": "p"}\n', ["eval", "dialogue"]),
+         ["eval", "mcq"], "mcq.jsonl:2: malformed JSONL line"),
+        ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "B": "b"}}\n', ["eval", "mcq"],
+         "mcq.jsonl:1: bad record"),
+        ("dialogue_eval.jsonl", b'{"prompt": "p"}\n', ["eval", "dialogue"],
+         "dialogue_eval.jsonl:1: bad record"),
         ("sft.jsonl", b'{"instruction": "q", "output": "a", "history": [["q0"]]}\n',
-         ["train", "sft"]),
-        ("cpt.jsonl", b'{"text": "\xff"}\n', ["train", "cpt"]),
+         ["train", "sft"], "sft: empty dataset"),
+        ("cpt.jsonl", b'{"text": "\xff"}\n', ["train", "cpt"], "cpt.jsonl:1: malformed JSONL line"),
+        ("mcq.jsonl", b'{"question": 12, "options": {"A": "a", "B": "b"}, "gold": "A"}\n',
+         ["eval", "mcq"], "mcq.jsonl:1: bad record (DataError('McqItem: question must be a string"),
+        ("mcq.jsonl", b'{"question": "q", "options": "AB", "gold": "A"}\n', ["eval", "mcq"],
+         "mcq.jsonl:1: bad record (DataError('McqItem: options must map letters to strings"),
+        ("dialogue_eval.jsonl", b'{"prompt": "p", "reference": 5}\n', ["eval", "dialogue"],
+         "dialogue_eval.jsonl:1: bad record (DataError('prompt and reference must be strings"),
     ], ids=["mcq-malformed-line", "mcq-without-gold", "dialogue-without-reference",
-            "sft-history-not-a-pair", "not-utf8"])
-    def test_bad_jsonl_fails_cleanly(self, built, tmp_path, capsys, name, content, command):
+            "sft-history-not-a-pair", "not-utf8", "mcq-question-int", "mcq-options-str",
+            "dialogue-reference-int"])
+    def test_bad_jsonl_fails_cleanly(self, built, tmp_path, capsys, name, content, command,
+                                     message):
         assert cli.main(["--config", str(built), "train", "cpt"]) == 0
         (tmp_path / "data" / name).write_bytes(content)
         capsys.readouterr()
         assert cli.main(["--config", str(built), *command]) == 1
         err = capsys.readouterr().err
-        assert "error: " in err and "Traceback" not in err
+        assert "error: " in err and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", [["train", "cpt"],
                                          ["generate", "--checkpoint", "x.ckpt", "--prompt", "一"]])

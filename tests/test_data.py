@@ -35,11 +35,8 @@ class TestKgLinearization:
         text = D.linearize_kg(entity)
         assert text.index("病因") < text.index("其他")
 
-    def test_empty_relations_warns(self):
-        stats = D.PipelineStats()
-        text = D.linearize_kg(D.KgEntity(name="X", relations=()), stats=stats)
-        assert text == "X。"
-        assert stats.warnings == 1
+    def test_empty_relations_give_the_name_alone(self):
+        assert D.linearize_kg(D.KgEntity(name="X", relations=())) == "X。"
 
 
 class TestDialogue:
@@ -50,67 +47,12 @@ class TestDialogue:
         ))
 
     def test_pretrain_text(self):
-        text = D.flatten_dialogue(self._dlg(), "pretrain_text")
+        text = D.flatten_dialogue(self._dlg())
         assert text == "Q:我头痛\nA:可能是感冒\nQ:吃什么药\nA:推荐药A"
-
-    def test_sft_multi_turn_carries_history(self):
-        examples = D.flatten_dialogue(self._dlg(), "sft_multi_turn")
-        assert len(examples) == 2
-        assert examples[0].history == ()
-        assert examples[1].history == (("我头痛", "可能是感冒"),)
-        assert examples[1].instruction == "吃什么药"
-        assert examples[1].output == "推荐药A"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DataError):
-            D.flatten_dialogue(self._dlg(), "nope")
 
     def test_non_alternating_speakers_rejected(self):
         with pytest.raises(DataError, match="turn 1"):
             D.DialogueRecord(turns=(("patient", "a"), ("patient", "b")))
-
-
-class TestStandardize:
-    def test_qa(self):
-        ex = D.standardize_instruction({"kind": "qa", "question": "q?", "answer": "a."})
-        assert ex == D.SftExample(instruction="q?", output="a.")
-
-    def test_exam_renders_options(self):
-        ex = D.standardize_instruction({
-            "kind": "exam", "question": "哪个药？",
-            "options": {"B": "药B", "A": "药A"}, "answer": "A",
-        })
-        assert ex.instruction == "哪个药？ A.药A B.药B"
-        assert ex.output == "A"
-
-    def test_dialogue_takes_last_turn(self):
-        ex = D.standardize_instruction({
-            "kind": "dialogue",
-            "turns": [["patient", "头痛"], ["doctor", "感冒"],
-                      ["patient", "吃什么"], ["doctor", "药A"]],
-        })
-        assert ex.instruction == "吃什么"
-        assert ex.history == (("头痛", "感冒"),)
-
-    def test_idempotent_via_sft_kind(self):
-        raw = {"kind": "sft", "instruction": "q", "input": "x",
-               "history": [["h", "r"]], "output": "a"}
-        ex = D.standardize_instruction(raw)
-        again = D.standardize_instruction({
-            "kind": "sft", "instruction": ex.instruction, "input": ex.input,
-            "history": [list(h) for h in ex.history], "output": ex.output,
-        })
-        assert again == ex
-
-    def test_unknown_kind_logged(self):
-        stats = D.PipelineStats()
-        assert D.standardize_instruction({"kind": "mystery"}, stats) is None
-        assert stats.rejected and "mystery" in stats.rejected[0]
-
-    def test_missing_field_logged_not_raised(self):
-        stats = D.PipelineStats()
-        assert D.standardize_instruction({"kind": "qa", "question": "q"}, stats) is None
-        assert len(stats.rejected) == 1
 
 
 class TestRenderPrompt:
@@ -206,7 +148,7 @@ class TestLoadDataset:
     def test_cpt_schema(self, tmp_path):
         path = self._write(tmp_path, [json.dumps({"text": "一段文本"})])
         records, stats = D.load_dataset(path, "cpt")
-        assert records == ["一段文本"] and stats.count == 1
+        assert records == ["一段文本"] and stats.rejected == []
 
     def test_sft_schema_with_history(self, tmp_path):
         obj = {"instruction": "q", "input": "", "history": [["h", "r"]], "output": "a"}
@@ -229,10 +171,28 @@ class TestLoadDataset:
         path = self._write(tmp_path, [
             json.dumps({"text": "ok这是文本"}),
             json.dumps({"text": "   "}),
+            json.dumps({"text": 42}),
         ])
         records, stats = D.load_dataset(path, "cpt")
         assert len(records) == 1
-        assert stats.rejected and "line 2" in stats.rejected[0]
+        assert len(stats.rejected) == 2
+        assert "line 2" in stats.rejected[0] and "line 3" in stats.rejected[1]
+
+    @pytest.mark.parametrize("schema, obj", [
+        ("sft", {"instruction": "q", "output": 5}),
+        ("sft", {"instruction": ["a"], "output": "b"}),
+        ("sft", {"instruction": "q", "input": 3, "output": "a"}),
+        ("sft", {"instruction": "q", "history": [["h", 1]], "output": "a"}),
+        ("dpo", {"prompt": "p", "chosen": 7, "rejected": "r"}),
+        ("dpo", {"prompt": None, "chosen": "c", "rejected": "r"}),
+    ], ids=["sft-output-int", "sft-instruction-list", "sft-input-int",
+            "sft-history-int", "dpo-chosen-int", "dpo-prompt-null"])
+    def test_non_string_text_is_skipped_and_logged(self, tmp_path, schema, obj):
+        path = self._write(tmp_path, [json.dumps(obj)])
+        records, stats = D.load_dataset(path, schema)
+        assert records == []
+        assert len(stats.rejected) == 1
+        assert "line 1" in stats.rejected[0] and "string" in stats.rejected[0]
 
     def test_unknown_schema(self, tmp_path):
         path = self._write(tmp_path, ["{}"])
@@ -252,3 +212,18 @@ def test_preference_pair_invariants():
         D.PreferencePair(prompt="p", preferred="same", rejected="same")
     with pytest.raises(DataError):
         D.PreferencePair(prompt="", preferred="a", rejected="b")
+    with pytest.raises(DataError, match="preferred must be a string, got 7"):
+        D.PreferencePair(prompt="p", preferred=7, rejected="r")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"instruction": "", "output": "a"}, "nonempty"),
+    ({"instruction": "q", "output": 5}, "output must be a string, got 5"),
+    ({"instruction": ["a"], "output": "b"}, "instruction must be a string"),
+    ({"instruction": "q", "output": "a", "input": None}, "input must be a string"),
+    ({"instruction": "q", "output": "a", "history": (("h", "r"), ("h", 2))},
+     "history turn 1 must be strings"),
+], ids=["instruction-empty", "output-int", "instruction-list", "input-null", "history-int"])
+def test_sft_example_invariants(fields, message):
+    with pytest.raises(DataError, match=message):
+        D.SftExample(**fields)

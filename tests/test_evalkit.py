@@ -19,6 +19,22 @@ def _item(gold, generated, options=None):
                      generated=generated)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"options": {"A": "甲"}}, "at least 2 options"),
+    ({"gold": frozenset("E")}, "gold letters outside"),
+    ({"question": 12}, "question must be a string, got 12"),
+    ({"generated": None}, "generated must be a string"),
+    ({"options": "AB"}, "options must map letters to strings"),
+    ({"options": {"A": "甲", "B": 5}}, "options must map letters to strings"),
+], ids=["one-option", "gold-outside", "question-int", "generated-null", "options-str",
+        "option-int"])
+def test_mcq_item_invariants(fields, message):
+    given = {"question": "q?", "options": {"A": "甲", "B": "乙"}, "gold": frozenset("A"),
+             **fields}
+    with pytest.raises(DataError, match=message):
+        E.McqItem(**given)
+
+
 class TestExtractChoice:
     def test_single_letter(self):
         assert E.extract_choice("A", "ABCD") == {"A"}

@@ -14,7 +14,7 @@ def test_build_corpus_is_deterministic():
     a = synth.build_corpus(n_diseases=6, seed=3)
     b = synth.build_corpus(n_diseases=6, seed=3)
     assert a["cpt_docs"] == b["cpt_docs"]
-    assert a["sft_records"] == b["sft_records"]
+    assert a["sft_examples"] == b["sft_examples"]
     assert a["dpo_records"] == b["dpo_records"]
     assert a["mcq_items"] == b["mcq_items"]
 
@@ -93,5 +93,6 @@ def test_exam_format_split_between_stages():
     bundle = synth.build_corpus(n_diseases=n, seed=0, duplicate_docs=0)
     exam_docs = [doc for doc in bundle["cpt_docs"] if "A." in doc]
     assert len(exam_docs) == n // 2
-    exam_records = [r for r in bundle["sft_records"] if r["kind"] == "exam"]
-    assert len(exam_records) == n
+    exam_examples = [ex for ex in bundle["sft_examples"]
+                     if " A." in ex.instruction and not ex.history]
+    assert len(exam_examples) == n
