@@ -105,8 +105,9 @@ def validate_config(path):
             seed = int(env_seed)
         except ValueError:
             errors.append(f"QILIN_SEED: not an integer: {env_seed!r}")
-    if type(seed) is not int:
-        errors.append("seed: must be an integer")
+    if type(seed) is not int or seed < 0:  # numpy's generators take no negative seed
+        errors.append(f"seed: must be an integer in [0, inf), got {seed!r}")
+        seed = 0  # reported here once, not again by every stage that inherits it
 
     def build(where, make, *args, **given):
         try:
@@ -148,7 +149,8 @@ def validate_config(path):
 
 
 def _write_jsonl(records, path):
-    atomic_write("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), path)
+    atomic_write("".join(json.dumps(D.to_json(r), ensure_ascii=False) + "\n" for r in records),
+                 path)
 
 
 def _data_paths(cfg):
@@ -165,47 +167,24 @@ def _data_paths(cfg):
 
 
 def cmd_data_build(cfg):
-    bundle = synth.build_corpus(
+    corpus = synth.build_corpus(
         n_diseases=cfg.data.n_diseases, seed=cfg.seed,
         duplicate_docs=cfg.data.duplicate_docs,
     )
-    kept_docs, _report = D.dedup_corpus(bundle["cpt_docs"], cfg.data.min_span)
-    sft_examples = bundle["sft_examples"]
-    pairs = [D.PreferencePair(d["prompt"], d["chosen"], d["rejected"])
-             for d in bundle["dpo_records"]]
+    corpus["cpt"], _report = D.dedup_corpus(corpus["cpt"], cfg.data.min_span)
     # every text written below, and the MCQ prompts eval builds from it
-    vocab = M.build_vocab(
-        [D.record_text(r) for r in (*kept_docs, *sft_examples, *pairs)]
-        + [D.render_exam_question(it["question"], it["options"]) + it["gold"]
-           for it in bundle["mcq_items"]]
-        + [p + r for p, r in bundle["dialogue_eval"]])
+    vocab = M.build_vocab([D.record_text(r) for records in corpus.values() for r in records])
 
     paths = _data_paths(cfg)
     os.makedirs(cfg.paths.data, exist_ok=True)
-    _write_jsonl([{"text": t} for t in kept_docs], paths["cpt"])
-    _write_jsonl(
-        [{"instruction": ex.instruction, "input": ex.input,
-          "history": [list(h) for h in ex.history], "output": ex.output}
-         for ex in sft_examples],
-        paths["sft"],
-    )
-    _write_jsonl(bundle["dpo_records"], paths["dpo"])
-    _write_jsonl(
-        [{"id": i, "question": it["question"], "options": it["options"],
-          "gold": it["gold"], "generated": ""}
-         for i, it in enumerate(bundle["mcq_items"])],
-        paths["mcq"],
-    )
-    _write_jsonl(
-        [{"prompt": p, "reference": r, "generated": ""}
-         for p, r in bundle["dialogue_eval"]],
-        paths["dialogue"],
-    )
+    for kind, records in corpus.items():
+        _write_jsonl(records, paths[kind])
     M.save_vocab(vocab, paths["vocab"])
 
-    rows = [(name, len(records), sum(len(M.encode(vocab, D.record_text(r))) for r in records),
-             os.path.getsize(paths[name]))
-            for name, records in (("cpt", kept_docs), ("sft", sft_examples), ("dpo", pairs))]
+    rows = [(kind, len(corpus[kind]),
+             sum(len(M.encode(vocab, D.record_text(r))) for r in corpus[kind]),
+             os.path.getsize(paths[kind]))
+            for kind in ("cpt", "sft", "dpo")]
     atomic_write(D.stats_table(rows) + "\n", paths["stats"])
     print(D.stats_table(rows))
     return 0
@@ -217,7 +196,7 @@ def cmd_data_dedup(cfg, input_path=None, output_path=None):
     output_path = output_path or input_path
     records, stats = _load_records(input_path, "cpt")
     kept, report = D.dedup_corpus(records, cfg.data.min_span)
-    _write_jsonl([{"text": t} for t in kept], output_path)
+    _write_jsonl(kept, output_path)
     print(f"kept {len(kept)}/{len(records) + len(stats.rejected)} docs, "
           f"removed {len(report)} spans")
     return 0
@@ -248,6 +227,15 @@ def _load_records(path, schema):
         print(f"warning: {schema}: skipped {len(stats.rejected)} malformed records "
               f"(first: {stats.rejected[0]})", file=sys.stderr)
     return records, stats
+
+
+def _load_eval_records(path, schema):
+    """load_dataset's records; an eval set is scored whole, so a rejected
+    record is an error naming its file and line."""
+    records, stats = D.load_dataset(path, schema)
+    if stats.rejected:
+        raise DataError(stats.rejected[0])
+    return records
 
 
 def _split_blocks(cfg, vocab):
@@ -288,40 +276,15 @@ def cmd_train(cfg, stage):
     return 0
 
 
-def _read_eval_records(path, make):
-    """make(obj) for each record of an eval JSONL file; a record it cannot
-    be made from raises DataError naming the file and line."""
-    records = []
-    for lineno, obj in D.read_jsonl(path):
-        try:
-            records.append(make(obj))
-        except (KeyError, TypeError, DataError) as exc:
-            raise DataError(f"{path}:{lineno}: bad record ({exc!r})") from None
-    return records
-
-
-def _load_mcq_items(path):
-    return _read_eval_records(path, lambda obj: E.McqItem(
-        question=obj["question"], options=obj["options"], gold=frozenset(obj["gold"]),
-        generated=obj.get("generated", ""), reference=obj.get("reference", "")))
-
-
-def _dialogue_pair(obj):
-    pair = (obj["prompt"], obj["reference"])
-    if not all(isinstance(t, str) for t in pair):
-        raise DataError("prompt and reference must be strings")
-    return pair
-
-
 def cmd_eval(cfg, kind, checkpoint):
     vocab = _load_vocab(cfg)
     state = _load_state(checkpoint, vocab) if checkpoint else None
     paths = _data_paths(cfg)
     os.makedirs(cfg.paths.reports, exist_ok=True)
     if kind == "mcq":
-        items = _load_mcq_items(paths["mcq"])
+        items = _load_eval_records(paths["mcq"], "mcq")
         if state is not None:
-            exemplars = [(E.render_mcq_question(it), "".join(sorted(it.gold)))
+            exemplars = [(E.render_mcq_question(it), it.answer)
                          for it in items[: cfg.eval.few_shot_k]]
             spec = E.FewShotSpec(exemplars=exemplars)
             report = E.evaluate_mcq(state, vocab, items, spec, max_new_tokens=4)
@@ -331,7 +294,7 @@ def cmd_eval(cfg, kind, checkpoint):
                                   weighted_f1=E.weighted_f1(items))
         out = os.path.join(cfg.paths.reports, "mcq_report.json")
     else:
-        pairs = _read_eval_records(paths["dialogue"], _dialogue_pair)
+        pairs = _load_eval_records(paths["dialogue"], "dialogue")
         if state is None:
             raise ConfigError("eval dialogue requires --checkpoint")
         rendered = [(D.render_bare_prompt(p), r) for p, r in pairs]

@@ -1,6 +1,6 @@
-"""Corpus construction: KG linearization, dialogue flattening, the SFT and
-preference record types, exact-substring dedup, block packing and JSONL
-loading.
+"""Corpus construction: KG linearization, dialogue flattening, the record
+types of the five corpus files and their one JSONL codec, exact-substring
+dedup and block packing.
 
 All stages are pure functions of their inputs and deterministic.
 """
@@ -55,8 +55,9 @@ class SftExample:
 
     def __post_init__(self):
         errors = [*field_errors(self).values(),
-                  *(f"history turn {i} must be strings" for i, turn in enumerate(self.history)
-                    if not all(isinstance(t, str) for t in turn))]
+                  *(f"history turn {i} must be two strings" for i, turn in enumerate(self.history)
+                    if not (isinstance(turn, tuple) and len(turn) == 2
+                            and all(isinstance(t, str) for t in turn)))]
         if errors:
             raise DataError("SftExample: " + "; ".join(errors))
         if not self.instruction or not self.output:
@@ -77,6 +78,37 @@ class PreferencePair:
             raise DataError("PreferencePair: all fields must be nonempty")
         if self.preferred == self.rejected:
             raise DataError("PreferencePair: preferred == rejected")
+
+
+@dataclass
+class McqItem:
+    question: str
+    options: dict  # letter -> text
+    gold: frozenset  # of letters
+    generated: str = ""
+    reference: str = ""  # optional explanation text
+
+    def __post_init__(self):
+        errors = field_errors(self)
+        if errors:
+            raise DataError("McqItem: " + "; ".join(errors.values()))
+        if not (isinstance(self.options, dict)
+                and all(isinstance(t, str) for t in (*self.options, *self.options.values()))):
+            raise DataError("McqItem: options must map letters to strings")
+        if len(self.options) < 2:
+            raise DataError("McqItem: need at least 2 options")
+        # extract_choice reads an answer one character at a time
+        if any(len(letter) != 1 for letter in self.options):
+            raise DataError("McqItem: option letters must be single characters")
+        if not self.gold:
+            raise DataError("McqItem: gold names no letter")
+        if not set(self.gold) <= set(self.options):
+            raise DataError("McqItem: gold letters outside option letters")
+
+    @property
+    def answer(self):
+        """The gold letters in letter order, as an answer is written."""
+        return "".join(sorted(self.gold))
 
 
 @dataclass
@@ -239,10 +271,13 @@ def _parse_cpt(obj):
 
 
 def _parse_sft(obj):
+    history = obj.get("history", [])
+    if not (isinstance(history, list) and all(isinstance(turn, list) for turn in history)):
+        raise DataError("sft record: history must be a list of [question, answer] lists")
     return SftExample(
         instruction=obj["instruction"],
         input=obj.get("input", ""),
-        history=tuple((p, r) for p, r in obj.get("history", ())),
+        history=tuple(map(tuple, history)),
         output=obj["output"],
     )
 
@@ -253,24 +288,69 @@ def _parse_dpo(obj):
     )
 
 
-_PARSERS = {"cpt": _parse_cpt, "sft": _parse_sft, "dpo": _parse_dpo}
+def _parse_mcq(obj):
+    return McqItem(question=obj["question"], options=obj["options"], gold=frozenset(obj["gold"]),
+                   generated=obj.get("generated", ""), reference=obj.get("reference", ""))
+
+
+def _parse_dialogue(obj):
+    pair = (obj["prompt"], obj["reference"])
+    if not all(isinstance(t, str) for t in pair):
+        raise DataError("dialogue record: prompt and reference must be strings")
+    return pair
+
+
+_PARSERS = {"cpt": _parse_cpt, "sft": _parse_sft, "dpo": _parse_dpo, "mcq": _parse_mcq,
+            "dialogue": _parse_dialogue}
+
+
+def to_json(record):
+    """The JSONL object of a record of any file kind, which load_dataset
+    parses back (an MCQ item's optional reference is read, not written)."""
+    if isinstance(record, str):
+        return {"text": record}
+    if isinstance(record, SftExample):
+        return {"instruction": record.instruction, "input": record.input,
+                "history": [list(turn) for turn in record.history], "output": record.output}
+    if isinstance(record, PreferencePair):
+        return {"prompt": record.prompt, "chosen": record.preferred, "rejected": record.rejected}
+    if isinstance(record, McqItem):
+        return {"question": record.question, "options": record.options,
+                "gold": record.answer, "generated": record.generated}
+    if isinstance(record, tuple):  # a dialogue eval (prompt, reference)
+        return {"prompt": record[0], "reference": record[1], "generated": ""}
+    raise DataError(f"to_json: unsupported record {type(record)}")
 
 
 def record_text(record):
-    """All text carried by a record, for token accounting."""
+    """All text carried by a record, for token accounting and the vocabulary;
+    an MCQ item's is its question as eval prompts it, then its answer."""
     if isinstance(record, str):
         return record
     if isinstance(record, SftExample):
         return render_prompt(record) + record.output
     if isinstance(record, PreferencePair):
         return record.prompt + record.preferred + record.rejected
+    if isinstance(record, McqItem):
+        return render_exam_question(record.question, record.options) + record.answer
+    if isinstance(record, tuple):
+        return record[0] + record[1]
     raise DataError(f"record_text: unsupported record {type(record)}")
 
 
-def read_jsonl(path):
-    """(line number, parsed JSON value) for each non-blank line of a JSONL
-    file; a line that is not UTF-8 or not JSON raises DataError naming the
-    file and line."""
+def load_dataset(path, schema):
+    """The records of a JSONL file of one kind (cpt, sft, dpo, mcq or
+    dialogue); returns (records, PipelineStats).
+
+    A line that is not UTF-8 or not JSON raises DataError naming the file
+    and line; a record that fails its invariants is skipped and logged to
+    stats.rejected as "file:line: bad record (...)".
+    """
+    if schema not in _PARSERS:
+        raise DataError(f"load_dataset: unknown schema {schema!r}")
+    parse = _PARSERS[schema]
+    records = []
+    stats = PipelineStats()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -279,25 +359,10 @@ def read_jsonl(path):
                 obj = json.loads(raw.decode("utf-8"))
             except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
                 raise DataError(f"{path}:{lineno}: malformed JSONL line ({exc})") from None
-            yield lineno, obj
-
-
-def load_dataset(path, schema):
-    """Read one-JSON-record-per-line; returns (records, PipelineStats).
-
-    A malformed line raises DataError naming the line number; a record
-    that fails its invariants is logged to stats.rejected and skipped.
-    """
-    if schema not in _PARSERS:
-        raise DataError(f"load_dataset: unknown schema {schema!r}")
-    parse = _PARSERS[schema]
-    records = []
-    stats = PipelineStats()
-    for lineno, obj in read_jsonl(path):
-        try:
-            records.append(parse(obj))
-        except (KeyError, TypeError, ValueError, DataError) as exc:
-            stats.rejected.append(f"line {lineno}: {exc}")
+            try:
+                records.append(parse(obj))
+            except (KeyError, TypeError, ValueError, DataError) as exc:
+                stats.rejected.append(f"{path}:{lineno}: bad record ({exc!r})")
     return records, stats
 
 

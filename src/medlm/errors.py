@@ -15,10 +15,6 @@ class ContractError(MedlmError):
     """An operation was called outside its contract (e.g. backward on a non-scalar)."""
 
 
-class EvaluationError(MedlmError):
-    """A checked numeric evaluation produced a non-finite result."""
-
-
 class VocabError(MedlmError):
     """Unknown symbol or invalid vocabulary input."""
 

@@ -18,32 +18,11 @@ from . import model as M
 from . import objectives as O
 from . import tensor as T
 from .atomic import atomic_write
-from .data import render_exam_question, render_turns
-from .errors import DataError, field_errors
+from .data import McqItem, render_exam_question, render_turns  # noqa: F401 (McqItem: re-exported)
+from .errors import DataError
 
 BLEU_EPS = 1e-9
 CHOICE_SEPARATORS = set("、,，/ ")
-
-
-@dataclass
-class McqItem:
-    question: str
-    options: dict  # letter -> text
-    gold: frozenset  # of letters
-    generated: str = ""
-    reference: str = ""  # optional explanation text
-
-    def __post_init__(self):
-        errors = field_errors(self)
-        if errors:
-            raise DataError("McqItem: " + "; ".join(errors.values()))
-        if not (isinstance(self.options, dict)
-                and all(isinstance(t, str) for t in (*self.options, *self.options.values()))):
-            raise DataError("McqItem: options must map letters to strings")
-        if len(self.options) < 2:
-            raise DataError("McqItem: need at least 2 options")
-        if not set(self.gold) <= set(self.options):
-            raise DataError("McqItem: gold letters outside option letters")
 
 
 @dataclass

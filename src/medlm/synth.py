@@ -2,10 +2,11 @@
 
 Templated disease facts, QA, dialogues, exam items and preference pairs
 so training and evaluation runs need no external data. Everything is a
-deterministic function of the seed. SFT examples are built here; the
-CPT text of a QA pair or exam item is ``record_text`` of its example.
-Rejected preference responses are deliberately degraded (wrong drug or
-an unhelpful stock reply).
+deterministic function of the seed. ``build_corpus`` returns the records
+of the five corpus files as the types of ``medlm.data``, which alone
+writes and reads them; the CPT text of a QA pair or exam item is
+``record_text`` of its example. Rejected preference responses are
+deliberately degraded (wrong drug or an unhelpful stock reply).
 
 Coverage is staged on purpose: knowledge, QA and dialogue text exists
 for every disease, but exam-formatted text enters pre-training for the
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DialogueRecord, KgEntity, SftExample, flatten_dialogue, linearize_kg,
-                   record_text, render_exam_question)
+from .data import (DialogueRecord, KgEntity, McqItem, PreferencePair, SftExample,
+                   flatten_dialogue, linearize_kg, record_text, render_exam_question)
 
 # single distinct leading character per disease name
 _NUMERALS = ["一", "二", "三", "四", "五", "六", "七", "八", "九", "十",
@@ -88,12 +89,14 @@ def exam_item(d, seed_offset=0):
     gold_pos = int(rng.integers(4))
     drugs = picks[:gold_pos] + [d.drug] + picks[gold_pos:]
     options = dict(zip(_LETTERS, drugs))
-    gold = _LETTERS[gold_pos]
-    return {"question": f"{d.name}的推荐用药是？", "options": options, "gold": gold}
+    gold = frozenset(_LETTERS[gold_pos])
+    return McqItem(question=f"{d.name}的推荐用药是？", options=options, gold=gold)
 
 
 def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
-    """Returns dict with cpt docs, SftExamples, dpo records and mcq items.
+    """The records of each corpus file, by kind: "cpt" docs (strings),
+    "sft" SftExamples, "dpo" PreferencePairs, "mcq" McqItems and
+    "dialogue" eval (prompt, reference) pairs.
 
     duplicate_docs controls how many CPT docs are repeated verbatim so the
     dedup stage has real work to do.
@@ -104,13 +107,13 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
     cpt_docs = []
     sft_examples = []
     exam_examples = []
-    dpo_records = []
+    pairs = []
     mcq_items = []
 
     for i, d in enumerate(diseases):
         qa_examples = _qa_examples(d)
         item = exam_item(d, seed_offset=i)
-        exam = SftExample(render_exam_question(item["question"], item["options"]), item["gold"])
+        exam = SftExample(render_exam_question(item.question, item.options), item.answer)
         cpt_docs.append(linearize_kg(_kg_entity(d)))
         cpt_docs.extend(record_text(ex) for ex in qa_examples)
         cpt_docs.append(flatten_dialogue(_dialogue(d)))
@@ -123,11 +126,11 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
         sft_examples += [*qa_examples, exam]
 
         wrong = diseases[(i + 1) % n_diseases].drug
-        dpo_records.append({
-            "prompt": f"{d.name}应该吃什么药？",
-            "chosen": f"推荐服用{d.drug}。",
-            "rejected": f"推荐服用{wrong}。" if i % 2 == 0 else REJECT_STOCK,
-        })
+        pairs.append(PreferencePair(
+            prompt=f"{d.name}应该吃什么药？",
+            preferred=f"推荐服用{d.drug}。",
+            rejected=f"推荐服用{wrong}。" if i % 2 == 0 else REJECT_STOCK,
+        ))
 
     # exam items again with two prior exam turns as history, so answering
     # works at few-shot prompt offsets too
@@ -145,10 +148,9 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
         for d in diseases
     ]
     return {
-        "diseases": diseases,
-        "cpt_docs": cpt_docs,
-        "sft_examples": sft_examples,
-        "dpo_records": dpo_records,
-        "mcq_items": mcq_items,
-        "dialogue_eval": dialogue_eval,
+        "cpt": cpt_docs,
+        "sft": sft_examples,
+        "dpo": pairs,
+        "mcq": mcq_items,
+        "dialogue": dialogue_eval,
     }

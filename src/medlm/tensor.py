@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, EvaluationError, ShapeError
+from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -66,10 +66,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        if self.requires_grad:
-            self.grad[...] = 0.0  # in place: a parameter's grad is a buffer view
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -83,10 +79,8 @@ class Tensor:
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
+    def __mul__(self, other):  # by a number; no op multiplies two tensors
+        return scale(self, other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -144,16 +138,6 @@ def add(a, b):
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), bwd)
-
-
-def mul(a, b):
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), bwd)
 
 
 def scale(a, c):
@@ -461,55 +445,3 @@ def backward(loss):
         if node._backward_fn is not None:
             g, node.grad = node.grad, None
             node._backward_fn(g)
-
-
-# -- gradient checking -------------------------------------------------
-
-def grad_check(fn, params, step=1e-6, tolerance=1e-5, n_samples=200, rng=None):
-    """Compare backward gradients of fn() to central finite differences.
-
-    fn must rebuild its graph from the current parameter values on each
-    call. Samples n_samples coordinates uniformly across all params.
-    Returns a dict with max_rel_err, n_checked and the failure list.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    loss = fn()
-    if not np.isfinite(loss.data):
-        raise EvaluationError("grad_check: non-finite function value")
-    backward(loss)
-    analytic = [p.grad.copy() for p in params]
-
-    sizes = [p.data.size for p in params]
-    total = sum(sizes)
-    n = min(n_samples, total)
-    coords = rng.choice(total, size=n, replace=False)
-
-    failures = []
-    max_rel = 0.0
-    with no_grad():
-        for c in sorted(coords):
-            pi = 0
-            while c >= sizes[pi]:
-                c -= sizes[pi]
-                pi += 1
-            flat = params[pi].data.reshape(-1)
-            orig = flat[c]
-            flat[c] = orig + step
-            f_plus = float(fn().data)
-            flat[c] = orig - step
-            f_minus = float(fn().data)
-            flat[c] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise EvaluationError("grad_check: non-finite function value")
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            a = analytic[pi].reshape(-1)[c]
-            denom = max(abs(a), abs(numeric), 1e-10)
-            rel = abs(a - numeric) / denom
-            max_rel = max(max_rel, rel)
-            if rel > tolerance and abs(a - numeric) > 1e-8:
-                failures.append((pi, int(c), float(a), float(numeric), float(rel)))
-    return {"max_rel_err": max_rel, "n_checked": n, "failures": failures}

@@ -56,7 +56,7 @@ class StageConfig:
             raise ConfigError(f"unknown stage {self.stage!r}")
         check_fields(self, learning_rate="(0, inf)", warmup_ratio="[0, 1)",
                      weight_decay="[0, inf)", epochs="[0, inf)", batch_size="[1, inf)",
-                     beta="(0, inf)")
+                     beta="(0, inf)", seed="[0, inf)")
         if self.stage in ("sft", "dpo") and self.lora is None:
             self.lora = M.LoraConfig() if self.stage == "sft" else M.LoraConfig(alpha=16.0)
 

@@ -5,7 +5,8 @@ Deliberately written with different machinery than the package code
 meaningful. The reference formulas of the engine kernels at the end are
 the exception: they are the plain numpy expressions the in-place kernels
 must reproduce bit for bit, and the full-row scorer the trimmed one must
-agree with.
+agree with. ``grad_check`` compares the engine's gradients with central
+finite differences.
 """
 
 import math
@@ -228,3 +229,59 @@ def score_full_ref(params, adapter, inputs, targets, coef, groups, train_rng=Non
                               lengths=lengths)
     return T.logprob_sums(logits, np.concatenate(targets), np.concatenate(coef),
                           np.repeat(groups, lengths), max(groups) + 1)
+
+
+# -- gradient checking -------------------------------------------------
+
+def zero_grad(t):
+    if t.requires_grad:
+        t.grad[...] = 0.0  # in place: a parameter's grad is a buffer view
+
+
+def grad_check(fn, params, step=1e-6, tolerance=1e-5, n_samples=200, rng=None):
+    """Compare backward gradients of fn() to central finite differences.
+
+    fn must rebuild its graph from the current parameter values on each
+    call. Samples n_samples coordinates uniformly across all params.
+    Returns a dict with max_rel_err, n_checked and the failure list.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    params = list(params)
+    for p in params:
+        zero_grad(p)
+    loss = fn()
+    assert np.isfinite(loss.data), "grad_check: non-finite function value"
+    T.backward(loss)
+    analytic = [p.grad.copy() for p in params]
+
+    sizes = [p.data.size for p in params]
+    total = sum(sizes)
+    n = min(n_samples, total)
+    coords = rng.choice(total, size=n, replace=False)
+
+    failures = []
+    max_rel = 0.0
+    with T.no_grad():
+        for c in sorted(coords):
+            pi = 0
+            while c >= sizes[pi]:
+                c -= sizes[pi]
+                pi += 1
+            flat = params[pi].data.reshape(-1)
+            orig = flat[c]
+            flat[c] = orig + step
+            f_plus = float(fn().data)
+            flat[c] = orig - step
+            f_minus = float(fn().data)
+            flat[c] = orig
+            assert np.isfinite(f_plus) and np.isfinite(f_minus), \
+                "grad_check: non-finite function value"
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            a = analytic[pi].reshape(-1)[c]
+            denom = max(abs(a), abs(numeric), 1e-10)
+            rel = abs(a - numeric) / denom
+            max_rel = max(max_rel, rel)
+            if rel > tolerance and abs(a - numeric) > 1e-8:
+                failures.append((pi, int(c), float(a), float(numeric), float(rel)))
+    return {"max_rel_err": max_rel, "n_checked": n, "failures": failures}

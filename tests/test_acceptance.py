@@ -25,7 +25,8 @@ from medlm import objectives as O
 from medlm import tensor as T
 from medlm import trainer as TR
 from medlm.errors import IntegrityError
-from medlm.tensor import backward, grad_check
+from medlm.tensor import backward
+from oracles import grad_check
 
 ROOT_CONFIG = str(__import__("pathlib").Path(__file__).parent.parent
                   / "configs" / "synthetic.json")
@@ -352,7 +353,7 @@ def test_end_to_end_ordinal_trend(pipeline):
             hits += 1
     em = hits / len(sft_examples)
 
-    items = cli._load_mcq_items(base / "data" / "mcq.jsonl")
+    items, _ = D.load_dataset(base / "data" / "mcq.jsonl", "mcq")
     exemplars = [(E.render_mcq_question(it), "".join(sorted(it.gold)))
                  for it in items[: cfg.eval.few_shot_k]]
     spec = E.FewShotSpec(exemplars=exemplars)

@@ -91,6 +91,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="QILIN_SEED"):
             cli.validate_config(path)
 
+    def test_qilin_seed_must_not_be_negative(self, tmp_path, monkeypatch, capsys):
+        # numpy's generators take no negative seed: a traceback in data build
+        path = _write_config(tmp_path)
+        monkeypatch.setenv("QILIN_SEED", "-3")
+        assert cli.main(["--config", str(path), "validate-config"]) == 1
+        # once: the stages that inherit the seed do not report it again
+        assert capsys.readouterr().err == "error: seed: must be an integer in [0, inf), got -3\n"
+
     def test_unknown_section_keys_warn(self, tmp_path):
         path = _write_config(tmp_path)
         raw = json.loads(path.read_text("utf-8"))
@@ -140,6 +148,8 @@ class TestValidateConfig:
 
 
 BAD_CONFIGS = [
+    (("seed",), -1, "seed: must be an integer in [0, inf), got -1"),
+    (("stages", "sft", "seed"), -1, "stages.sft: seed must be in [0, inf), got -1"),
     (("model", "rope"), 1, "model: unknown key 'rope'"),
     (("model", "dropout"), 1.0, "model: dropout must be in [0, 1)"),
     (("model", "dropout"), -0.1, "model: dropout must be in [0, 1)"),
@@ -221,7 +231,7 @@ class TestDataCommands:
         cli.main(["--config", str(path), "data", "build"])
         lines = (tmp_path / "data" / "mcq.jsonl").read_text("utf-8").splitlines()
         first = json.loads(lines[0])
-        assert set(first) == {"id", "question", "options", "gold", "generated"}
+        assert set(first) == {"question", "options", "gold", "generated"}
         assert first["gold"] in first["options"]
 
     def test_dpo_schema(self, tmp_path):
@@ -247,12 +257,16 @@ class TestDataCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
-    def test_sft_jsonl_round_trips(self, tmp_path):
+    def test_every_file_round_trips(self, tmp_path):
+        # each file load_dataset reads back is the records synth built for it
         path = _write_config(tmp_path)
         assert cli.main(["--config", str(path), "data", "build"]) == 0
-        examples, stats = D.load_dataset(tmp_path / "data" / "sft.jsonl", "sft")
-        bundle = synth.build_corpus(n_diseases=4, seed=0, duplicate_docs=1)
-        assert examples == bundle["sft_examples"] and stats.rejected == []
+        corpus = synth.build_corpus(n_diseases=4, seed=0, duplicate_docs=1)
+        corpus["cpt"], _ = D.dedup_corpus(corpus["cpt"], min_span=20)
+        paths = cli._data_paths(cli.validate_config(path)[0])
+        for kind, records in corpus.items():
+            loaded, stats = D.load_dataset(paths[kind], kind)
+            assert loaded == records and stats.rejected == [], kind
 
     def test_dedup_is_idempotent(self, tmp_path, capsys):
         path = _write_config(tmp_path)
@@ -270,8 +284,8 @@ class TestDataCommands:
             {"text": "第二段足够长的文本内容"}]), encoding="utf-8")
         assert cli.main(["--config", str(path), "data", "dedup", "--input", str(docs)]) == 0
         out, err = capsys.readouterr()
-        assert err == ("warning: cpt: skipped 2 malformed records "
-                       "(first: line 2: cpt record: text must be a nonempty string)\n")
+        assert err == (f"warning: cpt: skipped 2 malformed records (first: {docs}:2: bad record "
+                       "(DataError('cpt record: text must be a nonempty string')))\n")
         assert out.startswith("kept 2/4 docs")
         assert len(docs.read_text("utf-8").splitlines()) == 2
 
@@ -320,7 +334,7 @@ class TestPipelineCommands:
         capsys.readouterr()
         assert cli.main(["--config", str(built), "train", "sft"]) == 0
         err = capsys.readouterr().err
-        assert (f"warning: sft: skipped 1 malformed records (first: line {n_good + 1}: "
+        assert (f"warning: sft: skipped 1 malformed records (first: {sft}:{n_good + 1}: "
                 in err)
         assert (tmp_path / "ckpt" / "sft.ckpt").exists()
 
@@ -338,7 +352,7 @@ class TestPipelineCommands:
         capsys.readouterr()
         assert cli.main(["--config", str(built), "train", stage]) == 0
         err = capsys.readouterr().err
-        assert (f"warning: {stage}: skipped 1 malformed records (first: line {n_good + 1}: "
+        assert (f"warning: {stage}: skipped 1 malformed records (first: {path}:{n_good + 1}: "
                 in err) and "must be a string" in err
 
     def test_sft_without_cpt_checkpoint_fails_cleanly(self, built):
@@ -395,10 +409,16 @@ class TestPipelineCommands:
         ("mcq.jsonl", b'{"question": "q", "options": "AB", "gold": "A"}\n', ["eval", "mcq"],
          "mcq.jsonl:1: bad record (DataError('McqItem: options must map letters to strings"),
         ("dialogue_eval.jsonl", b'{"prompt": "p", "reference": 5}\n', ["eval", "dialogue"],
-         "dialogue_eval.jsonl:1: bad record (DataError('prompt and reference must be strings"),
+         "dialogue_eval.jsonl:1: bad record (DataError('dialogue record: prompt and reference "
+         "must be strings"),
+        ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "B": "b"}, "gold": ""}\n',
+         ["eval", "mcq"], "mcq.jsonl:1: bad record (DataError('McqItem: gold names no letter"),
+        ("mcq.jsonl", b'{"question": "q", "options": {"A": "a", "BC": "b"}, "gold": ["BC"]}\n',
+         ["eval", "mcq"],
+         "mcq.jsonl:1: bad record (DataError('McqItem: option letters must be single characters"),
     ], ids=["mcq-malformed-line", "mcq-without-gold", "dialogue-without-reference",
             "sft-history-not-a-pair", "not-utf8", "mcq-question-int", "mcq-options-str",
-            "dialogue-reference-int"])
+            "dialogue-reference-int", "mcq-gold-empty", "mcq-option-key-long"])
     def test_bad_jsonl_fails_cleanly(self, built, tmp_path, capsys, name, content, command,
                                      message):
         assert cli.main(["--config", str(built), "train", "cpt"]) == 0

@@ -176,23 +176,34 @@ class TestLoadDataset:
         records, stats = D.load_dataset(path, "cpt")
         assert len(records) == 1
         assert len(stats.rejected) == 2
-        assert "line 2" in stats.rejected[0] and "line 3" in stats.rejected[1]
+        assert stats.rejected[0].startswith(f"{path}:2: bad record (DataError('cpt record")
+        assert stats.rejected[1].startswith(f"{path}:3: bad record")
 
-    @pytest.mark.parametrize("schema, obj", [
-        ("sft", {"instruction": "q", "output": 5}),
-        ("sft", {"instruction": ["a"], "output": "b"}),
-        ("sft", {"instruction": "q", "input": 3, "output": "a"}),
-        ("sft", {"instruction": "q", "history": [["h", 1]], "output": "a"}),
-        ("dpo", {"prompt": "p", "chosen": 7, "rejected": "r"}),
-        ("dpo", {"prompt": None, "chosen": "c", "rejected": "r"}),
+    @pytest.mark.parametrize("schema, obj, message", [
+        ("sft", {"instruction": "q", "output": 5}, "output must be a string, got 5"),
+        ("sft", {"instruction": ["a"], "output": "b"}, "instruction must be a string"),
+        ("sft", {"instruction": "q", "input": 3, "output": "a"}, "input must be a string"),
+        ("sft", {"instruction": "q", "history": [["h", 1]], "output": "a"},
+         "history turn 0 must be two strings"),
+        ("dpo", {"prompt": "p", "chosen": 7, "rejected": "r"}, "preferred must be a string"),
+        ("dpo", {"prompt": None, "chosen": "c", "rejected": "r"}, "prompt must be a string"),
+        # a turn is a two-element list, not any two-item iterable
+        ("sft", {"instruction": "q", "history": ["xy"], "output": "a"},
+         "history must be a list of [question, answer] lists"),
+        ("sft", {"instruction": "q", "history": {"ab": 1}, "output": "a"},
+         "history must be a list of [question, answer] lists"),
+        ("sft", {"instruction": "q", "history": [["a", "b", "c"]], "output": "a"},
+         "history turn 0 must be two strings"),
     ], ids=["sft-output-int", "sft-instruction-list", "sft-input-int",
-            "sft-history-int", "dpo-chosen-int", "dpo-prompt-null"])
-    def test_non_string_text_is_skipped_and_logged(self, tmp_path, schema, obj):
+            "sft-history-int", "dpo-chosen-int", "dpo-prompt-null", "sft-history-str-turn",
+            "sft-history-dict", "sft-history-three-items"])
+    def test_non_string_text_is_skipped_and_logged(self, tmp_path, schema, obj, message):
         path = self._write(tmp_path, [json.dumps(obj)])
         records, stats = D.load_dataset(path, schema)
         assert records == []
         assert len(stats.rejected) == 1
-        assert "line 1" in stats.rejected[0] and "string" in stats.rejected[0]
+        assert stats.rejected[0].startswith(f"{path}:1: bad record")
+        assert message in stats.rejected[0]
 
     def test_unknown_schema(self, tmp_path):
         path = self._write(tmp_path, ["{}"])
@@ -222,8 +233,11 @@ def test_preference_pair_invariants():
     ({"instruction": ["a"], "output": "b"}, "instruction must be a string"),
     ({"instruction": "q", "output": "a", "input": None}, "input must be a string"),
     ({"instruction": "q", "output": "a", "history": (("h", "r"), ("h", 2))},
-     "history turn 1 must be strings"),
-], ids=["instruction-empty", "output-int", "instruction-list", "input-null", "history-int"])
+     "history turn 1 must be two strings"),
+    ({"instruction": "q", "output": "a", "history": ("xy",)},
+     "history turn 0 must be two strings"),
+], ids=["instruction-empty", "output-int", "instruction-list", "input-null", "history-int",
+        "history-str-turn"])
 def test_sft_example_invariants(fields, message):
     with pytest.raises(DataError, match=message):
         D.SftExample(**fields)

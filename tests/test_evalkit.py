@@ -26,8 +26,13 @@ def _item(gold, generated, options=None):
     ({"generated": None}, "generated must be a string"),
     ({"options": "AB"}, "options must map letters to strings"),
     ({"options": {"A": "甲", "B": 5}}, "options must map letters to strings"),
+    # a letterless answer would match an empty gold; extract_choice reads one
+    # character at a time, so it can never match a longer key
+    ({"gold": frozenset()}, "gold names no letter"),
+    ({"options": {"A": "甲", "BC": "乙"}, "gold": frozenset(["BC"])},
+     "option letters must be single characters"),
 ], ids=["one-option", "gold-outside", "question-int", "generated-null", "options-str",
-        "option-int"])
+        "option-int", "gold-empty", "option-key-long"])
 def test_mcq_item_invariants(fields, message):
     given = {"question": "q?", "options": {"A": "甲", "B": "乙"}, "gold": frozenset("A"),
              **fields}

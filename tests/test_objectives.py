@@ -10,7 +10,8 @@ from medlm import objectives as O
 from medlm import tensor as T
 from medlm import trainer as TR
 from medlm.errors import ConfigError, DataError, ShapeError
-from medlm.tensor import backward, grad_check
+from medlm.tensor import backward
+from oracles import grad_check
 
 
 @pytest.fixture

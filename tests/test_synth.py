@@ -13,10 +13,7 @@ SYNTHETIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.
 def test_build_corpus_is_deterministic():
     a = synth.build_corpus(n_diseases=6, seed=3)
     b = synth.build_corpus(n_diseases=6, seed=3)
-    assert a["cpt_docs"] == b["cpt_docs"]
-    assert a["sft_examples"] == b["sft_examples"]
-    assert a["dpo_records"] == b["dpo_records"]
-    assert a["mcq_items"] == b["mcq_items"]
+    assert a == b and set(a) == {"cpt", "sft", "dpo", "mcq", "dialogue"}
 
 
 def test_disease_names_are_distinct():
@@ -25,8 +22,7 @@ def test_disease_names_are_distinct():
 
 
 def test_duplicate_docs_give_dedup_work():
-    bundle = synth.build_corpus(n_diseases=4, seed=0, duplicate_docs=3)
-    docs = bundle["cpt_docs"]
+    docs = synth.build_corpus(n_diseases=4, seed=0, duplicate_docs=3)["cpt"]
     assert len(docs) != len(set(docs))
     kept, report = D.dedup_corpus(docs, min_span=20)
     assert report  # dedup removed something
@@ -51,8 +47,8 @@ def test_vocab_covers_every_surface(tmp_path):
     data = tmp_path / "data"
     vocab = M.load_vocab(data / "vocab.txt")
     for name in ("cpt", "sft", "dpo", "mcq", "dialogue_eval"):
-        for _, obj in D.read_jsonl(data / f"{name}.jsonl"):
-            for text in _strings(obj):
+        for line in (data / f"{name}.jsonl").read_text("utf-8").splitlines():
+            for text in _strings(json.loads(line)):
                 M.encode(vocab, text)
     # and the prompts training and eval render from those files
     sft, _ = D.load_dataset(data / "sft.jsonl", "sft")
@@ -61,38 +57,38 @@ def test_vocab_covers_every_surface(tmp_path):
     dpo, _ = D.load_dataset(data / "dpo.jsonl", "dpo")
     for pair in dpo:
         M.encode(vocab, D.render_bare_prompt(pair.prompt) + pair.preferred + pair.rejected)
-    items = cli._load_mcq_items(data / "mcq.jsonl")  # as `medlm eval mcq` builds its prompts
-    spec = E.FewShotSpec(exemplars=[(E.render_mcq_question(it), "".join(sorted(it.gold)))
+    items, _ = D.load_dataset(data / "mcq.jsonl", "mcq")  # as `medlm eval mcq` prompts
+    spec = E.FewShotSpec(exemplars=[(E.render_mcq_question(it), it.answer)
                                     for it in items[: cfg["eval"]["few_shot_k"]]])
     for it in items:
         M.encode(vocab, E.build_few_shot_prompt(spec, E.render_mcq_question(it)))
-    for _, obj in D.read_jsonl(data / "dialogue_eval.jsonl"):
-        M.encode(vocab, D.render_bare_prompt(obj["prompt"]))
+    for prompt, _ in D.load_dataset(data / "dialogue_eval.jsonl", "dialogue")[0]:
+        M.encode(vocab, D.render_bare_prompt(prompt))
 
 
 def test_mcq_items_are_consistent():
-    bundle = synth.build_corpus(n_diseases=10, seed=0)
-    for item, d in zip(bundle["mcq_items"], bundle["diseases"]):
-        assert item["gold"] in item["options"]
-        assert item["options"][item["gold"]] == d.drug
-        assert len(item["options"]) == 4
-        assert len(set(item["options"].values())) == 4
+    items = synth.build_corpus(n_diseases=10, seed=0)["mcq"]
+    for item, d in zip(items, synth.make_diseases(10, seed=0), strict=True):
+        (gold,) = item.gold
+        assert item.options[gold] == d.drug
+        assert len(item.options) == 4
+        assert len(set(item.options.values())) == 4
 
 
 def test_dpo_pairs_prefer_the_correct_drug():
-    bundle = synth.build_corpus(n_diseases=6, seed=0)
-    for rec, d in zip(bundle["dpo_records"], bundle["diseases"]):
-        assert d.drug in rec["chosen"]
-        assert rec["chosen"] != rec["rejected"]
+    pairs = synth.build_corpus(n_diseases=6, seed=0)["dpo"]
+    for pair, d in zip(pairs, synth.make_diseases(6, seed=0), strict=True):
+        assert d.drug in pair.preferred
+        assert pair.preferred != pair.rejected
 
 
 def test_exam_format_split_between_stages():
     # exam-formatted text appears in pre-training for the first half of
     # diseases only; SFT covers every disease's exam item
     n = 8
-    bundle = synth.build_corpus(n_diseases=n, seed=0, duplicate_docs=0)
-    exam_docs = [doc for doc in bundle["cpt_docs"] if "A." in doc]
+    corpus = synth.build_corpus(n_diseases=n, seed=0, duplicate_docs=0)
+    exam_docs = [doc for doc in corpus["cpt"] if "A." in doc]
     assert len(exam_docs) == n // 2
-    exam_examples = [ex for ex in bundle["sft_examples"]
+    exam_examples = [ex for ex in corpus["sft"]
                      if " A." in ex.instruction and not ex.history]
     assert len(exam_examples) == n

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from medlm import tensor as T
 from medlm.errors import ContractError, ShapeError
-from medlm.tensor import Tensor, backward, grad_check
+from medlm.tensor import Tensor, backward
+from oracles import grad_check, zero_grad
 
 
 def test_float64_arrays_are_kept_others_converted():
@@ -35,29 +36,28 @@ class TestMatmul:
     def test_gradient_vs_finite_differences(self, rng):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        w = rng.standard_normal((3, 2))
 
         def fn():
-            return T.tsum((a @ b) * Tensor(w))
+            return T.tsum(T.log_sigmoid(a @ b))
 
         report = grad_check(fn, [a, b], tolerance=1e-6, n_samples=20)
         assert report["max_rel_err"] < 1e-6
         assert not report["failures"]
 
 
-def _grads(op, inputs, upstream):
-    """op(*inputs) and the gradient of each input for the given upstream."""
+def _grads(op, inputs):
+    """op(*inputs), the upstream gradient tsum(log_sigmoid(.)) gives it, which
+    is uneven and exactly 1 / (1 + exp(out)), and the gradient of each input."""
     out = op(*inputs)
-    backward(T.tsum(out * Tensor(upstream)))
-    return out.data, [t.grad for t in inputs]
+    backward(T.tsum(T.log_sigmoid(out)))
+    return out.data, 1.0 / (1.0 + np.exp(out.data)), [t.grad for t in inputs]
 
 
 class TestRelu:
     def test_matches_reference_bits(self, rng):
         x = rng.standard_normal((37, 16))
         x[0, :4] = 0.0
-        g = rng.standard_normal(x.shape)
-        out, (gx,) = _grads(T.relu, [Tensor(x, requires_grad=True)], g)
+        out, g, (gx,) = _grads(T.relu, [Tensor(x, requires_grad=True)])
         ref_out, ref_gx = oracles.relu_ref(x, g)
         assert np.array_equal(out, ref_out) and np.array_equal(gx, ref_gx)
 
@@ -78,8 +78,8 @@ class TestGatherRows:
     def test_grad_matches_add_at_bits(self, rng, ids_shape):
         table = rng.standard_normal((7, 6))
         ids = rng.integers(0, 7, size=ids_shape)  # many repeats
-        g = rng.standard_normal(ids_shape + (6,))
-        out, (gt,) = _grads(lambda t: T.gather_rows(t, ids), [Tensor(table, requires_grad=True)], g)
+        out, g, (gt,) = _grads(lambda t: T.gather_rows(t, ids),
+                               [Tensor(table, requires_grad=True)])
         assert np.array_equal(out, table[ids])
         assert np.array_equal(gt, oracles.gather_rows_grad_ref(table.shape, ids, g))
 
@@ -166,11 +166,10 @@ class TestCausalAttention:
         q_lengths, k_lengths = _suffix_lengths(lengths)
         q = _attention_inputs(rng, sum(q_lengths), requires_grad=True)[0]
         k, v = _attention_inputs(rng, sum(k_lengths), requires_grad=True)[1:]
-        w = rng.standard_normal(q.data.shape)
 
         def fn():
             out = T.causal_attention(q, k, v, q_lengths, k_lengths, n_heads=2)
-            return T.tsum(out * Tensor(w))
+            return T.tsum(T.log_sigmoid(out))
 
         report = grad_check(fn, [q, k, v], tolerance=1e-6, n_samples=60)
         assert not report["failures"]
@@ -178,12 +177,11 @@ class TestCausalAttention:
     def test_dropout_gradients(self, rng):
         # a fresh generator per call draws the same keep mask every time
         q, k, v = _attention_inputs(rng, 7, requires_grad=True)
-        w = rng.standard_normal((7, 8))
 
         def fn(rate=0.3):
             out = T.causal_attention(q, k, v, [4, 3], [4, 3], n_heads=2, rate=rate,
                                      rng=np.random.default_rng(7))
-            return T.tsum(out * Tensor(w))
+            return T.tsum(T.log_sigmoid(out))
 
         assert fn().item() != fn(rate=0.0).item()
         report = grad_check(fn, [q, k, v], tolerance=1e-6, n_samples=60)
@@ -196,21 +194,21 @@ class TestCausalAttention:
         assert np.allclose(last, full[4:], rtol=0.0, atol=1e-15)
 
     def test_suffix_queries_match_full_rows(self, rng):
-        # the full op with an upstream gradient of 0 on every unqueried row
+        # the full op's queried rows, gathered: every unqueried row gets an
+        # upstream gradient of 0
         q_lengths, k_lengths = RAGGED_SUFFIX
         n = sum(k_lengths)
         q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
         suffix = np.flatnonzero(np.arange(n) >= np.repeat(np.cumsum(k_lengths) - q_lengths,
                                                           k_lengths))
-        g = np.zeros((n, 8))
-        g[suffix] = rng.standard_normal((suffix.size, 8))
-        full, (gq, gk, gv) = _grads(
-            lambda *qkv: T.causal_attention(*qkv, k_lengths, k_lengths, n_heads=2),
-            [Tensor(x, requires_grad=True) for x in (q, k, v)], g)
-        out, (sq, sk, sv) = _grads(
+        full, _, (gq, gk, gv) = _grads(
+            lambda *qkv: T.gather_rows(
+                T.causal_attention(*qkv, k_lengths, k_lengths, n_heads=2), suffix),
+            [Tensor(x, requires_grad=True) for x in (q, k, v)])
+        out, _, (sq, sk, sv) = _grads(
             lambda *qkv: T.causal_attention(*qkv, q_lengths, k_lengths, n_heads=2),
-            [Tensor(x, requires_grad=True) for x in (q[suffix], k, v)], g[suffix])
-        for got, want in ((out, full[suffix]), (sq, gq[suffix]), (sk, gk), (sv, gv)):
+            [Tensor(x, requires_grad=True) for x in (q[suffix], k, v)])
+        for got, want in ((out, full), (sq, gq[suffix]), (sk, gk), (sv, gv)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lengths", [[7], [4, 4], [3, 1, 3, 2, 5, 2], RAGGED_SUFFIX])
@@ -220,11 +218,10 @@ class TestCausalAttention:
         q_lengths, k_lengths = _suffix_lengths(lengths)
         q = rng.standard_normal((sum(q_lengths), 12))
         k, v = (rng.standard_normal((sum(k_lengths), 12)) for _ in range(2))
-        g = rng.standard_normal(q.shape)
-        out, grads = _grads(
+        out, g, grads = _grads(
             lambda *qkv: T.causal_attention(*qkv, q_lengths, k_lengths, n_heads=2, rate=rate,
                                             rng=np.random.default_rng(5)),
-            [Tensor(x, requires_grad=True) for x in (q, k, v)], g)
+            [Tensor(x, requires_grad=True) for x in (q, k, v)])
         ref = oracles.causal_attention_ref(q, k, v, q_lengths, k_lengths, 2, g, rate=rate,
                                            rng=np.random.default_rng(5))
         for got, want in zip([out] + grads, ref):
@@ -295,31 +292,33 @@ class TestCrossEntropy:
 
 
 class TestBackward:
+    # a [1, 1] matrix w: w @ w is w squared, with w as both inputs of one op
+
     def test_square(self):
-        w = Tensor(3.0, requires_grad=True)
-        backward(w * w)
+        w = Tensor([[3.0]], requires_grad=True)
+        backward(w @ w)
         assert w.grad == 6.0
 
     def test_constant_has_zero_grad(self):
         w = Tensor(3.0, requires_grad=True)
-        backward(T.tsum(Tensor([1.0, 2.0]) * Tensor([1.0, 1.0])))
+        backward(T.tsum(Tensor([1.0, 2.0]) + Tensor([1.0, 1.0])))
         assert w.grad == 0.0
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            backward(w * w)
+            backward(w + w)
 
     def test_grad_accumulates_across_backwards(self):
-        w = Tensor(2.0, requires_grad=True)
-        backward(w * w)
-        backward(w * w)
+        w = Tensor([[2.0]], requires_grad=True)
+        backward(w @ w)
+        backward(w @ w)
         assert w.grad == 8.0
 
     def test_branching_graph(self):
-        # f = (w*w) + (w*3) -> df/dw = 2w + 3
-        w = Tensor(4.0, requires_grad=True)
-        backward(w * w + 3.0 * w)
+        # f = (w @ w) + (w*3) -> df/dw = 2w + 3
+        w = Tensor([[4.0]], requires_grad=True)
+        backward(w @ w + 3.0 * w)
         assert w.grad == 11.0
 
     def test_shared_first_gradient_stays_intact(self):
@@ -358,9 +357,8 @@ class TestLayerNorm:
     def test_matches_reference_bits(self, rng, shape):
         x = 3.0 * rng.standard_normal(shape) + 1.0
         gain, bias = rng.standard_normal((2, shape[-1]))
-        g = rng.standard_normal(shape)
-        out, grads = _grads(T.layer_norm, [Tensor(a, requires_grad=True)
-                                           for a in (x, gain, bias)], g)
+        out, g, grads = _grads(T.layer_norm, [Tensor(a, requires_grad=True)
+                                              for a in (x, gain, bias)])
         ref = oracles.layer_norm_ref(x, gain, bias, g)
         for got, want in zip([out] + grads, ref):
             assert np.array_equal(got, want)
@@ -369,10 +367,9 @@ class TestLayerNorm:
         x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
         g = Tensor(rng.standard_normal(6), requires_grad=True)
         b = Tensor(rng.standard_normal(6), requires_grad=True)
-        w = rng.standard_normal((3, 6))
 
         def fn():
-            return T.tsum(T.layer_norm(x, g, b) * Tensor(w))
+            return T.tsum(T.log_sigmoid(T.layer_norm(x, g, b)))
 
         report = grad_check(fn, [x, g, b], tolerance=1e-6, n_samples=30)
         assert not report["failures"]
@@ -380,10 +377,11 @@ class TestLayerNorm:
 
 class TestGradCheck:
     def test_quadratic_bowl(self):
-        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        # a stack of three [1, 1] matrices: w @ w squares each entry
+        w = Tensor(np.array([1.0, -2.0, 3.0]).reshape(3, 1, 1), requires_grad=True)
 
         def fn():
-            return T.tsum(w * w)
+            return T.tsum(w @ w)
 
         report = grad_check(fn, [w], n_samples=3)
         assert report["max_rel_err"] < 1e-8
@@ -401,7 +399,7 @@ class TestGradCheck:
 
         report = grad_check(_Sin(), [w], n_samples=2)
         assert not report["failures"]
-        w.zero_grad()
+        zero_grad(w)
         backward(_Sin()())
         assert np.allclose(w.grad, np.cos(0.7), atol=1e-12)
 
@@ -454,9 +452,8 @@ class TestLogprobSums:
 
     def test_gradient_vs_finite_differences(self, rng):
         logits = Tensor(rng.standard_normal((8, 5)), requires_grad=True)
-        w = Tensor(rng.standard_normal(4))
 
-        report = grad_check(lambda: T.tsum(self._sums(logits) * w), [logits],
+        report = grad_check(lambda: T.tsum(T.log_sigmoid(self._sums(logits))), [logits],
                             tolerance=1e-6, n_samples=40)
         assert report["n_checked"] == 40 and not report["failures"]
 
@@ -470,7 +467,6 @@ class TestLogprobSums:
 
     def test_zero_coefficient_rows_are_inert(self, rng):
         x = rng.standard_normal((8, 5))
-        w = Tensor(rng.standard_normal(4))
         scrambled = [t if c else (t + 1 + j) % 5
                      for j, (t, c) in enumerate(zip(self.TARGETS, self.COEF))]
         assert scrambled != self.TARGETS
@@ -478,7 +474,7 @@ class TestLogprobSums:
         for targets in (self.TARGETS, scrambled):
             logits = Tensor(x.copy(), requires_grad=True)
             out = self._sums(logits, targets)
-            backward(T.tsum(out * w))
+            backward(T.tsum(T.log_sigmoid(out)))
             runs.append((out.data, logits.grad))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
