@@ -284,10 +284,7 @@ def cmd_eval(cfg, kind, checkpoint):
     if kind == "mcq":
         items = _load_eval_records(paths["mcq"], "mcq")
         if state is not None:
-            exemplars = [(E.render_mcq_question(it), it.answer)
-                         for it in items[: cfg.eval.few_shot_k]]
-            spec = E.FewShotSpec(exemplars=exemplars)
-            report = E.evaluate_mcq(state, vocab, items, spec, max_new_tokens=4)
+            report = E.evaluate_mcq(state, vocab, items, cfg.eval.few_shot_k, max_new_tokens=4)
         else:
             # score pre-filled generated fields
             report = E.EvalReport(n_items=len(items), accuracy=E.accuracy(items),

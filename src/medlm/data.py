@@ -158,6 +158,13 @@ def render_turns(question, history=()):
     return f"{done}{PROMPT_Q}{question}\n{PROMPT_A}"
 
 
+def shots_before(items, i, k):
+    """The few-shot exemplars of item i: the k items before it, cyclically,
+    oldest first. Training (synth's few-shot exam records) and MCQ eval
+    both take their shots by this rule."""
+    return [items[(i - j) % len(items)] for j in range(k, 0, -1)]
+
+
 def render_exam_question(question, options):
     """An exam question followed by its options, 'A.x B.y ...' in letter order."""
     return question + " " + " ".join(f"{k}.{v}" for k, v in sorted(options.items()))

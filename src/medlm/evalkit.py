@@ -18,7 +18,8 @@ from . import model as M
 from . import objectives as O
 from . import tensor as T
 from .atomic import atomic_write
-from .data import McqItem, render_exam_question, render_turns  # noqa: F401 (McqItem: re-exported)
+from .data import (McqItem,  # noqa: F401 (re-exported)
+                   render_exam_question, render_turns, shots_before)
 from .errors import DataError
 
 BLEU_EPS = 1e-9
@@ -186,6 +187,18 @@ def render_mcq_question(item):
     return render_exam_question(item.question, item.options)
 
 
+def mcq_prompt(items, i, few_shot_k, max_len=None):
+    """Item i's few-shot prompt: the few_shot_k items before it, cyclically
+    (``data.shots_before``, the rule synth trains on), each with its answer,
+    then its own question. An item is never among its own shots."""
+    if not 0 <= few_shot_k < len(items):
+        raise DataError(f"few_shot_k {few_shot_k} needs more than that many items, "
+                        f"got {len(items)}")
+    spec = FewShotSpec(exemplars=[(render_mcq_question(s), s.answer)
+                                  for s in shots_before(items, i, few_shot_k)])
+    return build_few_shot_prompt(spec, render_mcq_question(items[i]), max_len)
+
+
 def generate_text(state, vocab, prompt, max_new):
     """Greedy continuation of the text prompt, BOS first, special tokens dropped."""
     prompt_ids = [M.BOS] + M.encode(vocab, prompt)
@@ -193,8 +206,9 @@ def generate_text(state, vocab, prompt, max_new):
     return M.decode_text(vocab, out_ids)
 
 
-def evaluate_mcq(state, vocab, items, spec, max_new_tokens=8):
-    """Greedy-decode an answer for each item, then score letters.
+def evaluate_mcq(state, vocab, items, few_shot_k, max_new_tokens=8):
+    """Greedy-decode an answer for each item from its ``mcq_prompt``, then
+    score letters.
 
     BLEU/ROUGE of the generated text against the reference explanation
     are included when any item carries a reference.
@@ -204,7 +218,7 @@ def evaluate_mcq(state, vocab, items, spec, max_new_tokens=8):
     max_prompt = state.params.config.max_seq_len - max_new_tokens - 1
     for idx, item in enumerate(items):
         try:
-            prompt = build_few_shot_prompt(spec, render_mcq_question(item), max_prompt)
+            prompt = mcq_prompt(items, idx, few_shot_k, max_prompt)
             item.generated = generate_text(state, vocab, prompt, max_new_tokens)
         except Exception as exc:
             raise DataError(f"item {idx}: {exc}") from exc

@@ -123,7 +123,9 @@ class LoraConfig:
 
 
 class ParamTable:
-    """Named tensors backed by one flat float64 buffer.
+    """Named tensors backed by one flat buffer, float32 unless ``data`` or
+    ``dtype`` says otherwise; its dtype is the dtype every op, gradient and
+    optimizer buffer of the table runs in (see ``tensor``).
 
     Each tensor's ``.data`` is a reshaped view into ``self.data`` and, while
     grads are on, its ``.grad`` a view into ``self.grad``, in the order of
@@ -133,11 +135,11 @@ class ParamTable:
     buffer.
     """
 
-    def __init__(self, config, shapes, data=None, requires_grad=True):
+    def __init__(self, config, shapes, data=None, requires_grad=True, dtype=np.float32):
         self.config = config
         self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
         size = sum(math.prod(shape) for shape in self.shapes.values())
-        self.data = np.zeros(size) if data is None else data
+        self.data = np.zeros(size, dtype) if data is None else data
         self.tensors = {name: Tensor(view) for name, view
                         in zip(self.shapes, self._views(self.data))}
         self.set_requires_grad(requires_grad)
@@ -222,7 +224,8 @@ def lora_shapes(config, lora_config):
 
 
 def init_params(config, rng, init_scale=0.02):
-    """Weights drawn from init_scale * N(0, 1), layer-norm gains 1, biases 0."""
+    """A float32 table: weights drawn from init_scale * N(0, 1) in float64
+    and rounded, layer-norm gains 1, biases 0."""
     spec = param_spec(config)
     params = ModelParams(config, {name: shape for name, shape, _ in spec})
     for name, shape, fill in spec:
@@ -233,9 +236,10 @@ def init_params(config, rng, init_scale=0.02):
 
 
 def attach_lora(params, lora_config, rng, init_scale=0.02):
-    """Fresh adapter with gaussian A and zero B: logits unchanged until trained."""
+    """Fresh adapter with gaussian A and zero B, in the dtype of params:
+    logits unchanged until trained."""
     shapes = lora_shapes(params.config, lora_config)
-    adapter = LoraAdapter(lora_config, shapes)
+    adapter = LoraAdapter(lora_config, shapes, dtype=params.data.dtype)
     for name, shape in shapes.items():
         if name.endswith(".A"):
             adapter[name].data[...] = init_scale * rng.standard_normal(shape)
@@ -354,7 +358,7 @@ def decode_logits(config, weights, cache, tokens):
         if i == c.n_layers - 1:  # from here on, the last position only
             x = x[-1:]
         bufs = ([kv.base for kv in cache[i]] if start else
-                [np.empty((c.max_seq_len, c.d_model)) for _ in range(2)])
+                [np.empty((c.max_seq_len, c.d_model), x.dtype) for _ in range(2)])
         for buf, w in zip(bufs, ("wk", "wv")):
             buf[start:end] = h @ weights[p + w]
         cache[i:i + 1] = [(bufs[0][:end], bufs[1][:end])]  # replace, or append on prefill

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (DialogueRecord, KgEntity, McqItem, PreferencePair, SftExample,
-                   flatten_dialogue, linearize_kg, record_text, render_exam_question)
+                   flatten_dialogue, linearize_kg, record_text, render_exam_question,
+                   shots_before)
 
 # single distinct leading character per disease name
 _NUMERALS = ["一", "二", "三", "四", "五", "六", "七", "八", "九", "十",
@@ -135,7 +136,7 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
     # exam items again with two prior exam turns as history, so answering
     # works at few-shot prompt offsets too
     for i, exam in enumerate(exam_examples):
-        shots = [exam_examples[(i - 2) % n_diseases], exam_examples[(i - 1) % n_diseases]]
+        shots = shots_before(exam_examples, i, 2)
         history = tuple((s.instruction, s.output) for s in shots)
         sft_examples.append(SftExample(exam.instruction, exam.output, history=history))
 

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a numpy array. Ops record their inputs and a backward
 closure; calling ``backward(loss)`` on a scalar walks the recorded graph
@@ -21,6 +21,14 @@ be shared) or an array once it is saved for backward. Each in-place form
 applies the same operations in the same order as the plain expression it
 replaces, so the results are bit-identical to it.
 
+The dtype follows the data: a Tensor keeps a float32 or float64 array as
+given (anything else becomes float64), and every op computes, and
+allocates its output and gradients, in the dtype of its inputs. A run's
+dtype is its parameter table's: float32 from ``model.init_params``, and a
+float64 table runs every op in float64, with the bits it always had.
+Constants an op mixes in (a number, a mask, a coefficient array) take the
+tensor's dtype, since under numpy 2 a float64 array promotes float32.
+
 Numerical guards: softmax variants subtract the row max, and log_sigmoid
 never takes the log of 0, so any forward pass on finite inputs stays
 finite.
@@ -36,6 +44,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = True
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @contextlib.contextmanager
@@ -54,9 +63,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False):
-        # an op's output is already a float64 array: keep it, skip np.asarray
-        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
-                     else np.asarray(data, dtype=np.float64))
+        data = np.asarray(data)  # an op's output passes as is; a float32 scalar stays float32
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents = ()
@@ -71,13 +79,13 @@ class Tensor:
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(_as_tensor(other, self), self)
 
     def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
+        return add(self, scale(_as_tensor(other, self), -1.0))
 
     def __mul__(self, other):  # by a number; no op multiplies two tensors
         return scale(self, other)
@@ -92,8 +100,9 @@ class Tensor:
         return self.data.item()  # a scalar, or the one entry of a size-1 array
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _as_tensor(x, like):
+    """x as a Tensor; a constant takes the dtype of the tensor it meets."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _make(data, parents, backward_fn):
@@ -204,17 +213,24 @@ def gather_rows(table, ids):
             # one bincount adds in input order, as np.add.at(full, ids, g) would
             rows, d = table.data.shape
             flat = (ids.reshape(-1, 1) * d + np.arange(d)).ravel()
-            full = np.bincount(flat, weights=g.ravel(), minlength=rows * d)
-            _accumulate(table, full.reshape(rows, d))
+            full = np.bincount(flat, weights=g.ravel(), minlength=rows * d)  # sums in float64
+            _accumulate(table, full.reshape(rows, d).astype(table.data.dtype, copy=False))
 
     return _make(table.data[ids], (table,), bwd)
+
+
+def _keep_mask(rng, shape, rate, dtype):
+    """Inverted-dropout multipliers: 0 or 1 / (1 - rate), in dtype."""
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    keep /= 1.0 - rate
+    return keep
 
 
 def dropout(a, rate, rng):
     """Inverted dropout; identity when rate == 0 or rng is None."""
     if rate <= 0.0 or rng is None:
         return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    keep = _keep_mask(rng, a.data.shape, rate, a.data.dtype)
 
     def bwd(g, a=a, keep=keep):
         if a.requires_grad:
@@ -332,20 +348,20 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None)
         return dst
 
     groups = []
-    out = np.empty(q.data.shape)
+    out = np.empty_like(q.data)
     for q_rows, k_rows, n_seg in plan:
         qg, kg, vg = (split(t.data, rows, n_seg)
                       for t, rows in ((q, q_rows), (k, k_rows), (v, k_rows)))
         p = _attention_probs(qg, kg)
         keep = None
         if rate > 0.0 and rng is not None:
-            keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
+            keep = _keep_mask(rng, p.shape, rate, p.dtype)
         pd = p if keep is None else p * keep
         out = merge(out, q_rows, pd @ vg)
         groups.append((q_rows, k_rows, n_seg, qg, kg, vg, p, keep, pd))
 
     def bwd(g, q=q, k=k, v=v, groups=groups):
-        gq, gk, gv = (np.empty(t.data.shape) if t.requires_grad else None for t in (q, k, v))
+        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
         for q_rows, k_rows, n_seg, qg, kg, vg, p, keep, pd in groups:
             go = split(g, q_rows, n_seg)
             if gv is not None:
@@ -380,7 +396,7 @@ def logprob_sums(logits, targets, coef, segments, n_segments):
     """
     n, V = logits.data.shape
     targets = np.asarray(targets, dtype=np.int64)
-    coef = np.asarray(coef, dtype=np.float64)
+    coef = np.asarray(coef, dtype=logits.data.dtype)
     segments = np.asarray(segments, dtype=np.int64)
     if not targets.shape == coef.shape == segments.shape == (n,):
         raise ShapeError(f"logprob_sums: targets {targets.shape}, coef {coef.shape} and "
@@ -390,7 +406,8 @@ def logprob_sums(logits, targets, coef, segments, n_segments):
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     rows = np.arange(n)
-    value = np.bincount(segments, weights=coef * ls[rows, targets], minlength=n_segments)
+    value = np.bincount(segments, weights=coef * ls[rows, targets],  # sums in float64
+                        minlength=n_segments).astype(ls.dtype, copy=False)
 
     def bwd(g, logits=logits):
         if logits.requires_grad:

@@ -1,12 +1,15 @@
-"""Stage orchestration: optimizer, warmup schedule, training loops,
-binary checkpoints and the metrics log.
+"""Stage orchestration: optimizer, warmup and cosine schedule, training
+loops, binary checkpoints and the metrics log.
 
-Checkpoint layout: magic "QLNM", little-endian u32 version, u32 header
-length, UTF-8 JSON header (model config, training metadata, tensor
-index with shapes and byte offsets), then the parameter buffer and the
-adapter buffer (if any) as raw little-endian float64. The index follows
-from the model and adapter configs alone: a load recomputes it and
-requires the header's to be equal.
+Checkpoint layout (version 2): magic "QLNM", then little-endian u32
+version, u32 header length and u32 CRC32 (zlib) of every byte after these
+16, then the UTF-8 JSON header (model config, training metadata, payload
+dtype "<f4" or "<f8", tensor index with shapes and byte offsets), then the
+parameter buffer and the adapter buffer (if any) as raw little-endian
+floats of that dtype, the tables' own. The index follows from the model
+and adapter configs and the dtype alone: a load recomputes it and requires
+the header's to be equal. Any other version, version 1 included, is an
+IntegrityError.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import io
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,7 +33,9 @@ from .errors import ConfigError, DataError, IntegrityError, TrainingError, check
 from .tensor import backward
 
 MAGIC = b"QLNM"
-VERSION = 1
+VERSION = 2
+PREFIX = 16  # magic, version, header length, CRC32
+PAYLOAD_DTYPES = ("<f4", "<f8")
 CLIP_NORM = 1.0
 
 ADAM_BETA1 = 0.9
@@ -71,15 +77,20 @@ def default_stage_config(stage):
 
 
 def lr_at(cfg, step, total_steps):
-    """Linear 0 -> lr over ceil(warmup_ratio * total_steps) steps, then constant."""
+    """Linear 0 -> lr over ceil(warmup_ratio * total_steps) steps, then a
+    cosine decay from lr at the end of warmup to 0 at total_steps (SGDR
+    without restarts). A warmup covering every step leaves no decay."""
     if total_steps == 0:
         raise ConfigError("lr_at: total_steps must be > 0")
     if not (0 <= step <= total_steps):
         raise ConfigError(f"lr_at: step {step} outside [0, {total_steps}]")
     warmup = math.ceil(cfg.warmup_ratio * total_steps)
-    if warmup == 0 or step >= warmup:
+    if step < warmup:
+        return cfg.learning_rate * step / warmup
+    if warmup == total_steps:
         return cfg.learning_rate
-    return cfg.learning_rate * step / warmup
+    progress = (step - warmup) / (total_steps - warmup)
+    return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 class OptimState:
@@ -93,8 +104,11 @@ class OptimState:
 
 def clip_gradients(table, max_norm=CLIP_NORM):
     """Scale the table's gradient to global norm max_norm if it is larger;
-    returns the norm before clipping."""
-    norm = math.sqrt(float(table.grad @ table.grad))
+    returns the norm before clipping. The squares add up in float64: in
+    float32 one entry above about 1.8e19 would overflow the sum to inf and
+    zero the whole gradient."""
+    g = table.grad.astype(np.float64, copy=False)
+    norm = math.sqrt(float(g @ g))
     if norm > max_norm:
         table.grad *= max_norm / norm
     return norm
@@ -206,18 +220,18 @@ def write_metrics(metrics, path):
 # -- checkpoints -------------------------------------------------------
 
 
-def _layout(config, lora_config):
+def _layout(config, lora_config, itemsize):
     """(tensor shapes by kind, tensor index, payload bytes) of a checkpoint of
-    this model and adapter config: the index lists every parameter ("p"),
-    then every adapter tensor ("a"), in buffer order, each starting where the
-    previous one ends."""
+    this model and adapter config with itemsize-byte floats: the index lists
+    every parameter ("p"), then every adapter tensor ("a"), in buffer order,
+    each starting where the previous one ends."""
     shapes = {"p": {name: shape for name, shape, _ in M.param_spec(config)},
               "a": {} if lora_config is None else M.lora_shapes(config, lora_config)}
     index, offset = [], 0
     for kind, table in shapes.items():
         for name, shape in table.items():
             index.append({"kind": kind, "name": name, "shape": list(shape), "offset": offset})
-            offset += 8 * math.prod(shape)
+            offset += itemsize * math.prod(shape)
     return shapes, index, offset
 
 
@@ -226,17 +240,19 @@ def save_checkpoint(state, path):
     then rename)."""
     tables = [state.params] if state.adapter is None else [state.params, state.adapter]
     lora_config = None if state.adapter is None else state.adapter.config
-    _, index, payload_bytes = _layout(state.params.config, lora_config)
+    dtype = state.params.data.dtype.newbyteorder("<")
+    _, index, payload_bytes = _layout(state.params.config, lora_config, dtype.itemsize)
     header = {
         "config": asdict(state.params.config),
         "adapter": None if lora_config is None else asdict(lora_config),
         "meta": {"stage": state.stage, "step": state.step, "seed": state.seed},
+        "dtype": dtype.str,
         "tensors": index,
         "payload_bytes": payload_bytes,
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    atomic_write(b"".join([MAGIC, struct.pack("<II", VERSION, len(header_bytes)), header_bytes,
-                           *(t.data.astype("<f8", copy=False).tobytes() for t in tables)]),
+    body = b"".join([header_bytes, *(t.data.astype(dtype, copy=False).tobytes() for t in tables)])
+    atomic_write(MAGIC + struct.pack("<III", VERSION, len(header_bytes), zlib.crc32(body)) + body,
                  path)
 
 
@@ -245,16 +261,16 @@ def load_checkpoint(path):
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise IntegrityError(f"{path}: bad magic at offset 0")
-    if len(blob) < 12:
+    if len(blob) < PREFIX:
         raise IntegrityError(f"{path}: truncated header at offset {len(blob)}")
-    version, header_len = struct.unpack_from("<II", blob, 4)
+    version, header_len, crc = struct.unpack_from("<III", blob, 4)
     if version != VERSION:
         raise IntegrityError(f"{path}: unsupported version {version}")
-    header_end = 12 + header_len
+    header_end = PREFIX + header_len
     if len(blob) < header_end:
         raise IntegrityError(f"{path}: truncated header at offset {len(blob)}")
     try:
-        header = json.loads(blob[12:header_end].decode("utf-8"))
+        header = json.loads(blob[PREFIX:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path}: corrupt header ({exc})") from None
     try:
@@ -265,7 +281,12 @@ def load_checkpoint(path):
             targets=tuple(a["targets"]))
         meta = header["meta"]
         stage, step, seed = meta["stage"], meta["step"], meta["seed"]
-        shapes, index, payload_bytes = _layout(config, lcfg)
+        dtype = header["dtype"]
+        if dtype not in PAYLOAD_DTYPES:
+            raise IntegrityError(f"{path}: malformed header (payload dtype {dtype!r}, "
+                                 f"need one of {PAYLOAD_DTYPES})")
+        dtype = np.dtype(dtype)
+        shapes, index, payload_bytes = _layout(config, lcfg, dtype.itemsize)
         if header["tensors"] != index or header["payload_bytes"] != payload_bytes:
             raise IntegrityError(f"{path}: malformed header (tensor index does not match "
                                  f"the model config and adapter config)")
@@ -274,7 +295,10 @@ def load_checkpoint(path):
     expected = header_end + payload_bytes
     if len(blob) != expected:
         raise IntegrityError(f"{path}: payload size mismatch at offset {min(len(blob), expected)}")
-    payload = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
+    if zlib.crc32(memoryview(blob)[PREFIX:]) != crc:
+        raise IntegrityError(f"{path}: checksum mismatch (CRC32 of the bytes from offset "
+                             f"{PREFIX} on)")
+    payload = np.frombuffer(blob, dtype=dtype, offset=header_end).astype(dtype.type)
     n_base = sum(math.prod(shape) for shape in shapes["p"].values())
     params = M.ModelParams(config, shapes["p"], payload[:n_base])
     adapter = None if lcfg is None else M.LoraAdapter(lcfg, shapes["a"], payload[n_base:])

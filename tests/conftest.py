@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oracles  # found through the path entry above
 from medlm import model as M
 
 
@@ -27,3 +28,9 @@ def tiny_config():
 @pytest.fixture
 def tiny_params(tiny_config):
     return M.init_params(tiny_config, np.random.default_rng(42))
+
+
+@pytest.fixture
+def tiny_params64(tiny_params):
+    """tiny_params in float64, for tests with float64 tolerances."""
+    return oracles.float64_table(tiny_params)

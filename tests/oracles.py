@@ -6,7 +6,8 @@ meaningful. The reference formulas of the engine kernels at the end are
 the exception: they are the plain numpy expressions the in-place kernels
 must reproduce bit for bit, and the full-row scorer the trimmed one must
 agree with. ``grad_check`` compares the engine's gradients with central
-finite differences.
+finite differences, and ``float64_table`` gives the tests that hold
+float64 arithmetic to such oracles a float64 table to run on.
 """
 
 import math
@@ -232,6 +233,15 @@ def score_full_ref(params, adapter, inputs, targets, coef, groups, train_rng=Non
 
 
 # -- gradient checking -------------------------------------------------
+
+def float64_table(table):
+    """A float64 copy of a parameter table or adapter (``model.init_params``
+    gives float32), grads on if the table's are. The engine follows the
+    table's dtype, so everything computed from the copy is float64, and
+    float64 oracles, finite differences and tolerances apply."""
+    return type(table)(table.config, table.shapes, table.data.astype(np.float64),
+                       requires_grad=table.grad is not None)
+
 
 def zero_grad(t):
     if t.requires_grad:

@@ -40,10 +40,12 @@ def _report(name, ok, detail=""):
 
 
 def _tiny_setup():
+    """A vocab and a float64 table: the criteria below hold the engine to
+    float64 finite differences and identities."""
     vocab = M.build_vocab(["abcdefgQ:A:\n？。药"])
     cfg = M.ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2,
                         max_seq_len=48)
-    params = M.init_params(cfg, np.random.default_rng(42))
+    params = oracles.float64_table(M.init_params(cfg, np.random.default_rng(42)))
     params.set_requires_grad(True)
     return vocab, params
 
@@ -354,14 +356,12 @@ def test_end_to_end_ordinal_trend(pipeline):
     em = hits / len(sft_examples)
 
     items, _ = D.load_dataset(base / "data" / "mcq.jsonl", "mcq")
-    exemplars = [(E.render_mcq_question(it), "".join(sorted(it.gold)))
-                 for it in items[: cfg.eval.few_shot_k]]
-    spec = E.FewShotSpec(exemplars=exemplars)
 
-    def mcq_acc(state):
+    def mcq_acc(state):  # the prompts of `medlm eval mcq`
         scored = [E.McqItem(question=it.question, options=it.options, gold=it.gold)
                   for it in items]
-        return E.evaluate_mcq(state, vocab, scored, spec, max_new_tokens=4).accuracy
+        return E.evaluate_mcq(state, vocab, scored, cfg.eval.few_shot_k,
+                              max_new_tokens=4).accuracy
 
     acc_cpt = mcq_acc(cpt_state)
     acc_sft = mcq_acc(sft_state)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import zlib
 from pathlib import Path
 
 import pytest
@@ -363,7 +364,7 @@ class TestPipelineCommands:
         assert cli.main(["--config", str(built), "train", "cpt"]) == 0
         ckpt = tmp_path / "ckpt" / "cpt.ckpt"
         blob = ckpt.read_bytes()
-        n = int.from_bytes(blob[8:12], "little")
+        n = int.from_bytes(blob[8:12], "little")  # then the CRC32, then the header
 
         def drop_meta(header):
             del header["meta"]
@@ -373,11 +374,12 @@ class TestPipelineCommands:
 
         for edit, message in ((drop_meta, "malformed header"),
                               (rename_head, "does not match the model config")):
-            header = json.loads(blob[12:12 + n])
+            header = json.loads(blob[16:16 + n])
             edit(header)
             raw = json.dumps(header).encode("utf-8")
-            ckpt.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw
-                             + blob[12 + n:])
+            body = raw + blob[16 + n:]
+            ckpt.write_bytes(blob[:8] + len(raw).to_bytes(4, "little")
+                             + zlib.crc32(body).to_bytes(4, "little") + body)
             capsys.readouterr()
             assert cli.main(["--config", str(built), "train", "sft"]) == 1
             err = capsys.readouterr().err

@@ -186,7 +186,7 @@ class TestRouge:
 
 class TestPerplexity:
     def test_uniform_model_gives_vocab_size(self, tiny_config):
-        params = M.init_params(tiny_config, np.random.default_rng(0))
+        params = oracles.float64_table(M.init_params(tiny_config, np.random.default_rng(0)))
         params["head"].data[:] = 0.0
         ppl = E.perplexity(params, None, [[0, 4, 5, 6], [0, 7, 8]])
         assert ppl == pytest.approx(tiny_config.vocab_size, rel=1e-12)
@@ -217,6 +217,19 @@ class TestFewShot:
         with pytest.raises(DataError):
             E.build_few_shot_prompt(spec, "q", max_len=20)
 
+    def test_mcq_shots_are_the_items_before_cyclically(self):
+        items = [_item(gold, "", options={"A": f"甲{i}", "B": f"乙{i}"})
+                 for i, gold in enumerate("ABBA")]
+        shot = [f"Q:{E.render_mcq_question(it)}\nA:{it.answer}\n" for it in items]
+        question = [f"Q:{E.render_mcq_question(it)}\nA:" for it in items]
+        assert E.mcq_prompt(items, 0, 2) == shot[2] + shot[3] + question[0]
+        assert E.mcq_prompt(items, 1, 2) == shot[3] + shot[0] + question[1]
+        assert E.mcq_prompt(items, 3, 2) == shot[1] + shot[2] + question[3]
+        assert E.mcq_prompt(items, 2, 0) == question[2]
+        for k in (4, 5, -1):  # an item would be its own shot
+            with pytest.raises(DataError, match="few_shot_k"):
+                E.mcq_prompt(items, 0, k)
+
     def test_render_mcq_question_sorts_options(self):
         item = _item("A", "", options={"B": "乙", "A": "甲"})
         assert E.render_mcq_question(item) == "q? A.甲 B.乙"
@@ -233,8 +246,7 @@ class TestEvaluate:
     def test_mcq_fills_generated_and_reports(self):
         state, vocab = self._state_and_vocab()
         items = [_item("A", "") for _ in range(3)]
-        spec = E.FewShotSpec(exemplars=[("q?", "A")])
-        report = E.evaluate_mcq(state, vocab, items, spec, max_new_tokens=2)
+        report = E.evaluate_mcq(state, vocab, items, 1, max_new_tokens=2)
         assert report.n_items == 3
         assert all(isinstance(it.generated, str) for it in items)
         assert 0.0 <= report.accuracy <= 1.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from medlm import model as M
 from medlm import tensor as T
 from medlm.errors import ConfigError, DataError, VocabError
@@ -152,7 +153,8 @@ class TestForward:
     def test_ragged_rows_match_single_sequences(self, lengths, with_adapter, seed):
         tiny_config = M.ModelConfig(vocab_size=13, d_model=16, n_layers=2, n_heads=2,
                                     max_seq_len=24)  # conftest's tiny config
-        tiny_params = M.init_params(tiny_config, np.random.default_rng(42))
+        tiny_params = oracles.float64_table(M.init_params(tiny_config,
+                                                          np.random.default_rng(42)))
         rng = np.random.default_rng(seed)
         adapter = None
         if with_adapter:
@@ -177,25 +179,25 @@ class TestForward:
         with pytest.raises(DataError):
             M.forward_logits(tiny_params, None, [0, 4, 5, 6], lengths=lengths)
 
-    def test_one_segment_lengths_and_scored_accepted(self, tiny_params):
+    def test_one_segment_lengths_and_scored_accepted(self, tiny_params64):
         tokens = [0, 4, 5]
-        full = M.forward_logits(tiny_params, None, tokens).data
+        full = M.forward_logits(tiny_params64, None, tokens).data
         for lengths in ([3], (3,), np.array([3])):
-            out = M.forward_logits(tiny_params, None, tokens, lengths=lengths).data
+            out = M.forward_logits(tiny_params64, None, tokens, lengths=lengths).data
             assert np.array_equal(out, full)
             for scored in ([3], np.array([3]), [np.int64(3)]):
-                out = M.forward_logits(tiny_params, None, tokens, lengths=lengths,
+                out = M.forward_logits(tiny_params64, None, tokens, lengths=lengths,
                                        scored=scored).data
                 assert np.array_equal(out, full)
-        last = M.forward_logits(tiny_params, None, tokens, lengths=np.array([3]),
+        last = M.forward_logits(tiny_params64, None, tokens, lengths=np.array([3]),
                                 scored=np.array([1])).data
         np.testing.assert_allclose(last, full[2:], rtol=0, atol=1e-12)
         # the same counts for two segments go through the same check
         tokens = [0, 4, 5, 6]
-        full = M.forward_logits(tiny_params, None, tokens, lengths=[2, 2]).data
+        full = M.forward_logits(tiny_params64, None, tokens, lengths=[2, 2]).data
         for counts in (np.array([2, 2]), (2, 2), [np.int64(2)] * 2):
             for kwargs in ({"lengths": counts}, {"lengths": counts, "scored": counts}):
-                out = M.forward_logits(tiny_params, None, tokens, **kwargs).data
+                out = M.forward_logits(tiny_params64, None, tokens, **kwargs).data
                 assert np.array_equal(out, full)
 
     @pytest.mark.parametrize("lengths, scored, match", [
@@ -224,7 +226,7 @@ class TestScoredRows:
         # scored: a random suffix of each segment, from one row to all of them
         config = M.ModelConfig(vocab_size=13, d_model=16, n_layers=2, n_heads=2,
                                max_seq_len=24)  # conftest's tiny config
-        params = M.init_params(config, np.random.default_rng(42))
+        params = oracles.float64_table(M.init_params(config, np.random.default_rng(42)))
         rng = np.random.default_rng(seed)
         adapter = None
         if with_adapter:
@@ -247,11 +249,11 @@ class TestScoredRows:
                                  scored=[4, 3]).data
         assert np.array_equal(every, full)
 
-    def test_cached_prefill_keeps_last_row(self, tiny_config, tiny_params):
+    def test_cached_prefill_keeps_last_row(self, tiny_config, tiny_params64):
         tokens = [0, 4, 5, 6, 7, 8, 9]
-        weights = {name: t.data for name, t in tiny_params.named()}
+        weights = {name: t.data for name, t in tiny_params64.named()}
         cache = []
-        full = M.forward_logits(tiny_params, None, tokens).data
+        full = M.forward_logits(tiny_params64, None, tokens).data
         last = M.decode_logits(tiny_config, weights, cache, tokens[:5])
         step = M.decode_logits(tiny_config, weights, cache, tokens[5:])
         np.testing.assert_allclose(last, full[4], rtol=0, atol=1e-12)
@@ -283,12 +285,12 @@ class TestLora:
         adapted = M.forward_logits(tiny_params, adapter, [0, 4, 5]).data
         assert not np.array_equal(base, adapted)
 
-    def test_merge_matches_adapter_forward(self, tiny_params, rng):
-        adapter = M.attach_lora(tiny_params, M.LoraConfig(dropout=0.0), rng)
+    def test_merge_matches_adapter_forward(self, tiny_params64, rng):
+        adapter = M.attach_lora(tiny_params64, M.LoraConfig(dropout=0.0), rng)
         for name, t in adapter.named():
             t.data[...] = 0.05 * np.random.default_rng(1).standard_normal(t.data.shape)
-        with_adapter = M.forward_logits(tiny_params, adapter, [0, 4, 5, 6]).data
-        merged = M.merge_lora(tiny_params, adapter)
+        with_adapter = M.forward_logits(tiny_params64, adapter, [0, 4, 5, 6]).data
+        merged = M.merge_lora(tiny_params64, adapter)
         folded = M.forward_logits(merged, None, [0, 4, 5, 6]).data
         assert np.max(np.abs(with_adapter - folded)) < 1e-10
 
@@ -425,6 +427,7 @@ class TestKvCache:
         return {name: t.data for name, t in params.named()}
 
     def test_prefill_then_steps_match_full_forward(self, tiny_config, params, adapter):
+        params, adapter = oracles.float64_table(params), oracles.float64_table(adapter)
         tokens = self._prompt(tiny_config, tiny_config.max_seq_len)
         weights = {**self._weights(params), **M.folded_weights(params, adapter)}
         cache = []

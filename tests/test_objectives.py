@@ -23,7 +23,8 @@ def vocab():
 def params(vocab):
     cfg = M.ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2,
                         max_seq_len=64)
-    return M.init_params(cfg, np.random.default_rng(5))
+    # float64: the objectives are held to float64 reference arithmetic
+    return oracles.float64_table(M.init_params(cfg, np.random.default_rng(5)))
 
 
 class TestCptLoss:
@@ -42,7 +43,7 @@ class TestCptLoss:
     def test_uniform_model_gives_log_vocab(self, vocab):
         cfg = M.ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=1,
                             n_heads=2, max_seq_len=32)
-        params = M.init_params(cfg, np.random.default_rng(0))
+        params = oracles.float64_table(M.init_params(cfg, np.random.default_rng(0)))
         params["head"].data[:] = 0.0  # logits all zero -> uniform
         loss = O.cpt_loss(params, None, [[0, 4, 5, 6]])
         assert abs(loss.item() - math.log(len(vocab))) < 1e-12
@@ -289,3 +290,103 @@ class TestScoredRows:
         assert np.array_equal(lp.data, [0.0, 0.0])
         backward(T.tsum(lp))
         assert not params.grad.any()
+
+
+class TestDtypeContract:
+    """A step on a float32 table computes every op output and every gradient
+    in float32; a float64 table keeps all of them float64."""
+
+    @staticmethod
+    def _graph(loss):
+        nodes, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        return nodes
+
+    @staticmethod
+    def _params(vocab, dtype, dropout=0.1):
+        cfg = M.ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2,
+                            max_seq_len=64, dropout=dropout)
+        params = M.init_params(cfg, np.random.default_rng(5))
+        return params if dtype == np.float32 else oracles.float64_table(params)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stage", ["cpt", "sft", "dpo"])
+    def test_step_runs_in_the_table_dtype(self, vocab, stage, dtype, monkeypatch):
+        params = self._params(vocab, dtype)
+        train_rng = np.random.default_rng(1)
+        if stage == "cpt":
+            trainable = params
+            loss = O.cpt_loss(params, None, [[0, 4, 5, 6, 7], [0, 8, 9]], train_rng=train_rng)
+        else:
+            params.set_requires_grad(False)
+            trainable = M.attach_lora(params, M.LoraConfig(dropout=0.1),
+                                      np.random.default_rng(2))
+            if stage == "sft":
+                batch = [D.SftExample(instruction="ab？", output="cd。"),
+                         D.SftExample(instruction="efgh？", output="药。")]
+                loss = O.sft_loss(params, trainable, batch, vocab, train_rng=train_rng)
+            else:
+                pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef。"),
+                         D.PreferencePair(prompt="g？", preferred="a药。", rejected="bcd。")]
+                reference = O.preference_margins(params, None, pairs, vocab)
+                assert reference.dtype == dtype
+                loss, rewards = O.dpo_loss(params, trainable, 0.1, pairs, vocab, reference,
+                                           train_rng=train_rng)
+                assert rewards.dtype == dtype
+        assert {node.data.dtype for node in self._graph(loss)} == {np.dtype(dtype)}
+
+        grads = []
+        accumulate = T._accumulate
+
+        def record(t, g):
+            grads.append(g.dtype)
+            accumulate(t, g)
+
+        monkeypatch.setattr(T, "_accumulate", record)
+        backward(loss)
+        assert grads and set(grads) == {np.dtype(dtype)}
+        TR.clip_gradients(trainable)
+        opt = TR.OptimState(trainable)
+        TR.optim_step(trainable, opt, 0.01, 0.01)
+        for a in (trainable.data, trainable.grad, opt.m, opt.v):
+            assert a.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decode_runs_in_the_table_dtype(self, vocab, dtype):
+        params = self._params(vocab, dtype, dropout=0.0)
+        adapter = M.attach_lora(params, M.LoraConfig(), np.random.default_rng(2))
+        adapter.data[...] = 0.1
+        weights = {**{name: t.data for name, t in params.named()},
+                   **M.folded_weights(params, adapter)}
+        cache = []
+        prefill = M.decode_logits(params.config, weights, cache, [0, 4, 5])
+        step = M.decode_logits(params.config, weights, cache, [6])
+        assert prefill.dtype == step.dtype == dtype
+        assert all(k.dtype == v.dtype == dtype for k, v in cache)
+
+    def test_float32_cpt_step_matches_float64(self, vocab):
+        # Both tables hold the same values. Each float32 op rounds its result
+        # at relative eps32 = 2**-23, and the errors of the ~40 ops between a
+        # weight and the loss add up: measured, at most 0.5 eps32 on the loss
+        # and 23 eps32 on the gradient (norm-wise) over five seeds at this
+        # init. The bounds are 16 eps32 and 256 eps32, a tenfold margin.
+        eps = float(np.finfo(np.float32).eps)
+        cfg = M.ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2,
+                            max_seq_len=64)
+        p32 = M.init_params(cfg, np.random.default_rng(1), init_scale=0.5)
+        p64 = oracles.float64_table(p32)
+        blocks = [list(b) for b in np.random.default_rng(2).integers(0, len(vocab),
+                                                                     size=(4, 33))]
+        results = []
+        for params in (p32, p64):
+            loss = O.cpt_loss(params, None, blocks)
+            backward(loss)
+            results.append((loss.item(), params.grad.astype(np.float64)))
+        (l32, g32), (l64, g64) = results
+        assert abs(l32 - l64) <= 16 * eps * abs(l64)
+        assert np.linalg.norm(g32 - g64) <= 256 * eps * np.linalg.norm(g64)

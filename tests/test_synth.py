@@ -58,10 +58,8 @@ def test_vocab_covers_every_surface(tmp_path):
     for pair in dpo:
         M.encode(vocab, D.render_bare_prompt(pair.prompt) + pair.preferred + pair.rejected)
     items, _ = D.load_dataset(data / "mcq.jsonl", "mcq")  # as `medlm eval mcq` prompts
-    spec = E.FewShotSpec(exemplars=[(E.render_mcq_question(it), it.answer)
-                                    for it in items[: cfg["eval"]["few_shot_k"]]])
-    for it in items:
-        M.encode(vocab, E.build_few_shot_prompt(spec, E.render_mcq_question(it)))
+    for i in range(len(items)):
+        M.encode(vocab, E.mcq_prompt(items, i, cfg["eval"]["few_shot_k"]))
     for prompt, _ in D.load_dataset(data / "dialogue_eval.jsonl", "dialogue")[0]:
         M.encode(vocab, D.render_bare_prompt(prompt))
 

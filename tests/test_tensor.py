@@ -10,14 +10,28 @@ from medlm.tensor import Tensor, backward
 from oracles import grad_check, zero_grad
 
 
-def test_float64_arrays_are_kept_others_converted():
-    a = np.arange(6.0).reshape(2, 3)
-    assert Tensor(a).data is a
-    f32 = np.arange(3, dtype=np.float32)
-    for x in (f32, np.arange(3), [0, 1, 2]):
+def test_float32_and_float64_arrays_are_kept_others_converted():
+    for dtype in (np.float64, np.float32):
+        a = np.arange(6.0, dtype=dtype).reshape(2, 3)
+        assert Tensor(a).data is a
+    scalar = Tensor(np.float32(2.5))  # what a float32 sum returns
+    assert scalar.data.dtype == np.float32 and scalar.item() == 2.5
+    for x in (np.arange(3), [0, 1, 2], np.arange(3, dtype=np.float16)):
         t = Tensor(x)
         assert t.data.dtype == np.float64 and np.array_equal(t.data, [0.0, 1.0, 2.0])
-    assert not np.shares_memory(Tensor(f32).data, f32)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_constants_take_the_tensor_dtype(dtype):
+    # under numpy 2 a float64 array, even 0-d, would promote float32
+    x = Tensor(np.arange(3, dtype=dtype), requires_grad=True)
+    for out in (x + 1.0, 1.0 + x, x - np.float64(0.5), x - np.ones(3), x * 3.0,
+                x + np.array(2.0)):
+        assert out.data.dtype == dtype
+    loss = T.tsum(x - np.ones(3))
+    assert loss.data.dtype == dtype
+    backward(loss)
+    assert x.grad.dtype == dtype
 
 
 class TestMatmul:

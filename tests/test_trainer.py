@@ -1,12 +1,18 @@
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
 import stat
 import struct
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from medlm import data as D
@@ -27,6 +33,12 @@ def state(vocab):
                         max_seq_len=48)
     params = M.init_params(cfg, np.random.default_rng(9))
     return TR.TrainState(params=params, seed=0)
+
+
+@pytest.fixture
+def state64(state):
+    """state in float64, for tests with float64 tolerances."""
+    return TR.TrainState(params=oracles.float64_table(state.params), seed=0)
 
 
 def _cpt_cfg(**kw):
@@ -65,13 +77,29 @@ class TestStageConfig:
 
 
 class TestSchedule:
-    def test_linear_warmup_then_constant(self):
+    def test_linear_warmup_then_cosine_decay(self):
         cfg = _cpt_cfg(learning_rate=1.0, warmup_ratio=0.5)
-        # 10 total steps -> 5 warmup steps
+        # 10 total steps -> 5 warmup steps, then 5 of decay
         assert TR.lr_at(cfg, 0, 10) == 0.0
         assert TR.lr_at(cfg, 1, 10) == pytest.approx(0.2)
         assert TR.lr_at(cfg, 5, 10) == 1.0
-        assert TR.lr_at(cfg, 10, 10) == 1.0
+        for step in range(6, 11):
+            want = 0.5 * (1.0 + math.cos(math.pi * (step - 5) / 5))
+            assert TR.lr_at(cfg, step, 10) == pytest.approx(want, abs=1e-15)
+        assert TR.lr_at(cfg, 10, 10) == 0.0
+        lrs = [TR.lr_at(cfg, step, 10) for step in range(5, 11)]
+        assert all(a > b for a, b in zip(lrs, lrs[1:]))
+
+    def test_no_warmup_starts_at_the_peak(self):
+        cfg = _cpt_cfg(learning_rate=2.0, warmup_ratio=0.0)
+        assert TR.lr_at(cfg, 0, 4) == 2.0
+        assert TR.lr_at(cfg, 2, 4) == pytest.approx(1.0)
+
+    def test_warmup_covering_every_step_leaves_no_decay(self):
+        # ceil(0.5 * 1) = 1 warmup step of 1: no decay steps to divide by
+        cfg = _cpt_cfg(learning_rate=1.0, warmup_ratio=0.5)
+        assert TR.lr_at(cfg, 0, 1) == 0.0
+        assert TR.lr_at(cfg, 1, 1) == 1.0
 
     def test_warmup_steps_are_ceiled(self):
         cfg = _cpt_cfg(learning_rate=1.0, warmup_ratio=0.05)
@@ -129,6 +157,17 @@ class TestOptimizer:
         assert norm == pytest.approx(5.0)
         assert np.allclose(table["w"].grad, [0.6]) and np.allclose(table["b"].grad, [0.8])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clip_survives_a_huge_finite_entry(self, dtype):
+        # in float32, 1e20 squared overflows: a float32 sum of squares reads
+        # inf, and scaling by 1/inf would zero the whole update
+        table = M.ParamTable(None, {"w": (3,)}, dtype=dtype)
+        table.grad[:] = [1e20, 3.0, -4.0]
+        norm = TR.clip_gradients(table, max_norm=1.0)
+        assert norm == pytest.approx(1e20, rel=1e-6)
+        assert table.grad.dtype == dtype
+        assert table.grad[0] == pytest.approx(1.0, rel=1e-6) and table.grad[1] > 0
+
     def test_clip_leaves_small_gradients_alone(self):
         table = _table(w=[0.1])
         table.grad[:] = [0.1]
@@ -181,24 +220,24 @@ class TestRunStage:
         for name, t in new_state.params.named():
             assert np.allclose(t.data, merged.tensors[name].data, atol=1e-12)
 
-    def test_dpo_runs_and_logs_metrics(self, state, vocab):
+    def test_dpo_runs_and_logs_metrics(self, state64, vocab):
         pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef。")]
         cfg = TR.StageConfig(stage="dpo", learning_rate=0.01, warmup_ratio=0.0,
                              epochs=2, batch_size=4, beta=0.1,
                              lora=M.LoraConfig(dropout=0.0))
-        new_state, metrics = TR.run_stage(state, cfg, pairs, vocab=vocab)
+        new_state, metrics = TR.run_stage(state64, cfg, pairs, vocab=vocab)
         assert len(metrics) == 2
         # first step: fresh adapter == reference, so loss is exactly ln 2
         assert metrics[0]["loss"] == pytest.approx(math.log(2), abs=1e-9)
 
-    def test_dpo_reference_follows_batch_order(self, state, vocab):
+    def test_dpo_reference_follows_batch_order(self, state64, vocab):
         # with a vanishing learning rate the policy stays the reference, so
         # every step's loss is ln 2 only if each pair meets its own reference
         pairs = [D.PreferencePair(prompt="ab" * i + "？", preferred="c" * i + "。",
                                   rejected="d药。") for i in range(1, 6)]
         cfg = TR.StageConfig(stage="dpo", learning_rate=1e-300, warmup_ratio=0.0,
                              epochs=2, batch_size=2, lora=M.LoraConfig(dropout=0.0))
-        _, metrics = TR.run_stage(state, cfg, pairs, vocab=vocab)
+        _, metrics = TR.run_stage(state64, cfg, pairs, vocab=vocab)
         assert len(metrics) == 6
         for row in metrics:
             assert row["loss"] == pytest.approx(math.log(2), abs=1e-12)
@@ -296,7 +335,12 @@ class TestCheckpoint:
         TR.save_checkpoint(state, path)
         blob = path.read_bytes()
         assert blob[:4] == b"QLNM"
-        assert int.from_bytes(blob[4:8], "little") == 1
+        version, header_len, crc = struct.unpack_from("<III", blob, 4)
+        assert version == 2
+        assert crc == zlib.crc32(blob[16:])
+        header = json.loads(blob[16:16 + header_len])
+        assert header["dtype"] == "<f4"
+        assert len(blob) == 16 + header_len + 4 * state.params.n_params()
 
     def test_bad_magic_rejected_with_offset(self, state, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -319,6 +363,37 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError, match="offset"):
             TR.load_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_keeps_the_dtype(self, state, tmp_path, dtype):
+        params = M.ModelParams(state.params.config, state.params.shapes,
+                               state.params.data.astype(dtype))
+        adapter = M.attach_lora(params, M.LoraConfig(), np.random.default_rng(3))
+        adapter.data[...] = np.random.default_rng(4).standard_normal(adapter.data.shape)
+        path = tmp_path / "model.ckpt"
+        TR.save_checkpoint(TR.TrainState(params=params, adapter=adapter), path)
+        loaded = TR.load_checkpoint(path)
+        for want, got in ((params, loaded.params), (adapter, loaded.adapter)):
+            assert got.data.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+
+    def test_version_1_file_rejected(self, state, tmp_path):
+        # the float64 layout before the checksum: magic, version 1, header
+        # length, JSON header, payload
+        path = tmp_path / "model.ckpt"
+        header = json.dumps({"config": dataclasses.asdict(state.params.config)}).encode()
+        path.write_bytes(b"QLNM" + struct.pack("<II", 1, len(header)) + header
+                         + state.params.data.astype("<f8").tobytes())
+        with pytest.raises(IntegrityError, match="unsupported version 1$"):
+            TR.load_checkpoint(path)
+
+    def test_payload_bit_flip_is_a_checksum_mismatch(self, state, tmp_path):
+        path = tmp_path / "model.ckpt"
+        TR.save_checkpoint(state, path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            TR.load_checkpoint(path)
+
     def test_unsupported_version_rejected(self, state, tmp_path):
         path = tmp_path / "model.ckpt"
         TR.save_checkpoint(state, path)
@@ -336,14 +411,59 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == []
 
 
+@functools.lru_cache(maxsize=None)
+def _fuzz_checkpoint():
+    """(bytes, header end) of a small float32 checkpoint with an adapter."""
+    vocab = M.build_vocab(["abcdefghQ:A:\n？。药"])
+    cfg = M.ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                        max_seq_len=8)
+    params = M.init_params(cfg, np.random.default_rng(9))
+    adapter = M.attach_lora(params, M.LoraConfig(rank=2), np.random.default_rng(3))
+    state = TR.TrainState(params=params, adapter=adapter, stage="sft", step=7, seed=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        TR.save_checkpoint(state, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    return blob, 16 + struct.unpack_from("<I", blob, 8)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), xor=st.integers(1, 255))
+def test_single_byte_flip_is_rejected_or_harmless(data, xor):
+    blob, header_end = _fuzz_checkpoint()
+    # half the flips land in the magic, prefix and JSON header
+    offset = data.draw(st.one_of(st.integers(0, header_end - 1),
+                                 st.integers(0, len(blob) - 1)))
+    flipped = bytearray(blob)
+    flipped[offset] ^= xor
+    with tempfile.TemporaryDirectory() as tmp:
+        original, path = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        for name, content in ((original, blob), (path, flipped)):
+            with open(name, "wb") as fh:
+                fh.write(content)
+        want = TR.load_checkpoint(original)
+        try:
+            got = TR.load_checkpoint(path)
+        except IntegrityError:
+            return
+    assert (got.params.config, got.adapter.config, got.stage, got.step, got.seed) == \
+        (want.params.config, want.adapter.config, want.stage, want.step, want.seed)
+    for a, b in ((got.params, want.params), (got.adapter, want.adapter)):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+
+
 def _rewrite_header(path, edit):
-    """Apply edit to the checkpoint's JSON header, keeping the payload bytes."""
+    """Apply edit to the checkpoint's JSON header, keeping the payload bytes
+    and giving the file the checksum of its new contents, so that only the
+    header's own checks can reject it."""
     blob = path.read_bytes()
     (n,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12:12 + n])
+    header = json.loads(blob[16:16 + n])
     edit(header)
     raw = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
+    body = raw + blob[16 + n:]
+    path.write_bytes(blob[:8] + struct.pack("<II", len(raw), zlib.crc32(body)) + body)
 
 
 def _shift(i, delta):
