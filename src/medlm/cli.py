@@ -127,6 +127,10 @@ def validate_config(path):
 
     if model and sections["data"] and sections["data"].block_size > model.max_seq_len + 1:
         errors.append("data.block_size: a CPT block must fit model.max_seq_len + 1 tokens")
+    if sections["data"] and sections["eval"] and (
+            sections["eval"].few_shot_k >= sections["data"].n_diseases):
+        errors.append("eval.few_shot_k: must be below data.n_diseases, the number of MCQ "
+                      "items (an item is never its own shot)")
 
     stages = {}
     given_stages = _known(raw.get("stages", {}), "stages", TR.STAGES, errors, warnings)
@@ -169,7 +173,7 @@ def _data_paths(cfg):
 def cmd_data_build(cfg):
     corpus = synth.build_corpus(
         n_diseases=cfg.data.n_diseases, seed=cfg.seed,
-        duplicate_docs=cfg.data.duplicate_docs,
+        duplicate_docs=cfg.data.duplicate_docs, few_shot_k=cfg.eval.few_shot_k,
     )
     corpus["cpt"], _report = D.dedup_corpus(corpus["cpt"], cfg.data.min_span)
     # every text written below, and the MCQ prompts eval builds from it

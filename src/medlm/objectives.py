@@ -11,10 +11,11 @@ contributes exactly 0, if it has none: the forward returns logits for
 that suffix alone, so the last layer's queries, attention, feed-forward
 block, the final norm, the head and the log-softmax skip the prompt
 positions an SFT or DPO batch masks out. The CPT loss is the token mean
-over every position of the batch; the SFT loss is the batch mean of each
-example's token mean over its response; a DPO batch scores each pair's
-chosen minus rejected response log-prob. Means keep learning rates
-independent of sequence length.
+over every position of the batch, or of the whole batch a part of it
+belongs to; the SFT loss is the batch mean of each example's token mean
+over its response; a DPO batch scores each pair's chosen minus rejected
+response log-prob. Means keep learning rates independent of sequence
+length.
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
                           np.repeat(groups, lengths)[keep], max(groups) + 1)
 
 
-def cpt_loss(params, adapter, blocks, train_rng=None):
+def cpt_loss(params, adapter, blocks, train_rng=None, n_positions=None):
     """Mean next-token NLL over every position of ``blocks``, a list of token
-    blocks of any lengths, from one ragged forward."""
-    n = sum(len(b) - 1 for b in blocks)
+    blocks of any lengths, from one ragged forward. With ``n_positions`` the
+    NLL sum is divided by it instead: the parts of a split batch, each given
+    the whole batch's count, add up to the batch's mean."""
+    n = n_positions or sum(len(b) - 1 for b in blocks)
     coef = [np.full(len(b) - 1, -1.0 / n) for b in blocks]
     nll = _score(params, adapter, [b[:-1] for b in blocks], [b[1:] for b in blocks], coef,
                  [0] * len(blocks), train_rng)

@@ -94,13 +94,14 @@ def exam_item(d, seed_offset=0):
     return McqItem(question=f"{d.name}的推荐用药是？", options=options, gold=gold)
 
 
-def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
+def build_corpus(n_diseases=20, seed=0, duplicate_docs=2, few_shot_k=2):
     """The records of each corpus file, by kind: "cpt" docs (strings),
     "sft" SftExamples, "dpo" PreferencePairs, "mcq" McqItems and
     "dialogue" eval (prompt, reference) pairs.
 
     duplicate_docs controls how many CPT docs are repeated verbatim so the
-    dedup stage has real work to do.
+    dedup stage has real work to do. few_shot_k is the number of shots of
+    the MCQ eval prompts, which the few-shot exam records train on.
     """
     diseases = make_diseases(n_diseases, seed)
     half = n_diseases // 2
@@ -133,10 +134,10 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2):
             rejected=f"推荐服用{wrong}。" if i % 2 == 0 else REJECT_STOCK,
         ))
 
-    # exam items again with two prior exam turns as history, so answering
-    # works at few-shot prompt offsets too
+    # exam items again with few_shot_k prior exam turns as history, so
+    # answering works on the few-shot prompts MCQ eval builds
     for i, exam in enumerate(exam_examples):
-        shots = shots_before(exam_examples, i, 2)
+        shots = shots_before(exam_examples, i, few_shot_k)
         history = tuple((s.instruction, s.output) for s in shots)
         sft_examples.append(SftExample(exam.instruction, exam.output, history=history))
 

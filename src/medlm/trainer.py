@@ -1,6 +1,14 @@
 """Stage orchestration: optimizer, warmup and cosine schedule, training
 loops, binary checkpoints and the metrics log.
 
+CPT trains data-parallel on two threads. Each batch splits into the same
+two halves whatever the machine (``np.array_split(batch, 2)``): the
+caller's thread trains half 0 while a second thread, started once per
+stage, trains half 1 on the same parameters with its own gradient buffer.
+The two gradients add in a fixed order, half 0 then half 1, before
+clipping and AdamW, so the bits depend neither on the core count nor on
+how the threads are scheduled. SFT and DPO train each batch whole.
+
 Checkpoint layout (version 2): magic "QLNM", then little-endian u32
 version, u32 header length and u32 CRC32 (zlib) of every byte after these
 16, then the UTF-8 JSON header (model config, training metadata, payload
@@ -20,6 +28,7 @@ import json
 import math
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -139,15 +148,58 @@ def _check_schema(cfg, dataset):
         raise ConfigError(f"dataset does not match stage {cfg.stage!r} schema")
 
 
+class _CptStep:
+    """One CPT step: (loss, {}), with the batch's gradient left in ``params.grad``.
+
+    The batch splits into two halves, each scored against the whole batch's
+    positions (``cpt_loss``'s ``n_positions``), so their losses and gradients
+    add up to the batch's. Half 1 runs on a second thread while the caller's
+    runs half 0: numpy's BLAS calls and large array operations release the
+    interpreter lock, so the two overlap on two cores. Each half has its own
+    gradient buffer (half 1's is a second table over the same parameter
+    buffer) and its own dropout generator, both seeded from ``seed``, so the
+    bits do not depend on how the threads are scheduled. ``close()`` ends
+    the thread.
+    """
+
+    def __init__(self, params, blocks, seed):
+        self.blocks = blocks
+        self.tables = [params, M.ModelParams(params.config, params.shapes, params.data)]
+        self.rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+        self.pool = ThreadPoolExecutor(max_workers=1)
+
+    def _half(self, idx, n, h):
+        table = self.tables[h]
+        table.grad.fill(0.0)
+        graph = O.cpt_loss(table, None, [self.blocks[i] for i in idx],
+                           train_rng=self.rngs[h], n_positions=n)
+        backward(graph)
+        return float(graph.data)
+
+    def __call__(self, idx):
+        h0, h1 = np.array_split(idx, 2)
+        n = sum(len(self.blocks[i]) - 1 for i in idx)
+        if not len(h1):  # a batch of one block
+            return self._half(h0, n, 0), {}
+        half1 = self.pool.submit(self._half, h1, n, 1)
+        loss = self._half(h0, n, 0) + half1.result()
+        self.tables[0].grad += self.tables[1].grad  # half 0, then half 1
+        return loss, {}
+
+    def close(self):
+        self.pool.shutdown()
+
+
 def run_stage(state, cfg, dataset, vocab=None, log_path=None):
     """Train one stage; returns (new TrainState, metrics rows).
 
-    cpt updates the full parameter set; sft/dpo attach a fresh adapter
-    and update only it (an incoming adapter is merged into the base
-    first). The merged incoming model is dpo's frozen reference: its
-    preference margins are computed once, before any update, and each
-    dpo metrics row adds the batch's mean reward margin and the share of
-    pairs whose margin is positive.
+    cpt updates the full parameter set, data-parallel on two halves of each
+    batch (``_CptStep``; its second thread ends before this call returns or
+    raises); sft/dpo attach a fresh adapter and update only it (an incoming
+    adapter is merged into the base first). The merged incoming model is
+    dpo's frozen reference: its preference margins are computed once,
+    before any update, and each dpo metrics row adds the batch's mean
+    reward margin and the share of pairs whose margin is positive.
     """
     if dataset:
         _check_schema(cfg, dataset)
@@ -170,37 +222,43 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
     metrics = []
     n_batches = math.ceil(len(dataset) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
-    train_rng = np.random.default_rng(cfg.seed + 1)
 
-    if cfg.stage == "dpo" and total_steps:
-        reference = O.preference_margins(params, None, dataset, vocab, cfg.batch_size)
+    if cfg.stage == "cpt":
+        grad_step = _CptStep(params, dataset, cfg.seed + 1)
+    else:
+        train_rng = np.random.default_rng(cfg.seed + 1)
+        if cfg.stage == "dpo" and total_steps:
+            reference = O.preference_margins(params, None, dataset, vocab, cfg.batch_size)
 
-    def batch_loss(idx):
-        batch = [dataset[i] for i in idx]
-        if cfg.stage == "cpt":
-            return O.cpt_loss(params, adapter, batch, train_rng=train_rng), {}
-        if cfg.stage == "sft":
-            return O.sft_loss(params, adapter, batch, vocab, train_rng=train_rng), {}
-        loss, rewards = O.dpo_loss(params, adapter, cfg.beta, batch, vocab, reference[idx],
-                                   train_rng=train_rng)
-        return loss, {"reward_margin": float(rewards.mean()),
-                      "reward_acc": float((rewards > 0).mean())}
+        def grad_step(idx):
+            trainable.grad.fill(0.0)
+            batch = [dataset[i] for i in idx]
+            if cfg.stage == "sft":
+                graph = O.sft_loss(params, adapter, batch, vocab, train_rng=train_rng)
+                extra = {}
+            else:
+                graph, rewards = O.dpo_loss(params, adapter, cfg.beta, batch, vocab,
+                                            reference[idx], train_rng=train_rng)
+                extra = {"reward_margin": float(rewards.mean()),
+                         "reward_acc": float((rewards > 0).mean())}
+            backward(graph)
+            return float(graph.data), extra
 
     step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        for b in range(n_batches):
-            lr = lr_at(cfg, step, total_steps)
-            trainable.grad.fill(0.0)
-            graph, extra = batch_loss(order[b * cfg.batch_size : (b + 1) * cfg.batch_size])
-            backward(graph)
-            loss = float(graph.data)
-            del graph  # free it before the optimizer's full-buffer temporaries
-            grad_norm = clip_gradients(trainable)
-            optim_step(trainable, opt, lr, cfg.weight_decay)
-            step += 1
-            metrics.append({"step": step, "stage": cfg.stage, "lr": lr, "loss": loss,
-                            "grad_norm": grad_norm, **extra})
+    try:
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(dataset))
+            for b in range(n_batches):
+                lr = lr_at(cfg, step, total_steps)
+                loss, extra = grad_step(order[b * cfg.batch_size : (b + 1) * cfg.batch_size])
+                grad_norm = clip_gradients(trainable)
+                optim_step(trainable, opt, lr, cfg.weight_decay)
+                step += 1
+                metrics.append({"step": step, "stage": cfg.stage, "lr": lr, "loss": loss,
+                                "grad_norm": grad_norm, **extra})
+    finally:
+        if cfg.stage == "cpt":
+            grad_step.close()
     if log_path is not None:
         write_metrics(metrics, log_path)
     new_state = TrainState(params=params, adapter=adapter, stage=cfg.stage,

@@ -437,6 +437,35 @@ def test_determinism_across_blas_threads(tmp_path):
             + ("bit-identical" if ckpts[0] == ckpts[1] else "differs"))
 
 
+def test_determinism_across_core_counts(tmp_path):
+    # CPT always splits a batch into the same two halves and trains them on
+    # two threads, so the bits must not depend on how many cores the run
+    # may use. The pinned run sets its own affinity after the fork, in the
+    # test's child process alone.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).parents[1])
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src}
+
+    def one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    ckpts = []
+    for name, preexec in (("all-cpus", None), ("one-cpu", one_cpu)):
+        cfg_path, base = _patched_config(tmp_path, name, {"cpt": {"epochs": 2}})
+        for args in (["data", "build"], ["train", "cpt"]):
+            out = subprocess.run([sys.executable, "-m", "medlm.cli", "--config",
+                                  str(cfg_path)] + args,
+                                 env=env, capture_output=True, text=True, preexec_fn=preexec)
+            assert out.returncode == 0, f"{args}: {out.stderr}"
+        ckpts.append((base / "ckpt" / "cpt.ckpt").read_bytes())
+    _report("determinism-cores", ckpts[0] == ckpts[1],
+            "cpt.ckpt on all CPUs and on one "
+            + ("bit-identical" if ckpts[0] == ckpts[1] else "differs"))
+
+
 # -- criterion 9: checkpoint round-trip --------------------------------
 
 def test_checkpoint_roundtrip(tmp_path):

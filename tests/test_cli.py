@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import os
+import threading
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from medlm import cli
 from medlm import data as D
+from medlm import evalkit as E
 from medlm import model as M
 from medlm import synth
 from medlm import trainer as TR
@@ -155,6 +158,7 @@ BAD_CONFIGS = [
     (("model", "dropout"), 1.0, "model: dropout must be in [0, 1)"),
     (("model", "dropout"), -0.1, "model: dropout must be in [0, 1)"),
     (("eval", "few_shot_k"), "x", "eval: few_shot_k must be an integer"),
+    (("eval", "few_shot_k"), 4, "eval.few_shot_k: must be below data.n_diseases"),
     (("data", "holdout_fraction"), 2.0, "data: holdout_fraction must be in [0, 1)"),
     (("data", "block_size"), 1, "data: block_size must be in [2, inf)"),
     (("data", "block_size"), 162, "data.block_size: a CPT block must fit"),
@@ -262,9 +266,11 @@ class TestDataCommands:
         # each file load_dataset reads back is the records synth built for it
         path = _write_config(tmp_path)
         assert cli.main(["--config", str(path), "data", "build"]) == 0
-        corpus = synth.build_corpus(n_diseases=4, seed=0, duplicate_docs=1)
+        cfg = cli.validate_config(path)[0]
+        corpus = synth.build_corpus(n_diseases=4, seed=0, duplicate_docs=1,
+                                    few_shot_k=cfg.eval.few_shot_k)
         corpus["cpt"], _ = D.dedup_corpus(corpus["cpt"], min_span=20)
-        paths = cli._data_paths(cli.validate_config(path)[0])
+        paths = cli._data_paths(cfg)
         for kind, records in corpus.items():
             loaded, stats = D.load_dataset(paths[kind], kind)
             assert loaded == records and stats.rejected == [], kind
@@ -485,3 +491,61 @@ def test_cpt_on_corpus_shorter_than_one_block_fails(tmp_path, capsys):
     assert cli.main(["--config", str(path), "train", "cpt"]) == 1
     assert "empty dataset" in capsys.readouterr().err
     assert not (tmp_path / "ckpt" / "cpt.ckpt").exists()
+
+
+def test_cpt_error_in_the_second_half_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # the second half of each CPT batch trains on a second thread; its
+    # error reaches the CLI as the same DataError, and the thread ends
+    path = _write_config(tmp_path)
+    assert cli.main(["--config", str(path), "data", "build"]) == 0
+    split_blocks = cli._split_blocks
+
+    def long_block_in_half_1(cfg, vocab):
+        train, held = split_blocks(cfg, vocab)
+        order = np.random.default_rng(cfg.stages["cpt"].seed).permutation(len(train))
+        batch = order[:cfg.stages["cpt"].batch_size]
+        train[batch[-1]] = train[batch[-1]] * 8  # longer than max_seq_len
+        return train, held
+
+    monkeypatch.setattr(cli, "_split_blocks", long_block_in_half_1)
+    capsys.readouterr()
+    threads = threading.active_count()
+    assert cli.main(["--config", str(path), "train", "cpt"]) == 1
+    err = capsys.readouterr().err
+    assert "error: sequence length" in err and "max_seq_len" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert threading.active_count() == threads
+
+
+def test_few_shot_k_sets_the_trained_and_the_scored_shots(tmp_path, monkeypatch):
+    # synth's few-shot exam records take eval.few_shot_k shots, and
+    # `eval mcq` scores exactly the prompts those records train on
+    path = _write_config(tmp_path, eval={"few_shot_k": 3, "max_new_tokens": 8})
+    raw = json.loads(path.read_text("utf-8"))
+    raw["model"]["max_seq_len"] = 256  # room for a 3-shot prompt
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["--config", str(path), "data", "build"]) == 0
+    data = tmp_path / "data"
+    sft, _ = D.load_dataset(data / "sft.jsonl", "sft")
+    items, _ = D.load_dataset(data / "mcq.jsonl", "mcq")
+    few_shot = [ex for ex in sft if ex.history]
+    assert [len(ex.history) for ex in few_shot] == [3] * len(items)
+    trained = [D.render_prompt(ex) for ex in few_shot]
+    assert trained == [E.mcq_prompt(items, i, 3) for i in range(len(items))]
+
+    cfg = cli.validate_config(path)[0]
+    vocab = M.load_vocab(data / "vocab.txt")
+    params = M.init_params(dataclasses.replace(cfg.model, vocab_size=len(vocab)),
+                           np.random.default_rng(0))
+    ckpt = tmp_path / "init.ckpt"
+    TR.save_checkpoint(TR.TrainState(params=params), ckpt)
+    scored = []
+    generate_text = E.generate_text
+
+    def recording(state, vocab, prompt, max_new):
+        scored.append(prompt)
+        return generate_text(state, vocab, prompt, max_new)
+
+    monkeypatch.setattr(E, "generate_text", recording)
+    assert cli.main(["--config", str(path), "eval", "mcq", "--checkpoint", str(ckpt)]) == 0
+    assert scored == trained

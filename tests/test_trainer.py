@@ -1,4 +1,5 @@
 import csv
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -7,6 +8,7 @@ import os
 import stat
 import struct
 import tempfile
+import threading
 import zlib
 
 import numpy as np
@@ -17,9 +19,11 @@ from hypothesis import strategies as st
 import oracles
 from medlm import data as D
 from medlm import model as M
+from medlm import objectives as O
 from medlm import trainer as TR
 from medlm.atomic import atomic_write
-from medlm.errors import ConfigError, IntegrityError, TrainingError
+from medlm.errors import ConfigError, DataError, IntegrityError, TrainingError
+from medlm.tensor import backward
 
 
 @pytest.fixture
@@ -247,7 +251,8 @@ class TestRunStage:
         with pytest.raises(ConfigError):
             TR.run_stage(state, _cpt_cfg(), [D.SftExample(instruction="a", output="b")])
 
-    def test_mixed_length_cpt_batch_trains(self, state):
+    def test_mixed_length_cpt_batch_trains(self, state64):
+        state = state64  # a float64 oracle: the two halves' sum is not float32's one sum
         blocks = [b[:n] for b, n in zip(self._blocks(), (8, 5, 2, 8, 3, 6))]
         new_state, metrics = TR.run_stage(state, _cpt_cfg(epochs=10, batch_size=6), blocks)
         # the first step's loss is the token-weighted mean NLL at the initial params
@@ -312,6 +317,73 @@ class TestRunStage:
             # -log sigmoid is convex: the loss is at least that of the mean margin
             assert float(row["loss"]) >= -math.log(1.0 / (1.0 + math.exp(-margin))) - 1e-12
         assert float(rows[-1]["reward_margin"]) > 0 and float(rows[-1]["reward_acc"]) > 0
+
+
+class _InlineExecutor:
+    """ThreadPoolExecutor's interface, running each call at once in the caller's thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self):
+        pass
+
+
+class TestDataParallelCpt:
+    """CPT trains each batch's two halves on two threads; the bits are those
+    of running both halves in one thread."""
+
+    @staticmethod
+    def _blocks(n):
+        rng = np.random.default_rng(6)
+        return [list(rng.integers(4, 12, size=int(k))) for k in rng.integers(2, 10, size=n)]
+
+    @pytest.mark.parametrize("n_blocks,batch_size", [(7, 3), (11, 5), (5, 5)])
+    def test_two_threads_give_the_bits_of_one(self, state, monkeypatch, n_blocks, batch_size):
+        # model dropout on: each half draws from its own generator
+        cfg = M.ModelConfig(**{**state.params.config.__dict__, "dropout": 0.1})
+        start = TR.TrainState(params=M.ModelParams(cfg, state.params.shapes,
+                                                   state.params.data.copy()))
+        blocks = self._blocks(n_blocks)  # 7 and 11: the last batch is one block
+        stage = _cpt_cfg(epochs=3, batch_size=batch_size, seed=4)
+        threads = threading.active_count()
+        two, two_metrics = TR.run_stage(start, stage, blocks)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(TR, "ThreadPoolExecutor", _InlineExecutor)
+        one, one_metrics = TR.run_stage(start, stage, blocks)
+        assert two.params.data.dtype == np.float32
+        assert two_metrics == one_metrics
+        assert two.params.data.tobytes() == one.params.data.tobytes()
+
+    def test_step_follows_the_whole_batch_gradient(self, state64):
+        # in float64 the halves' summed gradient is the batch's to rounding
+        blocks = self._blocks(5)
+        stage = _cpt_cfg(epochs=1, batch_size=5)
+        new_state, _ = TR.run_stage(state64, stage, blocks)
+        ref = state64.params.copy()
+        ref.set_requires_grad(True)
+        backward(O.cpt_loss(ref, None, blocks))
+        TR.clip_gradients(ref)
+        TR.optim_step(ref, TR.OptimState(ref), TR.lr_at(stage, 0, 1), stage.weight_decay)
+        np.testing.assert_allclose(new_state.params.data, ref.data, rtol=0, atol=1e-12)
+
+    def test_error_in_half_1_is_raised(self, state):
+        blocks = self._blocks(6)
+        stage = _cpt_cfg(epochs=1, batch_size=6, seed=2)
+        order = np.random.default_rng(stage.seed).permutation(len(blocks))
+        blocks[order[-1]] = [4] * (state.params.config.max_seq_len + 2)  # in half 1
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="max_seq_len"):
+            TR.run_stage(state, stage, blocks)
+        assert threading.active_count() == threads
 
 
 class TestCheckpoint:
