@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -177,7 +178,8 @@ def cmd_data_build(cfg):
     )
     corpus["cpt"], _report = D.dedup_corpus(corpus["cpt"], cfg.data.min_span)
     # every text written below, and the MCQ prompts eval builds from it
-    vocab = M.build_vocab([D.record_text(r) for records in corpus.values() for r in records])
+    texts = {kind: [D.record_text(r) for r in records] for kind, records in corpus.items()}
+    vocab = M.build_vocab([text for kind_texts in texts.values() for text in kind_texts])
 
     paths = _data_paths(cfg)
     os.makedirs(cfg.paths.data, exist_ok=True)
@@ -185,12 +187,12 @@ def cmd_data_build(cfg):
         _write_jsonl(records, paths[kind])
     M.save_vocab(vocab, paths["vocab"])
 
-    rows = [(kind, len(corpus[kind]),
-             sum(len(M.encode(vocab, D.record_text(r))) for r in corpus[kind]),
-             os.path.getsize(paths[kind]))
+    # one token per character, and the vocabulary holds every character
+    rows = [(kind, len(corpus[kind]), sum(map(len, texts[kind])), os.path.getsize(paths[kind]))
             for kind in ("cpt", "sft", "dpo")]
-    atomic_write(D.stats_table(rows) + "\n", paths["stats"])
-    print(D.stats_table(rows))
+    table = D.stats_table(rows)
+    atomic_write(table + "\n", paths["stats"])
+    print(table)
     return 0
 
 
@@ -201,8 +203,9 @@ def cmd_data_dedup(cfg, input_path=None, output_path=None):
     records, stats = _load_records(input_path, "cpt")
     kept, report = D.dedup_corpus(records, cfg.data.min_span)
     _write_jsonl(kept, output_path)
+    dropped = sum(start < 0 for _, start, _ in report)
     print(f"kept {len(kept)}/{len(records) + len(stats.rejected)} docs, "
-          f"removed {len(report)} spans")
+          f"removed {len(report) - dropped} spans, dropped {dropped} docs")
     return 0
 
 
@@ -321,6 +324,7 @@ def _positive_int(text):
     return int(text)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="medlm",

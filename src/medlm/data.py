@@ -184,22 +184,24 @@ def render_bare_prompt(prompt):
 # -- exact-substring dedup --------------------------------------------
 
 
-def _mark_duplicate_windows(docs_tokens, min_span):
-    """Mark every window of min_span tokens whose content appeared at an
-    earlier (doc, offset) position. Windows never cross document bounds."""
-    seen = {}
+def _mark_duplicate_windows(docs, min_span):
+    """Mark every window of min_span characters whose content appeared at an
+    earlier (doc, offset) position. Windows never cross document bounds.
+    Returns one bytearray per doc, 1 at each marked character, and whether
+    any window was marked."""
+    seen = set()
+    ones = b"\x01" * min_span
     marks = []
     found = False
-    for tokens in docs_tokens:
-        mark = [False] * len(tokens)
-        for i in range(len(tokens) - min_span + 1):
-            key = tuple(tokens[i : i + min_span])
+    for doc in docs:
+        mark = bytearray(len(doc))
+        for i in range(len(doc) - min_span + 1):
+            key = doc[i : i + min_span]
             if key in seen:
-                for j in range(i, i + min_span):
-                    mark[j] = True
+                mark[i : i + min_span] = ones
                 found = True
             else:
-                seen[key] = True
+                seen.add(key)
         marks.append(mark)
     return marks, found
 
@@ -207,42 +209,44 @@ def _mark_duplicate_windows(docs_tokens, min_span):
 def dedup_corpus(docs, min_span=50):
     """Remove later occurrences of any repeated token span of length >= min_span.
 
-    Tokens are Unicode characters. Spans are compared within documents
-    (position order: document order, then offset); the earliest
-    occurrence is kept. Documents left with fewer than
-    MIN_RESIDUAL_TOKENS tokens are dropped. Runs to a fixpoint, so the
-    result is idempotent and contains no duplicate span of min_span or
-    longer. Returns (kept_docs, report) where report lists
-    (doc_index, start, end) of every removed span.
+    Tokens are Unicode characters, and each window of min_span of them is
+    keyed by its substring. Spans are compared within documents (position
+    order: document order, then offset); the earliest occurrence is kept.
+    Documents left with fewer than MIN_RESIDUAL_TOKENS tokens are dropped.
+    Runs to a fixpoint, so the result is idempotent and contains no
+    duplicate span of min_span or longer. Returns (kept_docs, report):
+    report lists (doc_index, start, end) of every removed span, its offsets
+    into the doc's text as that pass read it, and (doc_index, -1, -1) for
+    every doc dropped whole.
     """
     if min_span < 2:
         raise DataError("dedup_corpus: min_span must be >= 2")
-    docs_tokens = [list(doc) for doc in docs]
     alive = list(range(len(docs)))
     report = []
     while True:
-        marks, found = _mark_duplicate_windows(docs_tokens, min_span)
+        marks, found = _mark_duplicate_windows(docs, min_span)
         if not found:
             break
-        next_tokens = []
+        next_docs = []
         next_alive = []
-        for doc_i, tokens, mark in zip(alive, docs_tokens, marks):
-            kept = [t for t, m in zip(tokens, mark) if not m]
-            start = None
-            for j, m in enumerate(mark + [False]):
-                if m and start is None:
-                    start = j
-                elif not m and start is not None:
-                    report.append((doc_i, start, j))
-                    start = None
+        for doc_i, doc, mark in zip(alive, docs, marks):
+            parts = []
+            end = 0
+            while (start := mark.find(1, end)) >= 0:
+                parts.append(doc[end:start])
+                end = mark.find(0, start)
+                if end < 0:
+                    end = len(doc)
+                report.append((doc_i, start, end))
+            kept = "".join(parts) + doc[end:]
             if len(kept) >= MIN_RESIDUAL_TOKENS:
-                next_tokens.append(kept)
+                next_docs.append(kept)
                 next_alive.append(doc_i)
-            elif len(kept) < len(tokens):
+            elif len(kept) < len(doc):
                 report.append((doc_i, -1, -1))  # whole doc dropped
-        docs_tokens = next_tokens
+        docs = next_docs
         alive = next_alive
-    return ["".join(t) for t in docs_tokens], report
+    return list(docs), report
 
 
 # -- block packing and loading ----------------------------------------
@@ -262,12 +266,14 @@ def token_stream(docs, vocab):
 
 
 def pack_blocks(docs, vocab, block_size):
-    """Chunk the EOS-joined stream into exact block_size windows; drop the tail."""
+    """Chunk the EOS-joined stream into consecutive block_size windows. The
+    last block is shorter when the stream does not fill it; it is kept if
+    it holds a next-token pair (two tokens or more), so the end of the last
+    doc is trained on too."""
     if block_size < 2:
         raise DataError("pack_blocks: block_size must be >= 2")
     stream = token_stream(docs, vocab)
-    n_blocks = len(stream) // block_size
-    return [stream[i * block_size : (i + 1) * block_size] for i in range(n_blocks)]
+    return [stream[i : i + block_size] for i in range(0, len(stream) - 1, block_size)]
 
 
 def _parse_cpt(obj):

@@ -33,19 +33,18 @@ def build_vocab(corpus):
     """Specials at ids 0-3, then all distinct characters sorted by code point."""
     if not corpus:
         raise DataError("build_vocab: empty corpus")
-    chars = sorted(set().union(*(set(doc) for doc in corpus)))
+    chars = sorted(set("".join(corpus)))
     symbols = SPECIAL_SYMBOLS + tuple(chars)
     return Vocab(symbols=symbols, id_of={s: i for i, s in enumerate(symbols)})
 
 
 def encode(vocab, text):
-    ids = []
-    for off, ch in enumerate(text):
-        try:
-            ids.append(vocab.id_of[ch])
-        except KeyError:
-            raise VocabError(f"unknown character {ch!r} at offset {off}") from None
-    return ids
+    """One id per character of text; VocabError names the first unknown one."""
+    try:
+        return [vocab.id_of[ch] for ch in text]
+    except KeyError:
+        off = next(i for i, ch in enumerate(text) if ch not in vocab.id_of)
+        raise VocabError(f"unknown character {text[off]!r} at offset {off}") from None
 
 
 def decode(vocab, ids):

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from medlm import data as D
 from medlm import model as M
 from medlm import tensor as T
 
@@ -127,6 +128,52 @@ def duplicate_spans_exist_allpairs(docs, min_span):
             if positions[i] == positions[j]:
                 return True
     return False
+
+
+def dedup_corpus_ref(docs, min_span):
+    """The tuple-window dedup that ``data.dedup_corpus`` replaced: each
+    window is a tuple of tokens in a dict, each mark a list of bools, and
+    the kept text a filtered token list. Same fixpoint, earliest-wins rule
+    and report, so the two must agree exactly."""
+    docs_tokens = [list(doc) for doc in docs]
+    alive = list(range(len(docs)))
+    report = []
+    while True:
+        seen = {}
+        marks = []
+        found = False
+        for tokens in docs_tokens:
+            mark = [False] * len(tokens)
+            for i in range(len(tokens) - min_span + 1):
+                key = tuple(tokens[i : i + min_span])
+                if key in seen:
+                    for j in range(i, i + min_span):
+                        mark[j] = True
+                    found = True
+                else:
+                    seen[key] = True
+            marks.append(mark)
+        if not found:
+            break
+        next_tokens = []
+        next_alive = []
+        for doc_i, tokens, mark in zip(alive, docs_tokens, marks):
+            kept = [t for t, m in zip(tokens, mark) if not m]
+            start = None
+            for j, m in enumerate(mark + [False]):
+                if m and start is None:
+                    start = j
+                elif not m and start is not None:
+                    report.append((doc_i, start, j))
+                    start = None
+            if len(kept) >= D.MIN_RESIDUAL_TOKENS:
+                next_tokens.append(kept)
+                next_alive.append(doc_i)
+            elif len(kept) < len(tokens):
+                report.append((doc_i, -1, -1))
+        docs_tokens = next_tokens
+        alive = next_alive
+    return ["".join(t) for t in docs_tokens], report
 
 
 # -- reference formulas of the engine kernels ---------------------------

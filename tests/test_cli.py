@@ -297,6 +297,32 @@ class TestDataCommands:
         assert len(docs.read_text("utf-8").splitlines()) == 2
 
 
+    def test_dedup_counts_spans_and_dropped_docs_apart(self, tmp_path, capsys):
+        path = _write_config(tmp_path, data={"n_diseases": 4, "min_span": 5})
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(json.dumps({"text": t}) + "\n" for t in [
+            "abcdefghijklmnop" * 2, "abcdefghijklmnop", "zzzz" + "abcdefghijklmnop"]),
+            encoding="utf-8")
+        assert cli.main(["--config", str(path), "data", "dedup", "--input", str(docs)]) == 0
+        assert capsys.readouterr().out == "kept 1/3 docs, removed 3 spans, dropped 2 docs\n"
+        assert docs.read_text("utf-8") == json.dumps({"text": "abcdefghijklmnop"}) + "\n"
+
+    def test_stats_tokens_are_encoded_lengths(self, tmp_path):
+        path = _write_config(tmp_path)
+        assert cli.main(["--config", str(path), "data", "build"]) == 0
+        paths = cli._data_paths(cli.validate_config(path)[0])
+        vocab = M.load_vocab(paths["vocab"])
+        rows = [line.split() for line in
+                Path(paths["stats"]).read_text("utf-8").splitlines()[2:]]
+        expected = []
+        for kind in ("cpt", "sft", "dpo"):
+            records, _ = D.load_dataset(paths[kind], kind)
+            expected.append([kind, str(len(records)),
+                             str(sum(len(M.encode(vocab, D.record_text(r))) for r in records)),
+                             f"{os.path.getsize(paths[kind])}B"])
+        assert rows == expected
+
+
 class TestPipelineCommands:
     @pytest.fixture
     def built(self, tmp_path):
@@ -483,7 +509,8 @@ class TestPipelineCommands:
 def test_cpt_on_corpus_shorter_than_one_block_fails(tmp_path, capsys):
     path = _write_config(tmp_path)
     raw = json.loads(path.read_text("utf-8"))
-    raw["data"].update(n_diseases=2, block_size=400)  # a 366-token corpus
+    # a 366-token corpus packs into one short block, which the holdout takes
+    raw["data"].update(n_diseases=2, block_size=400)
     raw["model"]["max_seq_len"] = 400
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert cli.main(["--config", str(path), "data", "build"]) == 0
@@ -549,3 +576,37 @@ def test_few_shot_k_sets_the_trained_and_the_scored_shots(tmp_path, monkeypatch)
     monkeypatch.setattr(E, "generate_text", recording)
     assert cli.main(["--config", str(path), "eval", "mcq", "--checkpoint", str(ckpt)]) == 0
     assert scored == trained
+
+
+def test_commands_in_one_process_match_separate_processes(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process: commands run one after another
+    # in it, usage errors among them, must behave as each in a fresh process
+    import subprocess
+    import sys
+
+    path = _write_config(tmp_path)
+    commands = [["--config", str(path), "validate-config"],
+                ["--config", str(path), "data", "build"],
+                ["train", "rl"],
+                ["--config", str(path), "validate-config"],
+                ["generate", "--checkpoint", "x.ckpt", "--prompt", "一", "--max-new", "0"],
+                ["no-such-command"],
+                ["--config", str(tmp_path / "nope.json"), "data", "build"]]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+    in_process = []
+    for argv in commands:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        in_process.append((rc, out, err))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "COLUMNS": "80"}
+    separate = []
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "medlm.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        separate.append((done.returncode, done.stdout, done.stderr))
+    assert [rc for rc, _, _ in in_process] == [0, 0, 2, 0, 2, 2, 1]
+    assert in_process == separate

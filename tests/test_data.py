@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from medlm import data as D
 from medlm import model as M
+from medlm import synth
 from medlm.errors import DataError
 
 
@@ -109,6 +110,38 @@ class TestDedup:
         with pytest.raises(DataError):
             D.dedup_corpus(["abc"], min_span=1)
 
+    def test_report_lists_spans_then_drop_markers(self):
+        docs = ["abcdefghijklmnop" * 2, "abcdefghijklmnop", "zzzz" + "abcdefghijklmnop"]
+        kept, report = D.dedup_corpus(docs, min_span=5)
+        assert kept == ["abcdefghijklmnop"]
+        assert report == [(0, 16, 32), (1, 0, 16), (1, -1, -1), (2, 4, 20), (2, -1, -1)]
+
+    def test_second_pass_reports_offsets_into_its_own_text(self):
+        # pass 1 cuts "cYb" out of doc 1, which joins "a" and "Xa" into
+        # "aXa", a repeat of doc 0 that pass 2 cuts from the joined text
+        docs = ["cYbbbaaXab", "YcbacYbXaccbY"]
+        kept, report = D.dedup_corpus(docs, 3)
+        assert kept == [docs[0]]
+        assert report == [(1, 4, 7), (1, 3, 6), (1, -1, -1)]
+        assert oracles.dedup_corpus_ref(docs, 3) == (kept, report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["ab", "abc"]).flatmap(
+               lambda alphabet: st.lists(st.text(alphabet=alphabet, max_size=60),
+                                         min_size=1, max_size=6)),
+           st.integers(min_value=2, max_value=6))
+    def test_matches_the_tuple_window_oracle(self, docs, min_span):
+        # about one case in five needs a second pass
+        assert D.dedup_corpus(docs, min_span) == oracles.dedup_corpus_ref(docs, min_span)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_synth_corpora_match_the_oracle(self, seed):
+        for duplicate_docs in (0, 2, 5):
+            docs = synth.build_corpus(n_diseases=20, seed=seed,
+                                      duplicate_docs=duplicate_docs)["cpt"]
+            for min_span in (2, 5, 20, 50):
+                assert D.dedup_corpus(docs, min_span) == oracles.dedup_corpus_ref(docs, min_span)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_random_corpora_match_oracle(self, seed):
@@ -120,13 +153,30 @@ class TestDedup:
 
 
 class TestPacking:
-    def test_blocks_are_exact_and_tail_dropped(self):
+    def test_blocks_are_exact_and_short_tail_kept(self):
         vocab = M.build_vocab(["abc"])
         blocks = D.pack_blocks(["abc", "ab"], vocab, block_size=4)
         stream = D.token_stream(["abc", "ab"], vocab)
         assert len(stream) == 6  # 3 + EOS + 2
-        assert len(blocks) == 1 and len(blocks[0]) == 4
-        assert blocks[0] == stream[:4]
+        assert blocks == [stream[:4], stream[4:]]
+
+    def test_one_token_tail_is_not_a_block(self):
+        # a block of one token has no next-token target
+        vocab = M.build_vocab(["abc"])
+        stream = D.token_stream(["abc", "a"], vocab)
+        assert len(stream) == 5
+        assert D.pack_blocks(["abc", "a"], vocab, block_size=4) == [stream[:4]]
+        assert D.pack_blocks(["abc", "a"], vocab, block_size=5) == [stream]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_synth_token_reaches_a_block(self, seed):
+        # the stream ends inside the last disease's docs: a dropped tail
+        # would keep their end out of CPT
+        docs, _ = D.dedup_corpus(synth.build_corpus(n_diseases=20, seed=seed)["cpt"], 20)
+        vocab = M.build_vocab(docs)
+        blocks = D.pack_blocks(docs, vocab, block_size=128)
+        assert [t for block in blocks for t in block] == D.token_stream(docs, vocab)
+        assert all(len(block) == 128 for block in blocks[:-1])
 
     def test_eos_between_docs_only(self):
         vocab = M.build_vocab(["ab"])

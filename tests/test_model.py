@@ -33,6 +33,15 @@ class TestVocab:
         with pytest.raises(VocabError, match="offset 2"):
             M.encode(vocab, "abz")
 
+    def test_unknown_char_error_names_the_first_one(self):
+        vocab = M.build_vocab(["abz"])
+        with pytest.raises(VocabError) as exc:
+            M.encode(vocab, "ab?z?")
+        assert str(exc.value) == "unknown character '?' at offset 2"
+
+    def test_empty_text_encodes_to_no_ids(self):
+        assert M.encode(M.build_vocab(["ab"]), "") == []
+
     def test_decode_out_of_range(self):
         vocab = M.build_vocab(["ab"])
         with pytest.raises(VocabError):
