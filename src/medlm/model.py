@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ BOS, EOS, PAD, SEP = 0, 1, 2, 3
 
 _ESCAPES = {"\n": "\\n", "\r": "\\r", "\\": "\\\\"}
 _UNESCAPES = {"\\n": "\n", "\\r": "\r", "\\\\": "\\"}
+_ESCAPED = re.compile(r"\\[nr\\]")
 
 
 @dataclass(frozen=True)
@@ -66,26 +69,29 @@ def save_vocab(vocab, path):
 
 
 def load_vocab(path):
+    """The vocabulary ``save_vocab`` wrote. Every line, the last one too,
+    ends in a newline and holds one symbol that no other line holds;
+    VocabError names the file and the line that breaks this."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")[:-1]
+            lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise VocabError(f"vocab file {path} is not UTF-8") from None
-    symbols = []
-    for line in lines:
-        out = []
-        i = 0
-        while i < len(line):
-            if line[i] == "\\" and line[i : i + 2] in _UNESCAPES:
-                out.append(_UNESCAPES[line[i : i + 2]])
-                i += 2
-            else:
-                out.append(line[i])
-                i += 1
-        symbols.append("".join(out))
-    if tuple(symbols[: len(SPECIAL_SYMBOLS)]) != SPECIAL_SYMBOLS:
+    if lines[-1]:
+        raise VocabError(f"vocab file {path} line {len(lines)}: no newline at the end")
+    id_of = {}
+    for n, line in enumerate(lines[:-1], 1):
+        sym = _ESCAPED.sub(lambda m: _UNESCAPES[m[0]], line)
+        if not sym:
+            raise VocabError(f"vocab file {path} line {n}: blank line")
+        if sym in id_of:
+            raise VocabError(f"vocab file {path} line {n}: symbol {sym!r} repeats "
+                             f"line {id_of[sym] + 1}")
+        id_of[sym] = len(id_of)
+    symbols = tuple(id_of)
+    if symbols[: len(SPECIAL_SYMBOLS)] != SPECIAL_SYMBOLS:
         raise VocabError(f"vocab file {path} missing special symbols")
-    return Vocab(symbols=tuple(symbols), id_of={s: i for i, s in enumerate(symbols)})
+    return Vocab(symbols=symbols, id_of=id_of)
 
 
 @dataclass(frozen=True)
@@ -328,63 +334,101 @@ def forward_logits(params, adapter, tokens, train_rng=None, lengths=None, scored
     return x @ params["head"]
 
 
-def decode_logits(config, weights, cache, tokens):
-    """Logits ``[V]`` of the last of ``tokens``, the transformer run on plain
-    arrays: ``weights`` maps each parameter name to its array, with no
-    adapter, graph or dropout. On an empty cache it is ``forward_logits``
-    of one segment with ``scored=[1]``, layer for layer the same arithmetic.
+class DecodePlan(NamedTuple):
+    """The arrays one decode request runs on (``decode_plan``)."""
+    embed: np.ndarray
+    pos: np.ndarray
+    layers: tuple  # per layer: (wqkv, bqkv, wo, w1, b1, w2, b2)
+    head: np.ndarray
+    head_bias: np.ndarray
 
-    ``cache`` is the request's KV cache: a list holding one ``(K, V)`` pair
-    of ``[S, d_model]`` arrays per layer, or empty before the first call.
-    ``tokens`` continue the ``S`` cached positions: they take position ids
-    ``S, S+1, ...``, attend to the cached keys and values, and their own
-    K/V are written after them in place. The first call allocates each
-    layer's K and V as ``[max_seq_len, d_model]`` buffers and the pairs are
-    views of their first ``S`` rows, so a call copies only its own rows.
-    ``S + len(tokens)`` must not exceed ``max_seq_len``, and every id must
-    be in ``[0, vocab_size)``: an array index does not check its sign.
+
+def decode_plan(params, adapter):
+    """The weights of ``params`` and ``adapter`` as ``decode_logits`` runs
+    them, built once per request. Folded weights are new arrays; the others
+    are the tables' own, only read.
+
+    The adapter is folded into the weights it adapts (``folded_weights``).
+    Each layer norm's gain g and bias b is folded into the projection W that
+    reads it, as ``(xhat * g + b) @ W = xhat @ (g[:, None] * W) + b @ W``:
+    ``ln1`` into one ``[d, 3d]`` matrix ``wq|wk|wv`` and its bias, ``ln2``
+    into ``ffn.w1`` and ``ffn.b1``, and ``ln_f`` into ``head`` and a bias.
+    """
+    w = {name: t.data for name, t in params.named()}
+    if adapter is not None:
+        w.update(folded_weights(params, adapter))
+
+    def fold(norm, proj):
+        return w[norm + ".g"][:, None] * proj, w[norm + ".b"] @ proj
+
+    layers = []
+    for i in range(params.config.n_layers):
+        p = f"layer{i}."
+        wqkv, bqkv = fold(p + "ln1", np.concatenate([w[p + "wq"], w[p + "wk"], w[p + "wv"]],
+                                                    axis=1))
+        w1, b1 = fold(p + "ln2", w[p + "ffn.w1"])
+        layers.append((wqkv, bqkv, w[p + "wo"], w1, b1 + w[p + "ffn.b1"],
+                       w[p + "ffn.w2"], w[p + "ffn.b2"]))
+    return DecodePlan(w["embed"], w["pos"], tuple(layers), *fold("ln_f", w["head"]))
+
+
+def decode_logits(config, plan, cache, tokens):
+    """Logits ``[V]`` of the last of ``tokens``, the transformer run on the
+    plain arrays of a ``decode_plan``, with no graph or dropout. On an empty
+    cache it is ``forward_logits`` of one segment with ``scored=[1]``, up to
+    rounding: the folded layer norms and the one ``wq|wk|wv`` product round
+    differently from the graph forward.
+
+    ``cache`` is the request's KV cache: a list holding one ``[S, 2 * d_model]``
+    array per layer, keys in its first ``d_model`` columns and values in the
+    rest, or empty before the first call. ``tokens`` continue the ``S``
+    cached positions: they take position ids ``S, S+1, ...``, attend to the
+    cached keys and values, and their own are written after them in place.
+    The first call allocates each layer's ``[max_seq_len, 2 * d_model]``
+    buffer and the cache holds views of its first ``S`` rows, so a call
+    copies only its own rows. ``S + len(tokens)`` must not exceed
+    ``max_seq_len``, and every id must be in ``[0, vocab_size)``: an array
+    index does not check its sign.
     """
     c = config
-    start = len(cache[0][0]) if cache else 0
+    d = c.d_model
+    start = len(cache[0]) if cache else 0
     end = start + len(tokens)
     if not start < end <= c.max_seq_len:
         raise DataError(f"decode_logits: positions [{start}, {end}) "
                         f"for max_seq_len {c.max_seq_len}")
-    x = weights["embed"][tokens] + weights["pos"][start:end]
-    for i in range(c.n_layers):
-        p = f"layer{i}."
-        h = T._layer_norm(x, weights[p + "ln1.g"], weights[p + "ln1.b"])[0]
+    x = plan.embed[tokens] + plan.pos[start:end]
+    for i, (wqkv, bqkv, wo, w1, b1, w2, b2) in enumerate(plan.layers):
+        qkv = T._normalize(x)[0] @ wqkv
+        qkv += bqkv
+        kv = cache[i].base if start else np.empty((c.max_seq_len, 2 * d), x.dtype)
+        kv[start:end] = qkv[:, d:]
+        cache[i:i + 1] = [kv[:end]]  # replace, or append on prefill
         if i == c.n_layers - 1:  # from here on, the last position only
-            x = x[-1:]
-        bufs = ([kv.base for kv in cache[i]] if start else
-                [np.empty((c.max_seq_len, c.d_model), x.dtype) for _ in range(2)])
-        for buf, w in zip(bufs, ("wk", "wv")):
-            buf[start:end] = h @ weights[p + w]
-        cache[i:i + 1] = [(bufs[0][:end], bufs[1][:end])]  # replace, or append on prefill
-        q = h[-len(x):] @ weights[p + "wq"]
-        qg, kg, vg = (T._heads(t[None], c.n_heads) for t in (q, *cache[i]))
-        att = (T._attention_probs(qg, kg) @ vg).transpose(0, 2, 1, 3).reshape(-1, c.d_model)
-        x = x + att @ weights[p + "wo"]
-        h2 = T._layer_norm(x, weights[p + "ln2.g"], weights[p + "ln2.b"])[0]
-        ff = np.maximum(h2 @ weights[p + "ffn.w1"] + weights[p + "ffn.b1"], 0.0)
-        x = x + (ff @ weights[p + "ffn.w2"] + weights[p + "ffn.b2"])
-    x = T._layer_norm(x, weights["ln_f.g"], weights["ln_f.b"])[0]
-    return (x @ weights["head"])[0]
+            x, qkv = x[-1:], qkv[-1:]
+        kvg = T._heads(kv[None, :end], 2 * c.n_heads)  # key heads, then value heads
+        qg = T._heads(qkv[None, :, :d], c.n_heads)
+        p = T._attention_probs(qg, kvg[:, :c.n_heads])
+        att = (p @ kvg[:, c.n_heads:]).transpose(0, 2, 1, 3).reshape(-1, d)
+        x = x + att @ wo
+        ff = np.maximum(T._normalize(x)[0] @ w1 + b1, 0.0)
+        x = x + (ff @ w2 + b2)
+    return (T._normalize(x)[0] @ plan.head + plan.head_bias)[0]
 
 
 def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     """Argmax decoding; ties break toward the lowest token id (np.argmax).
 
-    Each step runs ``decode_logits`` on the weights as arrays. An adapter
-    is folded into the weights it adapts once per call
-    (``folded_weights``); every other weight is the caller's own array,
-    only read. The folded weights round differently from the unmerged
-    forward, so with a trained adapter the logits agree with it within
-    rounding, not bit for bit. Prompt ids must be in ``[0, vocab_size)``.
-    The prompt is encoded once into a KV cache, with logits for its last
-    position only, and each step feeds only the new token. Past
-    ``max_seq_len`` the window slides, which moves every absolute
-    position, so the cache is dropped and the last window re-encoded.
+    Each step runs ``decode_logits`` on one ``decode_plan``, built once per
+    call; ``params`` and ``adapter`` are only read. The plan's folded
+    weights round differently from the graph forward, so the logits agree
+    with ``forward_logits`` within rounding, not bit for bit, and an argmax
+    within rounding of a tie may pick another token. Prompt ids must be in
+    ``[0, vocab_size)``. The prompt is encoded once into a KV cache, with
+    logits for its last position only, and each step feeds only the new
+    token. Past ``max_seq_len`` the window slides, which moves every
+    absolute position, so the cache is dropped and the last window
+    re-encoded.
     """
     c = params.config
     ids = list(prompt_ids)
@@ -392,14 +436,12 @@ def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
         raise DataError("generate_greedy: empty prompt")
     if min(ids) < 0 or max(ids) >= c.vocab_size:
         raise DataError(f"generate_greedy: prompt id out of range [0, {c.vocab_size})")
-    weights = {name: t.data for name, t in params.named()}
-    if adapter is not None:
-        weights.update(folded_weights(params, adapter))
+    plan = decode_plan(params, adapter)
     window = c.max_seq_len
     out = []
     cache, feed = [], ids[-window:]
     for _ in range(max_new):
-        nxt = int(np.argmax(decode_logits(c, weights, cache, feed)))
+        nxt = int(decode_logits(c, plan, cache, feed).argmax())
         out.append(nxt)
         if nxt == stop_id:
             break

@@ -239,24 +239,25 @@ def dropout(a, rate, rng):
     return _make(a.data * keep, (a,), bwd)
 
 
-def _layer_norm(x, gain, bias, eps=1e-5):
-    """Layer norm of array x over its last axis: (out, xhat, inv), where xhat
-    is the normalized x and inv the reciprocal standard deviation per row."""
+def _normalize(x, eps=1e-5):
+    """Array x normalized over its last axis: (xhat, inv), inv being the
+    reciprocal standard deviation per row. Layer norm is xhat * gain + bias;
+    the decoder folds that affine into the projection that follows."""
     n = x.shape[-1]
     # sum / n is how np.mean and np.var reduce, so the bits are theirs
-    xhat = x - x.sum(axis=-1, keepdims=True) / n
-    var = np.square(xhat).sum(axis=-1, keepdims=True) / n
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = xhat * gain
-    out += bias
-    return out, xhat, inv
+    return xhat, inv
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
     n = x.data.shape[-1]
-    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
+    xhat, inv = _normalize(x.data, eps)
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
         if bias.requires_grad:
@@ -288,15 +289,11 @@ def _attention_probs(qg, kg):
     lq, lk = qg.shape[-2], kg.shape[-2]
     p = qg @ kg.swapaxes(-1, -2)
     p *= 1.0 / math.sqrt(qg.shape[-1])
-    # a lone query is its segment's last position: it sees every key
-    seen = np.arange(lk) <= np.arange(lk - lq, lk)[:, None] if lq > 1 else True
-    # masked entries skip the max and the exp (numpy's exp is slow on
-    # -inf lanes) and are then set to exactly 0
-    p -= p.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
-    np.exp(p, out=p, where=seen)
-    if lq > 1:
-        np.copyto(p, 0.0, where=~seen)
-    p /= p.sum(axis=-1, keepdims=True)
+    if lq > 1:  # a lone query is its segment's last position: it sees every key
+        p += np.triu(np.full((lq, lk), -np.inf, p.dtype), lk - lq + 1)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)  # exp(-inf) is exactly 0
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 

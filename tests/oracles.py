@@ -200,6 +200,35 @@ def layer_norm_ref(x, gain, bias, g, eps=1e-5):
             (g * xhat).sum(axis=axes), g.sum(axis=axes))
 
 
+def layer_norm_kernel_ref(x, gain, bias, eps=1e-5):
+    """The array layer norm before the normalization was split from the
+    affine: (out, xhat, inv), reducing with the ``.sum`` method."""
+    n = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def attention_probs_masked_ref(qg, kg):
+    """Causal attention probabilities as computed before the additive -inf
+    mask: the max and the exp skip masked lanes (``where=``), which are
+    then set to 0."""
+    lq, lk = qg.shape[-2], kg.shape[-2]
+    p = qg @ kg.swapaxes(-1, -2)
+    p *= 1.0 / math.sqrt(qg.shape[-1])
+    seen = np.arange(lk) <= np.arange(lk - lq, lk)[:, None] if lq > 1 else True
+    p -= p.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
+    np.exp(p, out=p, where=seen)
+    if lq > 1:
+        np.copyto(p, 0.0, where=~seen)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def gather_rows_grad_ref(table_shape, ids, g):
     full = np.zeros(table_shape)
     np.add.at(full, np.asarray(ids), g)

@@ -473,6 +473,19 @@ class TestPipelineCommands:
         assert err.startswith("error: ") and "not UTF-8" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t[:-1], "no newline at the end"),
+        (lambda t: t + "<SEP>\n", "symbol '<SEP>' repeats line 4"),
+        (lambda t: t.replace("<SEP>\n", "<SEP>\n\n"), "line 5: blank line")])
+    def test_broken_vocab_fails_cleanly(self, built, tmp_path, capsys, edit, message):
+        path = tmp_path / "data" / "vocab.txt"
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), "train", "cpt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: vocab file {path} line ") and message in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", [
         ["train", "sft"], ["eval", "mcq", "--checkpoint", "{ckpt}"],
         ["eval", "dialogue", "--checkpoint", "{ckpt}"],

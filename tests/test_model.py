@@ -87,6 +87,20 @@ class TestVocab:
         with pytest.raises(VocabError):
             M.load_vocab(path)
 
+    # the file save_vocab writes for build_vocab(["ab"]) is "<BOS>\n...<SEP>\na\nb\n"
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda t: t[:-1], 6, "no newline at the end"),
+        (lambda t: t + "a\n", 7, "symbol 'a' repeats line 5"),
+        (lambda t: t.replace("a\n", "\na\n"), 5, "blank line"),
+        (lambda t: t + "\n", 7, "blank line")])
+    def test_load_rejects_a_broken_line(self, tmp_path, edit, line, message):
+        path = tmp_path / "vocab.txt"
+        M.save_vocab(M.build_vocab(["ab"]), path)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(VocabError) as exc:
+            M.load_vocab(path)
+        assert str(exc.value) == f"vocab file {path} line {line}: {message}"
+
     @settings(max_examples=50, deadline=None)
     @given(st.text(min_size=1, max_size=40))
     def test_roundtrip_property(self, text):
@@ -260,14 +274,14 @@ class TestScoredRows:
 
     def test_cached_prefill_keeps_last_row(self, tiny_config, tiny_params64):
         tokens = [0, 4, 5, 6, 7, 8, 9]
-        weights = {name: t.data for name, t in tiny_params64.named()}
+        plan = M.decode_plan(tiny_params64, None)
         cache = []
         full = M.forward_logits(tiny_params64, None, tokens).data
-        last = M.decode_logits(tiny_config, weights, cache, tokens[:5])
-        step = M.decode_logits(tiny_config, weights, cache, tokens[5:])
+        last = M.decode_logits(tiny_config, plan, cache, tokens[:5])
+        step = M.decode_logits(tiny_config, plan, cache, tokens[5:])
         np.testing.assert_allclose(last, full[4], rtol=0, atol=1e-12)
         np.testing.assert_allclose(step, full[6], rtol=0, atol=1e-12)
-        assert [k.shape for k, _ in cache] == [(7, tiny_config.d_model)] * 2
+        assert [kv.shape for kv in cache] == [(7, 2 * tiny_config.d_model)] * 2
 
     # rows: how many trailing rows of each segment are scored, for lengths [3]
     @pytest.mark.parametrize("rows", [[0], [4], [-1], [1, 1], [[1]]])
@@ -414,10 +428,19 @@ class TestKvCache:
         def fail(*args, **kwargs):
             raise AssertionError("decoding must not run the graph forward or copy the table")
 
+        plans = []
+        decode_plan = M.decode_plan
+
+        def recording(*args):
+            plans.append(decode_plan(*args))
+            return plans[-1]
+
         monkeypatch.setattr(M, "forward_logits", fail)
         monkeypatch.setattr(M, "merge_lora", fail)
+        monkeypatch.setattr(M, "decode_plan", recording)
         out = M.generate_greedy(params, adapter, prompt, 12, stop_id=-1)
         monkeypatch.undo()
+        assert len(plans) == 1  # once per call, also when the window slides
         assert (params.data.tobytes(), adapter.data.tobytes()) == before
         merged = M.merge_lora(params, adapter)
         assert out == _uncached_greedy(merged, None, prompt, 12, stop_id=-1)
@@ -431,42 +454,101 @@ class TestKvCache:
         assert out == free[: j + 1]
         assert out == _uncached_greedy(params, None, prompt, 12, stop_id=free[j])
 
-    @staticmethod
-    def _weights(params):
-        return {name: t.data for name, t in params.named()}
-
     def test_prefill_then_steps_match_full_forward(self, tiny_config, params, adapter):
         params, adapter = oracles.float64_table(params), oracles.float64_table(adapter)
         tokens = self._prompt(tiny_config, tiny_config.max_seq_len)
-        weights = {**self._weights(params), **M.folded_weights(params, adapter)}
+        plan = M.decode_plan(params, adapter)
         cache = []
         full = M.forward_logits(params, adapter, tokens).data
-        rows = [M.decode_logits(tiny_config, weights, cache, tokens[:10])]
+        rows = [M.decode_logits(tiny_config, plan, cache, tokens[:10])]
         for tok in tokens[10:]:
-            rows.append(M.decode_logits(tiny_config, weights, cache, [tok]))
+            rows.append(M.decode_logits(tiny_config, plan, cache, [tok]))
         # the folded weights and the one-row matmuls may round differently
         np.testing.assert_allclose(np.stack(rows), full[9:], rtol=0, atol=1e-12)
         assert len(cache) == tiny_config.n_layers
-        for k, v in cache:
-            assert k.shape == v.shape == (len(tokens), tiny_config.d_model)
+        for kv in cache:
+            assert kv.shape == (len(tokens), 2 * tiny_config.d_model)
 
     def test_steps_write_into_one_buffer_per_layer(self, tiny_config, params):
-        weights, cache = self._weights(params), []
-        M.decode_logits(tiny_config, weights, cache, [0, 4, 5])
-        bases = [(k.base, v.base) for k, v in cache]
-        keys = [k.copy() for k, _ in cache]
-        M.decode_logits(tiny_config, weights, cache, [6])
-        for (k, v), (kb, vb), k_before in zip(cache, bases, keys):
-            assert k.base is kb and v.base is vb
-            assert kb.shape == (tiny_config.max_seq_len, tiny_config.d_model)
-            assert np.array_equal(k[:3], k_before)  # earlier rows stay in place
+        plan, cache = M.decode_plan(params, None), []
+        M.decode_logits(tiny_config, plan, cache, [0, 4, 5])
+        bases = [kv.base for kv in cache]
+        before = [kv.copy() for kv in cache]
+        M.decode_logits(tiny_config, plan, cache, [6])
+        for kv, base, kv_before in zip(cache, bases, before):
+            assert kv.base is base
+            assert base.shape == (tiny_config.max_seq_len, 2 * tiny_config.d_model)
+            assert np.array_equal(kv[:3], kv_before)  # earlier rows stay in place
 
     def test_cache_overflow_rejected(self, tiny_config, params):
-        weights, cache = self._weights(params), []
-        M.decode_logits(tiny_config, weights, cache, [0] * (tiny_config.max_seq_len - 1))
-        M.decode_logits(tiny_config, weights, cache, [4])  # exactly full
+        plan, cache = M.decode_plan(params, None), []
+        M.decode_logits(tiny_config, plan, cache, [0] * (tiny_config.max_seq_len - 1))
+        M.decode_logits(tiny_config, plan, cache, [4])  # exactly full
         with pytest.raises(DataError):
-            M.decode_logits(tiny_config, weights, cache, [4])
+            M.decode_logits(tiny_config, plan, cache, [4])
+
+
+class TestDecodePlan:
+    """The plan folds every layer norm's gain and bias into the projection
+    after it, so these tables have gains and biases far from 1 and 0, and an
+    adapter on all four attention projections with B != 0."""
+
+    @pytest.fixture(params=[np.float64, np.float32])
+    def tables(self, request, tiny_config):
+        rng = np.random.default_rng(11)
+        params = M.init_params(tiny_config, rng, init_scale=0.5)
+        for name, t in params.named():
+            if name.endswith(".g"):
+                t.data[...] = 1.0 + 0.5 * rng.standard_normal(t.data.shape)
+            elif name.endswith((".b", ".b1", ".b2")):
+                t.data[...] = 0.5 * rng.standard_normal(t.data.shape)
+        adapter = M.attach_lora(params, M.LoraConfig(rank=2, dropout=0.0,
+                                                     targets=("wq", "wk", "wv", "wo")), rng)
+        adapter.data[...] = 0.3 * rng.standard_normal(adapter.data.shape)
+        if request.param == np.float64:
+            params, adapter = oracles.float64_table(params), oracles.float64_table(adapter)
+        return params, adapter
+
+    @staticmethod
+    def _assert_close(got, want):
+        if want.dtype == np.float64:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            # float32 rounding through the layer norms: measured at most 190
+            # eps32 of the row's largest logit over 40 tables like these
+            # (the float32 forward itself is up to 124 eps32 off float64)
+            bound = 1024 * np.finfo(np.float32).eps * np.abs(want).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_steps_match_full_forward(self, tiny_config, tables):
+        params, adapter = tables
+        tokens = [M.BOS] + [int(t) for t in np.random.default_rng(5).integers(4, 13, 23)]
+        full = M.forward_logits(params, adapter, tokens).data
+        plan, cache = M.decode_plan(params, adapter), []
+        # a prefill, one-token steps, then three tokens continuing the cache
+        rows = [M.decode_logits(tiny_config, plan, cache, tokens[:10])]
+        rows += [M.decode_logits(tiny_config, plan, cache, [t]) for t in tokens[10:21]]
+        rows.append(M.decode_logits(tiny_config, plan, cache, tokens[21:]))
+        assert all(row.dtype == params.data.dtype for row in rows)
+        self._assert_close(np.stack(rows), full[[*range(9, 21), 23]])
+
+    def test_slid_window_matches_full_forward(self, tiny_config, tables):
+        # past max_seq_len generate_greedy re-encodes the last window on a
+        # fresh cache: its positions restart at 0
+        params, adapter = tables
+        n = tiny_config.max_seq_len
+        ids = [int(t) for t in np.random.default_rng(6).integers(4, 13, n + 5)]
+        logits = M.decode_logits(tiny_config, M.decode_plan(params, adapter), [], ids[-n:])
+        self._assert_close(logits, M.forward_logits(params, adapter, ids[-n:]).data[-1])
+
+    @pytest.mark.parametrize("prompt_len", [5, 22, 30])
+    def test_generate_matches_uncached(self, tiny_config, tables, prompt_len):
+        params, adapter = tables
+        prompt = [M.BOS] + [int(t) for t in
+                            np.random.default_rng(prompt_len).integers(4, 13, prompt_len - 1)]
+        ref = _uncached_greedy(params, adapter, prompt, 12, stop_id=-1)
+        assert len(set(ref)) > 1
+        assert M.generate_greedy(params, adapter, prompt, 12, stop_id=-1) == ref
 
 
 def test_init_params_is_seeded(tiny_config):

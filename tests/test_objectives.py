@@ -361,13 +361,14 @@ class TestDtypeContract:
         params = self._params(vocab, dtype, dropout=0.0)
         adapter = M.attach_lora(params, M.LoraConfig(), np.random.default_rng(2))
         adapter.data[...] = 0.1
-        weights = {**{name: t.data for name, t in params.named()},
-                   **M.folded_weights(params, adapter)}
+        plan = M.decode_plan(params, adapter)
+        arrays = [plan.embed, plan.pos, plan.head, plan.head_bias, *sum(plan.layers, ())]
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
         cache = []
-        prefill = M.decode_logits(params.config, weights, cache, [0, 4, 5])
-        step = M.decode_logits(params.config, weights, cache, [6])
+        prefill = M.decode_logits(params.config, plan, cache, [0, 4, 5])
+        step = M.decode_logits(params.config, plan, cache, [6])
         assert prefill.dtype == step.dtype == dtype
-        assert all(k.dtype == v.dtype == dtype for k, v in cache)
+        assert all(kv.dtype == dtype for kv in cache)
 
     def test_float32_cpt_step_matches_float64(self, vocab):
         # Both tables hold the same values. Each float32 op rounds its result

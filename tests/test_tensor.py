@@ -256,6 +256,17 @@ class TestCausalAttention:
                                            np.zeros(q.shape))
         assert np.array_equal(out.data, ref[0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_seg, lq, lk", [(1, 1, 9), (3, 1, 9), (1, 4, 9), (3, 4, 9),
+                                               (1, 9, 9), (3, 9, 9)])
+    def test_probs_match_masked_kernel_bits(self, rng, dtype, n_seg, lq, lk):
+        # head width 6, so the scale rounds; several segments form one group
+        qg = rng.standard_normal((n_seg, 2, lq, 6)).astype(dtype)
+        kg = rng.standard_normal((n_seg, 2, lk, 6)).astype(dtype)
+        p = T._attention_probs(qg, kg)
+        assert p.dtype == dtype
+        assert np.array_equal(p, oracles.attention_probs_masked_ref(qg, kg))
+
     def test_lengths_must_cover_rows(self, rng):
         q, k, v = _attention_inputs(rng, 4)
         for q_lengths, k_lengths in (([2, 1], [2, 1]), ([4], [3]), ([2, 2], [3, 1]),
@@ -376,6 +387,17 @@ class TestLayerNorm:
         ref = oracles.layer_norm_ref(x, gain, bias, g)
         for got, want in zip([out] + grads, ref):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 8), (37, 64), (3, 5, 16)])
+    def test_normalize_and_affine_match_kernel_bits(self, rng, dtype, shape):
+        x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
+        gain, bias = rng.standard_normal((2, shape[-1])).astype(dtype)
+        out, xhat, inv = oracles.layer_norm_kernel_ref(x, gain, bias)
+        got_xhat, got_inv = T._normalize(x)
+        got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        for a, b in ((got, out), (got_xhat, xhat), (got_inv, inv)):
+            assert a.dtype == dtype and np.array_equal(a, b)
 
     def test_gradients(self, rng):
         x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
