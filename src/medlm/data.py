@@ -308,8 +308,9 @@ def _parse_mcq(obj):
 
 def _parse_dialogue(obj):
     pair = (obj["prompt"], obj["reference"])
-    if not all(isinstance(t, str) for t in pair):
-        raise DataError("dialogue record: prompt and reference must be strings")
+    if not all(isinstance(t, str) for t in pair) or not pair[1]:
+        raise DataError("dialogue record: prompt and reference must be strings, "
+                        "the reference nonempty")
     return pair
 
 
@@ -356,8 +357,8 @@ def load_dataset(path, schema):
     dialogue); returns (records, PipelineStats).
 
     A line that is not UTF-8 or not JSON raises DataError naming the file
-    and line; a record that fails its invariants is skipped and logged to
-    stats.rejected as "file:line: bad record (...)".
+    and line; a record that is not a JSON object or fails its invariants is
+    skipped and logged to stats.rejected as "file:line: bad record (...)".
     """
     if schema not in _PARSERS:
         raise DataError(f"load_dataset: unknown schema {schema!r}")
@@ -373,6 +374,8 @@ def load_dataset(path, schema):
             except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
                 raise DataError(f"{path}:{lineno}: malformed JSONL line ({exc})") from None
             try:
+                if not isinstance(obj, dict):
+                    raise DataError(f"{schema} record: not a JSON object")
                 records.append(parse(obj))
             except (KeyError, TypeError, ValueError, DataError) as exc:
                 stats.rejected.append(f"{path}:{lineno}: bad record ({exc!r})")

@@ -102,12 +102,11 @@ class ModelConfig:
     n_heads: int = 2
     max_seq_len: int = 256  # paper-scale profile uses 1024
     d_ff: int = 0  # 0 -> 4 * d_model
-    dropout: float = 0.0
 
     def __post_init__(self):
         errors = field_errors(self, vocab_size="[1, inf)", d_model="[1, inf)",
                               n_layers="[1, inf)", n_heads="[1, inf)",
-                              max_seq_len="[2, inf)", d_ff="[0, inf)", dropout="[0, 1)")
+                              max_seq_len="[2, inf)", d_ff="[0, inf)")
         if not errors.keys() & {"d_model", "n_heads"} and self.d_model % self.n_heads:
             errors["d_model"] = "d_model must be divisible by n_heads"
         if errors:
@@ -313,7 +312,6 @@ def forward_logits(params, adapter, tokens, train_rng=None, lengths=None, scored
         np.arange(n) >= np.repeat(np.cumsum(lengths) - scored, lengths))
 
     x = T.gather_rows(params["embed"], tokens) + T.gather_rows(params["pos"], positions)
-    x = T.dropout(x, c.dropout, train_rng)
     for i in range(c.n_layers):
         p = f"layer{i}."
         h = T.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
@@ -322,14 +320,12 @@ def forward_logits(params, adapter, tokens, train_rng=None, lengths=None, scored
             hq, x, q_lengths = T.gather_rows(h, rows), T.gather_rows(x, rows), scored
         q, k, v = (_project(t, params, adapter, p + w, train_rng)
                    for t, w in ((hq, "wq"), (h, "wk"), (h, "wv")))
-        att = T.causal_attention(q, k, v, q_lengths, lengths, c.n_heads, c.dropout,
-                                 train_rng)
-        attn_out = _project(att, params, adapter, p + "wo", train_rng)
-        x = x + T.dropout(attn_out, c.dropout, train_rng)
+        att = T.causal_attention(q, k, v, q_lengths, lengths, c.n_heads)
+        x = x + _project(att, params, adapter, p + "wo", train_rng)
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
         ff = T.relu(h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"])
         ff = ff @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        x = x + T.dropout(ff, c.dropout, train_rng)
+        x = x + ff
     x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     return x @ params["head"]
 

@@ -51,7 +51,7 @@ def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
                           np.repeat(groups, lengths)[keep], max(groups) + 1)
 
 
-def cpt_loss(params, adapter, blocks, train_rng=None, n_positions=None):
+def cpt_loss(params, adapter, blocks, n_positions=None):
     """Mean next-token NLL over every position of ``blocks``, a list of token
     blocks of any lengths, from one ragged forward. With ``n_positions`` the
     NLL sum is divided by it instead: the parts of a split batch, each given
@@ -59,7 +59,7 @@ def cpt_loss(params, adapter, blocks, train_rng=None, n_positions=None):
     n = n_positions or sum(len(b) - 1 for b in blocks)
     coef = [np.full(len(b) - 1, -1.0 / n) for b in blocks]
     nll = _score(params, adapter, [b[:-1] for b in blocks], [b[1:] for b in blocks], coef,
-                 [0] * len(blocks), train_rng)
+                 [0] * len(blocks))
     return T.tsum(nll)
 
 

@@ -219,18 +219,13 @@ def gather_rows(table, ids):
     return _make(table.data[ids], (table,), bwd)
 
 
-def _keep_mask(rng, shape, rate, dtype):
-    """Inverted-dropout multipliers: 0 or 1 / (1 - rate), in dtype."""
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    keep /= 1.0 - rate
-    return keep
-
-
 def dropout(a, rate, rng):
-    """Inverted dropout; identity when rate == 0 or rng is None."""
+    """Inverted dropout, multipliers 0 or 1 / (1 - rate) in a's dtype;
+    identity when rate == 0 or rng is None."""
     if rate <= 0.0 or rng is None:
         return a
-    keep = _keep_mask(rng, a.data.shape, rate, a.data.dtype)
+    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
+    keep /= 1.0 - rate
 
     def bwd(g, a=a, keep=keep):
         if a.requires_grad:
@@ -297,7 +292,7 @@ def _attention_probs(qg, kg):
     return p
 
 
-def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None):
+def causal_attention(q, k, v, q_lengths, k_lengths, n_heads):
     """Multi-head causal attention of token-flat queries ``[Nq, D]`` over
     token-flat keys and values ``[Nk, D]``.
 
@@ -305,9 +300,9 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None)
     its queries are its last ``q_lengths[s]`` positions, with
     ``1 <= q_lengths[s] <= k_lengths[s]``: self-attention or a scored
     suffix. A query attends to the keys at and before its own position in
-    its own segment only, and masked entries contribute exactly 0. Segments of equal ``(q_lengths, k_lengths)`` run
-    as one ``[G, H, L, dh]`` batched product. With ``rate > 0`` and an
-    ``rng``, inverted dropout is applied to the attention probabilities.
+    its own segment only, and masked entries contribute exactly 0. Segments
+    of equal ``(q_lengths, k_lengths)`` run as one ``[G, H, L, dh]`` batched
+    product.
     """
     (nq, d), nk = q.data.shape, k.data.shape[0]
     dh = d // n_heads
@@ -350,22 +345,16 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads, rate=0.0, rng=None)
         qg, kg, vg = (split(t.data, rows, n_seg)
                       for t, rows in ((q, q_rows), (k, k_rows), (v, k_rows)))
         p = _attention_probs(qg, kg)
-        keep = None
-        if rate > 0.0 and rng is not None:
-            keep = _keep_mask(rng, p.shape, rate, p.dtype)
-        pd = p if keep is None else p * keep
-        out = merge(out, q_rows, pd @ vg)
-        groups.append((q_rows, k_rows, n_seg, qg, kg, vg, p, keep, pd))
+        out = merge(out, q_rows, p @ vg)
+        groups.append((q_rows, k_rows, n_seg, qg, kg, vg, p))
 
     def bwd(g, q=q, k=k, v=v, groups=groups):
         gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
-        for q_rows, k_rows, n_seg, qg, kg, vg, p, keep, pd in groups:
+        for q_rows, k_rows, n_seg, qg, kg, vg, p in groups:
             go = split(g, q_rows, n_seg)
             if gv is not None:
-                gv = merge(gv, k_rows, pd.swapaxes(-1, -2) @ go)
+                gv = merge(gv, k_rows, p.swapaxes(-1, -2) @ go)
             gs = go @ vg.swapaxes(-1, -2)  # d/dp, then d/dscores in place
-            if keep is not None:
-                gs *= keep
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= c

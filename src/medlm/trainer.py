@@ -9,15 +9,15 @@ The two gradients add in a fixed order, half 0 then half 1, before
 clipping and AdamW, so the bits depend neither on the core count nor on
 how the threads are scheduled. SFT and DPO train each batch whole.
 
-Checkpoint layout (version 2): magic "QLNM", then little-endian u32
+Checkpoint layout (version 3): magic "QLNM", then little-endian u32
 version, u32 header length and u32 CRC32 (zlib) of every byte after these
 16, then the UTF-8 JSON header (model config, training metadata, payload
 dtype "<f4" or "<f8", tensor index with shapes and byte offsets), then the
 parameter buffer and the adapter buffer (if any) as raw little-endian
 floats of that dtype, the tables' own. The index follows from the model
 and adapter configs and the dtype alone: a load recomputes it and requires
-the header's to be equal. Any other version, version 1 included, is an
-IntegrityError.
+the header's to be equal. Any other version, versions 1 and 2 included,
+is an IntegrityError.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import ConfigError, DataError, IntegrityError, TrainingError, check
 from .tensor import backward
 
 MAGIC = b"QLNM"
-VERSION = 2
+VERSION = 3
 PREFIX = 16  # magic, version, header length, CRC32
 PAYLOAD_DTYPES = ("<f4", "<f8")
 CLIP_NORM = 1.0
@@ -157,22 +157,19 @@ class _CptStep:
     runs half 0: numpy's BLAS calls and large array operations release the
     interpreter lock, so the two overlap on two cores. Each half has its own
     gradient buffer (half 1's is a second table over the same parameter
-    buffer) and its own dropout generator, both seeded from ``seed``, so the
-    bits do not depend on how the threads are scheduled. ``close()`` ends
-    the thread.
+    buffer) and nothing random, so the bits do not depend on how the threads
+    are scheduled. ``close()`` ends the thread.
     """
 
-    def __init__(self, params, blocks, seed):
+    def __init__(self, params, blocks):
         self.blocks = blocks
         self.tables = [params, M.ModelParams(params.config, params.shapes, params.data)]
-        self.rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
         self.pool = ThreadPoolExecutor(max_workers=1)
 
     def _half(self, idx, n, h):
         table = self.tables[h]
         table.grad.fill(0.0)
-        graph = O.cpt_loss(table, None, [self.blocks[i] for i in idx],
-                           train_rng=self.rngs[h], n_positions=n)
+        graph = O.cpt_loss(table, None, [self.blocks[i] for i in idx], n_positions=n)
         backward(graph)
         return float(graph.data)
 
@@ -224,7 +221,7 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
     total_steps = cfg.epochs * n_batches
 
     if cfg.stage == "cpt":
-        grad_step = _CptStep(params, dataset, cfg.seed + 1)
+        grad_step = _CptStep(params, dataset)
     else:
         train_rng = np.random.default_rng(cfg.seed + 1)
         if cfg.stage == "dpo" and total_steps:

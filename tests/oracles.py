@@ -235,7 +235,7 @@ def gather_rows_grad_ref(table_shape, ids, g):
     return full
 
 
-def causal_attention_ref(q, k, v, q_lengths, k_lengths, n_heads, g, rate=0.0, rng=None):
+def causal_attention_ref(q, k, v, q_lengths, k_lengths, n_heads, g):
     """Forward and the gradients of q, k and v for upstream g, with an
     explicit ``np.where`` mask; segments of equal (query, key) lengths run
     as one group, in increasing order of the pair."""
@@ -271,16 +271,10 @@ def causal_attention_ref(q, k, v, q_lengths, k_lengths, n_heads, g, rate=0.0, rn
         s = np.where(mask, c * (qg @ kg.swapaxes(-1, -2)), -np.inf)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
-        keep = None
-        if rate > 0.0 and rng is not None:
-            keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
-        pd = p if keep is None else p * keep
-        out = merge(out, q_rows, pd @ vg)
+        out = merge(out, q_rows, p @ vg)
         go = split(g, q_rows, n_seg)
-        gv = merge(gv, k_rows, pd.swapaxes(-1, -2) @ go)
+        gv = merge(gv, k_rows, p.swapaxes(-1, -2) @ go)
         gp = go @ vg.swapaxes(-1, -2)
-        if keep is not None:
-            gp = gp * keep
         gs = c * (p * (gp - (gp * p).sum(axis=-1, keepdims=True)))
         gq = merge(gq, q_rows, gs @ kg)
         gk = merge(gk, k_rows, gs.swapaxes(-1, -2) @ qg)

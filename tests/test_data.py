@@ -255,6 +255,15 @@ class TestLoadDataset:
         assert stats.rejected[0].startswith(f"{path}:1: bad record")
         assert message in stats.rejected[0]
 
+    @pytest.mark.parametrize("schema", ["cpt", "sft", "dpo", "mcq", "dialogue"])
+    def test_non_object_line_is_rejected_by_line(self, tmp_path, schema):
+        path = self._write(tmp_path, ["[1, 2]", '"a string"', "5", "null"])
+        records, stats = D.load_dataset(path, schema)
+        assert records == []
+        assert stats.rejected == [
+            f"{path}:{n}: bad record (DataError('{schema} record: not a JSON object'))"
+            for n in range(1, 5)]
+
     def test_unknown_schema(self, tmp_path):
         path = self._write(tmp_path, ["{}"])
         with pytest.raises(DataError):

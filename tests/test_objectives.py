@@ -308,9 +308,9 @@ class TestDtypeContract:
         return nodes
 
     @staticmethod
-    def _params(vocab, dtype, dropout=0.1):
+    def _params(vocab, dtype):
         cfg = M.ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2,
-                            max_seq_len=64, dropout=dropout)
+                            max_seq_len=64)
         params = M.init_params(cfg, np.random.default_rng(5))
         return params if dtype == np.float32 else oracles.float64_table(params)
 
@@ -321,7 +321,7 @@ class TestDtypeContract:
         train_rng = np.random.default_rng(1)
         if stage == "cpt":
             trainable = params
-            loss = O.cpt_loss(params, None, [[0, 4, 5, 6, 7], [0, 8, 9]], train_rng=train_rng)
+            loss = O.cpt_loss(params, None, [[0, 4, 5, 6, 7], [0, 8, 9]])
         else:
             params.set_requires_grad(False)
             trainable = M.attach_lora(params, M.LoraConfig(dropout=0.1),
@@ -358,7 +358,7 @@ class TestDtypeContract:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_decode_runs_in_the_table_dtype(self, vocab, dtype):
-        params = self._params(vocab, dtype, dropout=0.0)
+        params = self._params(vocab, dtype)
         adapter = M.attach_lora(params, M.LoraConfig(), np.random.default_rng(2))
         adapter.data[...] = 0.1
         plan = M.decode_plan(params, adapter)

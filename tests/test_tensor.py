@@ -98,6 +98,35 @@ class TestGatherRows:
         assert np.array_equal(gt, oracles.gather_rows_grad_ref(table.shape, ids, g))
 
 
+class TestDropout:
+    def test_gradients(self, rng):
+        # a fresh generator per call draws the same keep mask every time
+        x = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
+
+        def fn(rate=0.3):
+            return T.tsum(T.log_sigmoid(T.dropout(x, rate, np.random.default_rng(7))))
+
+        assert fn().item() != fn(rate=0.0).item()
+        report = grad_check(fn, [x], tolerance=1e-6, n_samples=48)
+        assert not report["failures"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kept_entries_are_scaled_the_others_zero(self, rng, dtype):
+        # rate 0.5: 1 / (1 - rate) is 2, exact in either dtype
+        x = rng.standard_normal((40, 16)).astype(dtype)
+        out = T.dropout(Tensor(x), 0.5, np.random.default_rng(3)).data
+        kept = np.random.default_rng(3).random(x.shape) >= 0.5
+        assert out.dtype == dtype
+        assert 0 < kept.sum() < kept.size
+        assert np.array_equal(out[kept], x[kept] / dtype(0.5))
+        assert np.all(out[~kept] == 0.0)
+
+    def test_identity_without_rate_or_generator(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+        assert T.dropout(x, 0.5, None) is x
+
+
 class TestSoftmaxRows:
     """Row softmax, as exp of the log-probs logprob_sums picks, one column
     per call."""
@@ -188,19 +217,6 @@ class TestCausalAttention:
         report = grad_check(fn, [q, k, v], tolerance=1e-6, n_samples=60)
         assert not report["failures"]
 
-    def test_dropout_gradients(self, rng):
-        # a fresh generator per call draws the same keep mask every time
-        q, k, v = _attention_inputs(rng, 7, requires_grad=True)
-
-        def fn(rate=0.3):
-            out = T.causal_attention(q, k, v, [4, 3], [4, 3], n_heads=2, rate=rate,
-                                     rng=np.random.default_rng(7))
-            return T.tsum(T.log_sigmoid(out))
-
-        assert fn().item() != fn(rate=0.0).item()
-        report = grad_check(fn, [q, k, v], tolerance=1e-6, n_samples=60)
-        assert not report["failures"]
-
     def test_cached_keys_match_full_call(self, rng):
         q, k, v = _attention_inputs(rng, 6)
         full = T.causal_attention(q, k, v, [6], [6], n_heads=2).data
@@ -226,18 +242,15 @@ class TestCausalAttention:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lengths", [[7], [4, 4], [3, 1, 3, 2, 5, 2], RAGGED_SUFFIX])
-    @pytest.mark.parametrize("rate", [0.0, 0.3])
-    def test_matches_reference_bits(self, rng, lengths, rate):
+    def test_matches_reference_bits(self, rng, lengths):
         # head width 6: the scale 1/sqrt(6) rounds, so the order it is applied in shows
         q_lengths, k_lengths = _suffix_lengths(lengths)
         q = rng.standard_normal((sum(q_lengths), 12))
         k, v = (rng.standard_normal((sum(k_lengths), 12)) for _ in range(2))
         out, g, grads = _grads(
-            lambda *qkv: T.causal_attention(*qkv, q_lengths, k_lengths, n_heads=2, rate=rate,
-                                            rng=np.random.default_rng(5)),
+            lambda *qkv: T.causal_attention(*qkv, q_lengths, k_lengths, n_heads=2),
             [Tensor(x, requires_grad=True) for x in (q, k, v)])
-        ref = oracles.causal_attention_ref(q, k, v, q_lengths, k_lengths, 2, g, rate=rate,
-                                           rng=np.random.default_rng(5))
+        ref = oracles.causal_attention_ref(q, k, v, q_lengths, k_lengths, 2, g)
         for got, want in zip([out] + grads, ref):
             assert np.array_equal(got, want)
 

@@ -275,15 +275,15 @@ class TestRunStage:
             assert np.array_equal(t.data, s2.params.tensors[name].data)
 
     def test_seeded_sft_with_dropout_is_bit_reproducible(self, state, vocab):
-        # model and adapter dropout both draw from the stage's random stream
-        cfg = M.ModelConfig(**{**state.params.config.__dict__, "dropout": 0.1})
-        params = M.ModelParams(cfg, state.params.shapes, state.params.data.copy())
+        # adapter dropout draws from the stage's random stream
         examples = [D.SftExample(instruction="ab" * i + "？", output="cd。"[:i])
                     for i in range(1, 4)]
-        sft = TR.StageConfig(stage="sft", learning_rate=0.01, warmup_ratio=0.0, epochs=2,
-                             batch_size=2, seed=3, lora=M.LoraConfig(dropout=0.1))
-        runs = [TR.run_stage(TR.TrainState(params=p, seed=0), sft, examples, vocab=vocab)
-                for p in (params, params, state.params)]
+        runs = [TR.run_stage(TR.TrainState(params=state.params, seed=0),
+                             TR.StageConfig(stage="sft", learning_rate=0.01, warmup_ratio=0.0,
+                                            epochs=2, batch_size=2, seed=3,
+                                            lora=M.LoraConfig(dropout=rate)),
+                             examples, vocab=vocab)
+                for rate in (0.1, 0.1, 0.0)]
         (s1, m1), (s2, m2), (s0, _) = runs
         assert m1 == m2
         assert s1.adapter.data.tobytes() == s2.adapter.data.tobytes()
@@ -348,17 +348,13 @@ class TestDataParallelCpt:
 
     @pytest.mark.parametrize("n_blocks,batch_size", [(7, 3), (11, 5), (5, 5)])
     def test_two_threads_give_the_bits_of_one(self, state, monkeypatch, n_blocks, batch_size):
-        # model dropout on: each half draws from its own generator
-        cfg = M.ModelConfig(**{**state.params.config.__dict__, "dropout": 0.1})
-        start = TR.TrainState(params=M.ModelParams(cfg, state.params.shapes,
-                                                   state.params.data.copy()))
         blocks = self._blocks(n_blocks)  # 7 and 11: the last batch is one block
         stage = _cpt_cfg(epochs=3, batch_size=batch_size, seed=4)
         threads = threading.active_count()
-        two, two_metrics = TR.run_stage(start, stage, blocks)
+        two, two_metrics = TR.run_stage(state, stage, blocks)
         assert threading.active_count() == threads
         monkeypatch.setattr(TR, "ThreadPoolExecutor", _InlineExecutor)
-        one, one_metrics = TR.run_stage(start, stage, blocks)
+        one, one_metrics = TR.run_stage(state, stage, blocks)
         assert two.params.data.dtype == np.float32
         assert two_metrics == one_metrics
         assert two.params.data.tobytes() == one.params.data.tobytes()
@@ -408,7 +404,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         assert blob[:4] == b"QLNM"
         version, header_len, crc = struct.unpack_from("<III", blob, 4)
-        assert version == 2
+        assert version == 3
         assert crc == zlib.crc32(blob[16:])
         header = json.loads(blob[16:16 + header_len])
         assert header["dtype"] == "<f4"
@@ -455,6 +451,21 @@ class TestCheckpoint:
         path.write_bytes(b"QLNM" + struct.pack("<II", 1, len(header)) + header
                          + state.params.data.astype("<f8").tobytes())
         with pytest.raises(IntegrityError, match="unsupported version 1$"):
+            TR.load_checkpoint(path)
+
+    def test_version_2_file_rejected(self, state, tmp_path):
+        # the layout before model dropout went: version 2, a valid checksum
+        # and a model config holding "dropout": 0.0
+        path = tmp_path / "model.ckpt"
+        TR.save_checkpoint(state, path)
+        blob = path.read_bytes()
+        n = struct.unpack_from("<I", blob, 8)[0]
+        header = json.loads(blob[16:16 + n])
+        header["config"]["dropout"] = 0.0
+        raw = json.dumps(header).encode()
+        body = raw + blob[16 + n:]
+        path.write_bytes(b"QLNM" + struct.pack("<III", 2, len(raw), zlib.crc32(body)) + body)
+        with pytest.raises(IntegrityError, match="unsupported version 2$"):
             TR.load_checkpoint(path)
 
     def test_payload_bit_flip_is_a_checksum_mismatch(self, state, tmp_path):
