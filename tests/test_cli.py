@@ -156,6 +156,7 @@ BAD_CONFIGS = [
     (("stages", "sft", "seed"), -1, "stages.sft: seed must be in [0, inf), got -1"),
     (("model", "rope"), 1, "model: unknown key 'rope'"),
     (("model", "dropout"), 1.0, "model: unknown key 'dropout'"),
+    (("model", "dropout"), -0.1, "model: unknown key 'dropout'"),
     (("eval", "few_shot_k"), "x", "eval: few_shot_k must be an integer"),
     (("eval", "few_shot_k"), 4, "eval.few_shot_k: must be below data.n_diseases"),
     (("data", "holdout_fraction"), 2.0, "data: holdout_fraction must be in [0, 1)"),
