@@ -258,6 +258,22 @@ def _split_blocks(cfg, vocab):
     return train, [blocks[i] for i in held]
 
 
+def _check_fits(path, records, lines, max_seq_len):
+    """DataError naming the first SFT example or preference pair, by file
+    and line, whose longest sequence does not fit ``max_seq_len + 1``
+    tokens: BOS, one id per character, then EOS, the forward running all
+    but the last. Counted from the text, so nothing is tokenized."""
+    for line, rec in zip(lines, records):
+        if isinstance(rec, D.SftExample):
+            n = len(D.render_prompt(rec)) + len(rec.output) + 2
+        else:
+            response = max(len(rec.preferred), len(rec.rejected))
+            n = len(D.render_bare_prompt(rec.prompt)) + response + 2
+        if n > max_seq_len + 1:
+            raise DataError(f"{path}:{line}: record of {n} tokens; a sequence must fit "
+                            f"model.max_seq_len + 1 = {max_seq_len + 1} tokens")
+
+
 def cmd_train(cfg, stage):
     vocab = _load_vocab(cfg)
     os.makedirs(cfg.paths.checkpoints, exist_ok=True)
@@ -271,7 +287,9 @@ def cmd_train(cfg, stage):
     else:
         prev = "cpt" if stage == "sft" else "sft"
         state = _load_state(_ckpt_path(cfg, prev), vocab)
-        dataset, _ = _load_records(_data_paths(cfg)[stage], stage)
+        path = _data_paths(cfg)[stage]
+        dataset, stats = _load_records(path, stage)
+        _check_fits(path, dataset, stats.lines, state.params.config.max_seq_len)
     log_path = os.path.join(cfg.paths.reports, f"{stage}_metrics.csv")
     os.makedirs(cfg.paths.reports, exist_ok=True)
     state, metrics = TR.run_stage(state, stage_cfg, dataset, vocab=vocab,

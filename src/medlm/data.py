@@ -114,6 +114,7 @@ class McqItem:
 @dataclass
 class PipelineStats:
     rejected: list = field(default_factory=list)
+    lines: list = field(default_factory=list)  # the line number of each kept record
 
 
 def _canonical_relations(relations):
@@ -377,6 +378,7 @@ def load_dataset(path, schema):
                 if not isinstance(obj, dict):
                     raise DataError(f"{schema} record: not a JSON object")
                 records.append(parse(obj))
+                stats.lines.append(lineno)
             except (KeyError, TypeError, ValueError, DataError) as exc:
                 stats.rejected.append(f"{path}:{lineno}: bad record ({exc!r})")
     return records, stats

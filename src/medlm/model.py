@@ -123,7 +123,7 @@ class LoraConfig:
     targets: tuple = ("wq", "wv")
 
     def __post_init__(self):
-        check_fields(self, rank="[1, inf)", dropout="[0, 1)")
+        check_fields(self, rank="[1, inf)", alpha="(0, inf)", dropout="[0, 1)")
 
 
 class ParamTable:

@@ -30,25 +30,25 @@ from .errors import DataError, ShapeError
 
 def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
     """Sums of coef * log P(target) per group, a Tensor [max(groups) + 1],
-    from one ragged forward. ``inputs``, ``targets`` and ``coef`` are lists
-    of arrays, each concatenated in order into one id, target and
-    coefficient per position; ``groups`` holds one group per input sequence."""
+    from one ragged forward. ``inputs``, ``targets`` and ``coef`` hold one
+    array per sequence, ``groups`` one group. The forward takes the
+    sequences stably ordered by (length, scored length), with their targets,
+    coefficients and groups, so attention runs each shape as one product."""
     if not inputs:
         raise DataError("empty batch: no sequences to score")
-    lengths = np.array([len(x) for x in inputs])
-    tokens, targets, coef = (np.concatenate(a) for a in (inputs, targets, coef))
-    if not targets.shape == coef.shape == tokens.shape:
-        raise ShapeError(f"_score: {targets.size} targets and {coef.size} coefficients "
-                         f"for {tokens.size} positions")
-    ends = np.cumsum(lengths)
-    nonzero = np.append(np.flatnonzero(coef), tokens.size)
-    first = nonzero[np.searchsorted(nonzero, ends - lengths)]  # the first at or after each start
-    first = np.minimum(first, ends - 1)  # none in the sequence: its last row
-    keep = np.arange(tokens.size) >= np.repeat(first, lengths)
+    lengths = [len(x) for x in inputs]
+    if not lengths == [len(t) for t in targets] == [len(c) for c in coef]:
+        raise ShapeError(f"_score: targets and coefficients for sequences of lengths {lengths}")
+    scored = [n - next(iter(np.flatnonzero(c)), n - 1) for n, c in zip(lengths, coef)]
+    order = sorted(range(len(inputs)), key=lambda i: (lengths[i], scored[i]))
+    lengths, scored = np.array(lengths)[order], np.array(scored)[order]
+    tokens, targets, coef = (np.concatenate([a[i] for i in order])
+                             for a in (inputs, targets, coef))
+    keep = np.arange(tokens.size) >= np.repeat(np.cumsum(lengths) - scored, lengths)
     logits = M.forward_logits(params, adapter, tokens, train_rng=train_rng, lengths=lengths,
-                              scored=ends - first)
+                              scored=scored)
     return T.logprob_sums(logits, targets[keep], coef[keep],
-                          np.repeat(groups, lengths)[keep], max(groups) + 1)
+                          np.repeat(np.asarray(groups)[order], lengths)[keep], max(groups) + 1)
 
 
 def cpt_loss(params, adapter, blocks, n_positions=None):
@@ -84,14 +84,14 @@ def sft_loss(params, adapter, batch, vocab, train_rng=None, target_override=None
     """
     if not batch:
         raise DataError("sft_loss: empty batch")
-    seqs, weights = [], []
+    seqs, coef = [], []
     for ex in batch:
         ids, w = sft_tokens(ex, vocab)
         seqs.append(ids)
-        weights.append(w / w.sum())  # each example's weights sum to 1
-    w = np.concatenate(weights)  # sums to len(batch)
-    targets = [ids[1:] for ids in seqs] if target_override is None else [target_override]
-    nll = _score(params, adapter, [ids[:-1] for ids in seqs], targets, [-w / w.sum()],
+        coef.append(w * (-1.0 / (w.sum() * len(batch))))  # each example's sum to -1/B
+    targets = ([ids[1:] for ids in seqs] if target_override is None else
+               np.split(np.asarray(target_override), np.cumsum([len(x) - 1 for x in seqs])[:-1]))
+    nll = _score(params, adapter, [ids[:-1] for ids in seqs], targets, coef,
                  [0] * len(batch), train_rng)
     return T.tsum(nll)
 

@@ -37,6 +37,7 @@ finite.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -276,6 +277,21 @@ def _heads(x, n_heads):
     return x.reshape(x.shape[:2] + (n_heads, -1)).transpose(0, 2, 1, 3)
 
 
+_MASKS = {}  # dtype -> the published [S, S] causal mask, read-only
+
+
+def _causal_mask(lq, lk, dtype):
+    """``np.triu(np.full((lq, lk), -inf), lk - lq + 1)`` as a read-only view
+    of one cached mask per dtype, grown to the longest Lk seen. A longer mask
+    is built whole before it is published, so threads may share it."""
+    m = _MASKS.get(dtype)
+    if m is None or len(m) < lk:
+        m = np.triu(np.full((lk, lk), -np.inf, dtype), 1)
+        m.flags.writeable = False
+        _MASKS[dtype] = m
+    return m[lk - lq:lk, :lk]
+
+
 def _attention_probs(qg, kg):
     """Causal attention probabilities [G, H, Lq, Lk] of queries qg
     [G, H, Lq, dh] over keys kg [G, H, Lk, dh], the queries being the last Lq
@@ -285,7 +301,7 @@ def _attention_probs(qg, kg):
     p = qg @ kg.swapaxes(-1, -2)
     p *= 1.0 / math.sqrt(qg.shape[-1])
     if lq > 1:  # a lone query is its segment's last position: it sees every key
-        p += np.triu(np.full((lq, lk), -np.inf, p.dtype), lk - lq + 1)
+        p += _causal_mask(lq, lk, p.dtype)
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)  # exp(-inf) is exactly 0
     p /= np.add.reduce(p, axis=-1, keepdims=True)
@@ -300,68 +316,52 @@ def causal_attention(q, k, v, q_lengths, k_lengths, n_heads):
     its queries are its last ``q_lengths[s]`` positions, with
     ``1 <= q_lengths[s] <= k_lengths[s]``: self-attention or a scored
     suffix. A query attends to the keys at and before its own position in
-    its own segment only, and masked entries contribute exactly 0. Segments
-    of equal ``(q_lengths, k_lengths)`` run as one ``[G, H, L, dh]`` batched
-    product.
+    its own segment only, and masked entries contribute exactly 0.
+
+    A run of adjacent segments of equal ``(q_lengths, k_lengths)`` is one
+    ``[G, H, L, dh]`` batched product on reshaped views of a slice of rows.
+    Any order of segments gives the same bits; an unordered one makes more runs.
     """
     (nq, d), nk = q.data.shape, k.data.shape[0]
-    dh = d // n_heads
-    pairs = sorted(set(zip(q_lengths, k_lengths)))  # the distinct (Lq, Lk)
     if not (len(q_lengths) == len(k_lengths)
             and all(isinstance(lq, (int, np.integer)) and isinstance(lk, (int, np.integer))
-                    and 1 <= lq <= lk for lq, lk in pairs)
+                    and 1 <= lq <= lk for lq, lk in zip(q_lengths, k_lengths))
             and sum(q_lengths) == nq and sum(k_lengths) == nk):
         raise ShapeError(f"causal_attention: q_lengths {np.asarray(q_lengths).tolist()} and "
                          f"k_lengths {np.asarray(k_lengths).tolist()} for {nq} queries and "
                          f"{nk} keys; need 1 <= q_lengths <= k_lengths")
-    c = 1.0 / math.sqrt(dh)  # the scale _attention_probs applies
-    # (query rows, key rows, segments) of each group
-    if len(pairs) == 1:  # one group holds every row: no regrouping
-        plan = [(None, None, len(q_lengths))]
-    else:
-        plan = []
-        q_lengths, k_lengths = np.asarray(q_lengths), np.asarray(k_lengths)
-        q_starts, k_starts = (np.cumsum(x) - x for x in (q_lengths, k_lengths))
-        for lq, lk in pairs:
-            group = (q_lengths == lq) & (k_lengths == lk)
-            plan.append((q_starts[group][:, None] + np.arange(lq),
-                         k_starts[group][:, None] + np.arange(lk), int(group.sum())))
+    c = 1.0 / math.sqrt(d // n_heads)  # the scale _attention_probs applies
+    runs, qs, ks = [], 0, 0  # (query rows, key rows, segments) of each run
+    for (lq, lk), segs in itertools.groupby(zip(q_lengths, k_lengths)):
+        n = len(list(segs))
+        runs.append((slice(qs, qs := qs + n * lq), slice(ks, ks := ks + n * lk), n))
 
-    def split(x, rows, n_seg):
-        """Token-flat rows -> [G, H, L, dh]; a view when one group holds every row."""
-        return _heads(x.reshape(n_seg, -1, d) if rows is None else x[rows], n_heads)
+    def heads(x, rows, n):  # a view to write through if x is C-contiguous, as buffers here are
+        return _heads(x[rows].reshape(n, -1, d), n_heads)
 
-    def merge(dst, rows, y):
-        """[G, H, L, dh] -> the group's token-flat rows of dst (or all of them)."""
-        y = y.transpose(0, 2, 1, 3).reshape(-1, d)
-        if rows is None:
-            return y
-        dst[rows.ravel()] = y
-        return dst
-
-    groups = []
-    out = np.empty_like(q.data)
-    for q_rows, k_rows, n_seg in plan:
-        qg, kg, vg = (split(t.data, rows, n_seg)
-                      for t, rows in ((q, q_rows), (k, k_rows), (v, k_rows)))
+    saved = []
+    out = np.empty(q.data.shape, q.data.dtype)
+    for q_rows, k_rows, n in runs:
+        qg, kg, vg = heads(q.data, q_rows, n), heads(k.data, k_rows, n), heads(v.data, k_rows, n)
         p = _attention_probs(qg, kg)
-        out = merge(out, q_rows, p @ vg)
-        groups.append((q_rows, k_rows, n_seg, qg, kg, vg, p))
+        heads(out, q_rows, n)[...] = p @ vg
+        saved.append((qg, kg, vg, p))
 
-    def bwd(g, q=q, k=k, v=v, groups=groups):
-        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
-        for q_rows, k_rows, n_seg, qg, kg, vg, p in groups:
-            go = split(g, q_rows, n_seg)
+    def bwd(g, q=q, k=k, v=v, saved=saved):
+        gq, gk, gv = (np.empty(t.data.shape, t.data.dtype) if t.requires_grad else None
+                      for t in (q, k, v))
+        for (q_rows, k_rows, n), (qg, kg, vg, p) in zip(runs, saved):
+            go = heads(g, q_rows, n)
             if gv is not None:
-                gv = merge(gv, k_rows, p.swapaxes(-1, -2) @ go)
+                heads(gv, k_rows, n)[...] = p.swapaxes(-1, -2) @ go
             gs = go @ vg.swapaxes(-1, -2)  # d/dp, then d/dscores in place
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= c
             if gq is not None:
-                gq = merge(gq, q_rows, gs @ kg)
+                heads(gq, q_rows, n)[...] = gs @ kg
             if gk is not None:
-                gk = merge(gk, k_rows, gs.swapaxes(-1, -2) @ qg)
+                heads(gk, k_rows, n)[...] = gs.swapaxes(-1, -2) @ qg
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(t, grad)

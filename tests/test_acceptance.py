@@ -378,6 +378,13 @@ def test_end_to_end_ordinal_trend(pipeline):
     rate_dpo = pref_rate(dpo_state)
     dpo_ok = rate_dpo >= 0.95 and rate_dpo >= rate_sft
 
+    # reported, not a criterion: what DPO keeps of SFT's dialogue answers,
+    # on the prompts of `medlm eval dialogue`
+    dialogue, _ = D.load_dataset(base / "data" / "dialogue_eval.jsonl", "dialogue")
+    rendered = [(D.render_bare_prompt(p), r) for p, r in dialogue]
+    reports = [E.evaluate_dialogue(state, vocab, rendered, cfg.eval.max_new_tokens)
+               for state in (sft_state, dpo_state)]
+
     total = pipeline["train_seconds"] + (time.time() - t0)
     time_ok = total < 15 * 60
     ok = ppl_ok and sft_ok and dpo_ok and time_ok
@@ -385,7 +392,9 @@ def test_end_to_end_ordinal_trend(pipeline):
             f"ppl {ppl_random:.1f}->{ppl_cpt:.1f}, sft EM {em:.2f}, "
             f"mcq cpt {acc_cpt:.2f} vs sft {acc_sft:.2f}, "
             f"pref sft {rate_sft:.2f} vs dpo {rate_dpo:.2f}, "
-            f"{n_params} params, {total:.0f}s")
+            f"dialogue BLEU-1 sft {100 * reports[0].bleu1:.1f} vs dpo "
+            f"{100 * reports[1].bleu1:.1f}, ROUGE-1 sft {100 * reports[0].rouge1:.1f} vs dpo "
+            f"{100 * reports[1].rouge1:.1f}, {n_params} params, {total:.0f}s")
 
 
 def test_determinism(tmp_path_factory):

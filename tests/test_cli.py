@@ -166,6 +166,9 @@ BAD_CONFIGS = [
     (("data", "n_diseases"), 1, "data: n_diseases must be in [2, 20]"),
     (("stages", "sft", "lora", "rank"), 0, "stages.sft.lora: rank must be in [1, inf)"),
     (("stages", "sft", "lora", "dropout"), 1.5, "stages.sft.lora: dropout must be in [0, 1)"),
+    (("stages", "sft", "lora", "alpha"), float("nan"), "stages.sft.lora: alpha must be in (0, inf)"),
+    (("stages", "sft", "lora", "alpha"), float("inf"), "stages.sft.lora: alpha must be in (0, inf)"),
+    (("stages", "dpo", "lora", "alpha"), 0, "stages.dpo.lora: alpha must be in (0, inf)"),
     (("stages", "dpo", "lora", "targets"), ["wk"], "stages.dpo.lora: unknown key 'targets'"),
     (("stages", "dpo", "beta"), 0, "stages.dpo: beta must be in (0, inf)"),
     (("stages", "cpt", "batch_size"), 0, "stages.cpt: batch_size must be in [1, inf)"),
@@ -468,6 +471,28 @@ class TestPipelineCommands:
         assert cli.main(["--config", str(built), *command]) == 1
         err = capsys.readouterr().err
         assert "error: " in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage, record, n_tokens", [
+        ("sft", {"instruction": "q" * 200, "output": "a"},
+         len(D.render_prompt(D.SftExample(instruction="q" * 200, output="a"))) + 1 + 2),
+        ("dpo", {"prompt": "p", "chosen": "a" * 200, "rejected": "b"},
+         len(D.render_bare_prompt("p")) + 200 + 2),
+    ])
+    def test_overlong_record_fails_before_training(self, built, tmp_path, capsys, stage,
+                                                   record, n_tokens):
+        # max_seq_len 160: the record's line is named before the first step
+        assert cli.main(["--config", str(built), "train", "cpt"]) == 0
+        ckpt = tmp_path / "ckpt"
+        (ckpt / "sft.ckpt").write_bytes((ckpt / "cpt.ckpt").read_bytes())  # dpo's start
+        path = tmp_path / "data" / f"{stage}.jsonl"
+        first = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        path.write_text(first + json.dumps(record) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["--config", str(built), "train", stage]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}:2: record of {n_tokens} tokens; a sequence must fit "
+                       f"model.max_seq_len + 1 = 161 tokens\n")
+        assert not (tmp_path / "reports" / f"{stage}_metrics.csv").exists()
 
     @pytest.mark.parametrize("command", [["train", "cpt"],
                                          ["generate", "--checkpoint", "x.ckpt", "--prompt", "一"]])

@@ -222,9 +222,10 @@ class TestLoadDataset:
             json.dumps({"text": "ok这是文本"}),
             json.dumps({"text": "   "}),
             json.dumps({"text": 42}),
+            json.dumps({"text": "二"}),
         ])
         records, stats = D.load_dataset(path, "cpt")
-        assert len(records) == 1
+        assert records == ["ok这是文本", "二"] and stats.lines == [1, 4]
         assert len(stats.rejected) == 2
         assert stats.rejected[0].startswith(f"{path}:2: bad record (DataError('cpt record")
         assert stats.rejected[1].startswith(f"{path}:3: bad record")

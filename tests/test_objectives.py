@@ -223,6 +223,14 @@ class TestDpo:
             TR.StageConfig(stage="dpo", learning_rate=0.1, beta=0.0)
 
 
+@pytest.fixture
+def adapter(params):
+    rng = np.random.default_rng(8)
+    adapter = M.attach_lora(params, M.LoraConfig(dropout=0.0, targets=("wq", "wv", "wo")), rng)
+    adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
+    return adapter
+
+
 class TestScoredRows:
     """The scorer keeps only the rows with a nonzero coefficient; the
     full-row scorer it replaced (tests/oracles.py) must agree with it."""
@@ -232,14 +240,6 @@ class TestScoredRows:
              D.SftExample(instruction="h", output="abcdefgh")]
     SEQS = [([0, 4, 5], [6, 7, 1]), ([0, 9], [4, 1]), ([0, 5, 6, 7, 8], [9, 1]),
             ([0, 4], [5])]
-
-    @pytest.fixture
-    def adapter(self, params):
-        rng = np.random.default_rng(8)
-        adapter = M.attach_lora(params, M.LoraConfig(dropout=0.0, targets=("wq", "wv", "wo")),
-                                rng)
-        adapter.data[...] = 0.05 * rng.standard_normal(adapter.data.shape)
-        return adapter
 
     def _value_and_grads(self, params, adapter, loss_fn):
         params.set_requires_grad(True)
@@ -290,6 +290,63 @@ class TestScoredRows:
         assert np.array_equal(lp.data, [0.0, 0.0])
         backward(T.tsum(lp))
         assert not params.grad.any()
+
+
+class TestShapeOrder:
+    """The scorer orders each batch by (length, scored length) before the
+    forward, so a batch in any order scores as the batch in shape order."""
+
+    # each list is in shape order, and holds repeated and interleavable shapes
+    BLOCKS = [[0, 8, 9], [0, 9, 8], [0, 4, 6], [0, 4, 5, 6, 7], [0, 4, 4, 5, 5],
+              [0, 5, 6, 7, 8]]
+    BATCH = [D.SftExample(instruction="abc", output="d"),      # 10 positions, 2 scored
+             D.SftExample(instruction="ab", output="cd"),      # 10, 3
+             D.SftExample(instruction="ba", output="dc"),      # 10, 3
+             D.SftExample(instruction="abcdef", output="g"),   # 13, 2
+             D.SftExample(instruction="fedcba", output="h"),   # 13, 2
+             D.SftExample(instruction="h", output="abcdefgh")]  # 15, 9
+    SEQS = [([0, 9], [4, 1]), ([0, 8], [5, 1]), ([0, 4, 5], [6, 7, 1]),
+            ([0, 5, 4], [7, 6, 1]), ([0, 4, 5, 6, 7], [9, 1]), ([0, 5, 6, 7, 8], [9, 1])]
+    SHUFFLE = [3, 0, 5, 1, 4, 2]
+    PAIR_SHUFFLE = [2, 0, 1]  # paired: the pairs move, each keeps (chosen, rejected)
+
+    def _objective(self, objective, params, adapter, vocab, order):
+        """The objective's result on the batch taken in ``order``."""
+        if objective == "cpt":
+            return O.cpt_loss(params, adapter, [self.BLOCKS[i] for i in order])
+        if objective == "sft":
+            return O.sft_loss(params, adapter, [self.BATCH[i] for i in order], vocab)
+        if objective == "sequence":
+            return O.sequence_logprob(params, adapter, [self.SEQS[i] for i in order])
+        seqs = [self.SEQS[2 * i + j] for i in order for j in (0, 1)]
+        return O.sequence_logprob(params, adapter, seqs, paired=True)
+
+    @pytest.mark.parametrize("objective", ["cpt", "sft", "sequence", "paired"])
+    def test_any_order_matches_shape_order(self, params, adapter, vocab, objective):
+        shuffle = self.PAIR_SHUFFLE if objective == "paired" else self.SHUFFLE
+        results = []
+        for order in (sorted(shuffle), shuffle):
+            params.set_requires_grad(True)  # fresh zero grads
+            adapter.set_requires_grad(True)
+            out = self._objective(objective, params, adapter, vocab, order)
+            backward(T.tsum(out))
+            value = out.data if out.data.ndim == 0 else out.data[np.argsort(order)]  # by item
+            results.append((value, params.grad.copy(), adapter.grad.copy()))
+        for a, b in zip(*results):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_one_attention_product_per_shape(self, params, vocab, monkeypatch):
+        calls = []
+        probs = T._attention_probs
+
+        def spy(qg, kg):
+            calls.append((qg.shape[0], qg.shape[-2], kg.shape[-2]))  # (segments, Lq, Lk)
+            return probs(qg, kg)
+
+        monkeypatch.setattr(T, "_attention_probs", spy)
+        O.sft_loss(params, None, [self.BATCH[i] for i in self.SHUFFLE], vocab)
+        assert calls == [(3, 10, 10), (2, 13, 13), (1, 15, 15),  # layer 0: every position
+                         (1, 2, 10), (2, 3, 10), (2, 2, 13), (1, 9, 15)]  # layer 1: scored
 
 
 class TestDtypeContract:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +282,47 @@ class TestCausalAttention:
         p = T._attention_probs(qg, kg)
         assert p.dtype == dtype
         assert np.array_equal(p, oracles.attention_probs_masked_ref(qg, kg))
+
+    def test_masks_are_views_of_one_cached_mask(self, monkeypatch):
+        monkeypatch.setattr(T, "_MASKS", {})
+        dtypes = [np.dtype(np.float32), np.dtype(np.float64)]
+        for lq, lk in ((2, 2), (1, 5), (3, 5), (5, 5), (4, 9), (9, 9), (2, 3)):
+            for dtype in dtypes:
+                m = T._causal_mask(lq, lk, dtype)
+                assert m.dtype == dtype
+                assert np.array_equal(m, np.triu(np.full((lq, lk), -np.inf, dtype),
+                                                 lk - lq + 1))
+                with pytest.raises(ValueError, match="read-only"):
+                    m[...] = 0.0
+                assert m.base is T._MASKS[dtype]
+        # grown to the longest key length, one [9, 9] base per dtype
+        assert list(T._MASKS) == dtypes
+        assert all(T._MASKS[dtype].shape == (9, 9) for dtype in dtypes)
+
+    def test_threads_share_the_mask_cache(self, monkeypatch):
+        # more threads than cores, switching often, growing the mask as they go
+        monkeypatch.setattr(T, "_MASKS", {})
+        dtype, wrong = np.dtype(np.float32), []
+
+        def work(seed):
+            for lk in np.random.default_rng(seed).integers(1, 64, 300):
+                lq = int(lk) // 2 + 1
+                m = T._causal_mask(lq, int(lk), dtype)
+                if not np.array_equal(m, np.triu(np.full((lq, lk), -np.inf, dtype),
+                                                 lk - lq + 1)):
+                    wrong.append((lq, lk))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
 
     def test_lengths_must_cover_rows(self, rng):
         q, k, v = _attention_inputs(rng, 4)

@@ -607,10 +607,13 @@ class TestCheckpointHeader:
         _config("vocab_size", 0),
         lambda h: h["adapter"].update(rank=0),
         lambda h: h["adapter"].update(targets=["wz"]),
+        lambda h: h["adapter"].update(alpha=float("nan")),
+        lambda h: h["adapter"].update(alpha=float("inf")),
+        lambda h: h["adapter"].update(alpha=0.0),
     ], ids=["payload_bytes", "config", "adapter", "meta", "tensors", "meta.stage",
             "config.vocab_size", "adapter.rank", "tensor.offset", "tensor.shape",
             "zero-heads", "negative-d_model", "zero-layers", "zero-vocab",
-            "zero-rank", "unknown-target"])
+            "zero-rank", "unknown-target", "nan-alpha", "infinite-alpha", "zero-alpha"])
     def test_missing_key(self, path, edit):
         _rewrite_header(path, edit)
         with pytest.raises(IntegrityError, match="malformed header"):
