@@ -1,6 +1,5 @@
-"""Corpus construction: KG linearization, dialogue flattening, the record
-types of the five corpus files and their one JSONL codec, exact-substring
-dedup and block packing.
+"""Corpus construction: the record types of the five corpus files and their
+one JSONL codec, prompt rendering, exact-substring dedup and block packing.
 
 All stages are pure functions of their inputs and deterministic.
 """
@@ -13,37 +12,10 @@ from dataclasses import dataclass, field
 from . import model as M
 from .errors import DataError, field_errors
 
-# Relation labels rendered in this order; unknown labels sort after, lexicographic.
-KG_LABEL_ORDER = ("病因", "症状", "推荐用药")
-KG_LABEL_TEXT = {"病因": "的病因", "症状": "的症状", "推荐用药": "的推荐用药"}
-
 PROMPT_Q = "Q:"
 PROMPT_A = "A:"
 
 MIN_RESIDUAL_TOKENS = 10  # docs shorter than this after span removal are dropped
-
-
-@dataclass(frozen=True)
-class KgEntity:
-    name: str
-    relations: tuple  # of (label, value)
-
-    def __post_init__(self):
-        if not self.name:
-            raise DataError("KgEntity: empty name")
-
-
-@dataclass(frozen=True)
-class DialogueRecord:
-    turns: tuple  # of (speaker, utterance), speakers alternate starting "patient"
-
-    def __post_init__(self):
-        if len(self.turns) < 2:
-            raise DataError("DialogueRecord: needs at least 2 turns")
-        for i, (speaker, _) in enumerate(self.turns):
-            want = "patient" if i % 2 == 0 else "doctor"
-            if speaker != want:
-                raise DataError(f"DialogueRecord: turn {i} speaker {speaker!r}, expected {want!r}")
 
 
 @dataclass(frozen=True)
@@ -115,41 +87,6 @@ class McqItem:
 class PipelineStats:
     rejected: list = field(default_factory=list)
     lines: list = field(default_factory=list)  # the line number of each kept record
-
-
-def _canonical_relations(relations):
-    def key(rel):
-        label, value = rel
-        try:
-            rank = KG_LABEL_ORDER.index(label)
-        except ValueError:
-            rank = len(KG_LABEL_ORDER)
-        return (rank, label, value)
-
-    return sorted(relations, key=key)
-
-
-def linearize_kg(entity):
-    """One deterministic text per entity: name once, one sentence per label."""
-    if not entity.relations:
-        return f"{entity.name}。"
-    by_label = {}
-    for label, value in _canonical_relations(entity.relations):
-        by_label.setdefault(label, []).append(value)
-    parts = []
-    for label, values in by_label.items():
-        label_text = KG_LABEL_TEXT.get(label, "的" + label)
-        parts.append(f"{entity.name}{label_text}：{'、'.join(values)}。")
-    return "".join(parts)
-
-
-def flatten_dialogue(dialogue):
-    """Speaker-tagged transcript: 'Q:' before a patient turn, 'A:' before a doctor turn."""
-    lines = []
-    for speaker, utterance in dialogue.turns:
-        tag = PROMPT_Q if speaker == "patient" else PROMPT_A
-        lines.append(tag + utterance)
-    return "\n".join(lines)
 
 
 def render_turns(question, history=()):

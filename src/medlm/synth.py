@@ -4,9 +4,12 @@ Templated disease facts, QA, dialogues, exam items and preference pairs
 so training and evaluation runs need no external data. Everything is a
 deterministic function of the seed. ``build_corpus`` returns the records
 of the five corpus files as the types of ``medlm.data``, which alone
-writes and reads them; the CPT text of a QA pair or exam item is
-``record_text`` of its example. Rejected preference responses are
-deliberately degraded (wrong drug or an unhelpful stock reply).
+writes and reads them. A disease's knowledge-graph facts and its
+patient-doctor dialogue are CPT text only, so they are written here as
+plain strings; the CPT text of a QA pair or exam item is ``record_text``
+of its example. The preference pairs and dialogue eval reuse the drug
+and symptom QA examples. Rejected preference responses are deliberately
+degraded (another disease's drug or an unhelpful stock reply).
 
 Coverage is staged on purpose: knowledge, QA and dialogue text exists
 for every disease, but exam-formatted text enters pre-training for the
@@ -21,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DialogueRecord, KgEntity, McqItem, PreferencePair, SftExample,
-                   flatten_dialogue, linearize_kg, record_text, render_exam_question,
-                   shots_before)
+from .data import (PROMPT_A, PROMPT_Q, McqItem, PreferencePair, SftExample, record_text,
+                   render_exam_question, shots_before)
 
 # single distinct leading character per disease name
 _NUMERALS = ["一", "二", "三", "四", "五", "六", "七", "八", "九", "十",
@@ -51,7 +53,7 @@ def make_diseases(n=20, seed=0):
     diseases = []
     for i in range(n):
         name = _NUMERALS[i % len(_NUMERALS)] + "号病"
-        # sorted so QA answers agree with the canonical KG linearization
+        # sorted, so the KG and QA texts list symptoms in one order
         symptoms = sorted(_SYMPTOMS[j] for j in rng.choice(len(_SYMPTOMS), 2, replace=False))
         cause = _CAUSES[int(rng.integers(len(_CAUSES)))]
         drug = _DRUGS[i % len(_DRUGS)]
@@ -59,10 +61,10 @@ def make_diseases(n=20, seed=0):
     return diseases
 
 
-def _kg_entity(d):
-    relations = ([("症状", s) for s in d.symptoms]
-                 + [("病因", d.cause), ("推荐用药", d.drug)])
-    return KgEntity(name=d.name, relations=tuple(relations))
+def _kg_text(d):
+    """The disease's knowledge-graph facts, one sentence per relation."""
+    return (f"{d.name}的病因：{d.cause}。{d.name}的症状：{'、'.join(d.symptoms)}。"
+            f"{d.name}的推荐用药：{d.drug}。")
 
 
 def _qa_examples(d):
@@ -73,13 +75,14 @@ def _qa_examples(d):
     ]
 
 
-def _dialogue(d):
-    return DialogueRecord(turns=(
-        ("patient", f"我最近{d.symptoms[0]}，还有{d.symptoms[1]}，怎么回事？"),
-        ("doctor", f"可能是{d.name}，常因{d.cause}引起。"),
-        ("patient", "那我应该吃什么药？"),
-        ("doctor", f"推荐服用{d.drug}。"),
-    ))
+def _dialogue_text(d):
+    """A patient-doctor transcript, one turn a line, tagged like a prompt."""
+    return "\n".join([
+        f"{PROMPT_Q}我最近{d.symptoms[0]}，还有{d.symptoms[1]}，怎么回事？",
+        f"{PROMPT_A}可能是{d.name}，常因{d.cause}引起。",
+        f"{PROMPT_Q}那我应该吃什么药？",
+        f"{PROMPT_A}推荐服用{d.drug}。",
+    ])
 
 
 def exam_item(d, seed_offset=0):
@@ -111,14 +114,16 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2, few_shot_k=2):
     exam_examples = []
     pairs = []
     mcq_items = []
+    dialogue_eval = []
 
     for i, d in enumerate(diseases):
         qa_examples = _qa_examples(d)
+        symptom_qa, _, drug_qa = qa_examples
         item = exam_item(d, seed_offset=i)
         exam = SftExample(render_exam_question(item.question, item.options), item.answer)
-        cpt_docs.append(linearize_kg(_kg_entity(d)))
+        cpt_docs.append(_kg_text(d))
         cpt_docs.extend(record_text(ex) for ex in qa_examples)
-        cpt_docs.append(flatten_dialogue(_dialogue(d)))
+        cpt_docs.append(_dialogue_text(d))
         if i < half:
             cpt_docs.append(record_text(exam))
         mcq_items.append(item)
@@ -127,12 +132,14 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2, few_shot_k=2):
         # SFT covers everything, exam items included
         sft_examples += [*qa_examples, exam]
 
-        wrong = diseases[(i + 1) % n_diseases].drug
+        # the next different drug, cyclically: the 12 drugs repeat from disease 12 on
+        wrong = next(e.drug for e in diseases[i + 1:] + diseases[:i] if e.drug != d.drug)
         pairs.append(PreferencePair(
-            prompt=f"{d.name}应该吃什么药？",
-            preferred=f"推荐服用{d.drug}。",
+            prompt=drug_qa.instruction,
+            preferred=drug_qa.output,
             rejected=f"推荐服用{wrong}。" if i % 2 == 0 else REJECT_STOCK,
         ))
+        dialogue_eval.append((symptom_qa.instruction, symptom_qa.output))
 
     # exam items again with few_shot_k prior exam turns as history, so
     # answering works on the few-shot prompts MCQ eval builds
@@ -145,10 +152,6 @@ def build_corpus(n_diseases=20, seed=0, duplicate_docs=2, few_shot_k=2):
     for _ in range(duplicate_docs):
         cpt_docs.append(cpt_docs[int(rng.integers(len(cpt_docs)))])
 
-    dialogue_eval = [
-        (f"{d.name}有什么症状？", f"{d.name}的症状是{'、'.join(d.symptoms)}。")
-        for d in diseases
-    ]
     return {
         "cpt": cpt_docs,
         "sft": sft_examples,

@@ -8,12 +8,13 @@ and garbage-collected with their outputs.
 
 The model runs a batch of sequences token-flat, as ``[N, D]`` rows back to
 back; ``causal_attention`` is the one op that knows where each sequence
-starts. ``matmul`` is ``np.matmul`` and the row-wise ops work on the last
-axis. A leaf's grad is a preallocated array (for a parameter, a view of
-its table's buffer) that backward adds into in place. An interior node's
-grad exists only during backward: its first contribution is assigned, and
-may be an array shared with another node, later ones are added out of
-place, and it is dropped once the node's own backward has run.
+starts, and it holds the batched products. ``matmul`` takes 2-D operands
+only, ``[N, K] @ [K, M]``, and the row-wise ops work on the last axis. A
+leaf's grad is a preallocated array (for a parameter, a view of its
+table's buffer) that backward adds into in place. An interior node's grad
+exists only during backward: its first contribution is assigned, and may
+be an array shared with another node, later ones are added out of place,
+and it is dropped once the node's own backward has run.
 
 Kernels may work in place on temporaries they own (a fresh product, a
 difference, a reduction), never on an input, an incoming gradient (it may
@@ -161,21 +162,16 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """``np.matmul``: ``[..., M, K] @ [..., K, N]`` with broadcast leading dims."""
+    """``[N, K] @ [K, M]``; any other rank is a ShapeError."""
     sa, sb = a.data.shape, b.data.shape
-    if len(sa) < 2 or len(sb) < 2 or sa[-1] != sb[-2]:
+    if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
         raise ShapeError(f"matmul: incompatible shapes {sa} x {sb}")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            if b.data.ndim == 2:  # a shared weight: one GEMM over all rows
-                k, n = b.data.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            _accumulate(b, gb)
+            _accumulate(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), bwd)
 

@@ -336,6 +336,10 @@ def load_checkpoint(path):
             targets=tuple(a["targets"]))
         meta = header["meta"]
         stage, step, seed = meta["stage"], meta["step"], meta["seed"]
+        if stage not in ("init", *STAGES) or not all(
+                type(n) is int and n >= 0 for n in (step, seed)):
+            raise IntegrityError(f"{path}: malformed header (meta {meta!r}: stage must be one "
+                                 f"of {('init', *STAGES)}, step and seed integers >= 0)")
         dtype = header["dtype"]
         if dtype not in PAYLOAD_DTYPES:
             raise IntegrityError(f"{path}: malformed header (payload dtype {dtype!r}, "

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import threading
@@ -250,20 +251,54 @@ class TestDataCommands:
         assert set(first) == {"prompt", "chosen", "rejected"}
 
     def test_build_fails_on_a_rejected_record(self, tmp_path, capsys, monkeypatch):
-        make_diseases = synth.make_diseases
-
-        def with_a_nameless_disease(n, seed):
-            diseases = make_diseases(n, seed)
-            diseases[1] = dataclasses.replace(diseases[1], name="")
-            return diseases
-
-        monkeypatch.setattr(synth, "make_diseases", with_a_nameless_disease)
+        # an empty stock reply makes every odd pair's rejected text empty
+        monkeypatch.setattr(synth, "REJECT_STOCK", "")
         path = _write_config(tmp_path)
         assert cli.main(["--config", str(path), "data", "build"]) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "empty name" in err
+        assert err.count("error:") == 1 and "PreferencePair" in err
         assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
+
+    def test_build_at_thirteen_diseases(self, tmp_path):
+        # disease 12 shares disease 0's drug, the first repeat of synth's 12 drugs
+        path = _write_config(tmp_path, data={"n_diseases": 13, "min_span": 20, "block_size": 32,
+                                             "holdout_fraction": 0.2, "duplicate_docs": 1})
+        assert cli.main(["--config", str(path), "data", "build"]) == 0
+        pairs, stats = D.load_dataset(tmp_path / "data" / "dpo.jsonl", "dpo")
+        assert len(pairs) == 13 and not stats.rejected
+
+    # sha256 of each file `data build` writes for configs/synthetic.json
+    GOLDEN = {
+        0: {"cpt.jsonl": "1f8c90be547034c152a4837a1425f7b27a5242bfcf62378b47cdf902f5a59ed9",
+            "dialogue_eval.jsonl":
+                "3ddc6117c0bd13ffaeec0ce3c77d91363294b24c18d2d9f4617f9547140c6175",
+            "dpo.jsonl": "3d29fa916b8a4cccf5335e2026c0b3a3aab019ffe368565e81b3bb6f38ef549e",
+            "mcq.jsonl": "ade6c34b1f0bfd7f326c9ce74ad99f9bd1b5663363d22ce648d73330ff8c7cba",
+            "sft.jsonl": "cde5d1040ae9594bb9db724d44f6fafc6ae5e4f9ec97e55bef570861fc7c68f4",
+            "stats.txt": "ef70b085387bdacdc4de076ee3f0226a5d17922edef6c0c5f6cba54f0da0bb0d",
+            "vocab.txt": "4909c097548835afaaa6fbf1d271a58137c85e244b5af85d0cae9dce63479df9"},
+        7: {"cpt.jsonl": "dcc08a8716bbf3487e1077e091cb6f690708ff01e36d78ec47836bc63b68a2d3",
+            "dialogue_eval.jsonl":
+                "b817c6c7348779d45432fb0b9533c76748e601cd2f6ae91391aa7200cabe76b9",
+            "dpo.jsonl": "3d29fa916b8a4cccf5335e2026c0b3a3aab019ffe368565e81b3bb6f38ef549e",
+            "mcq.jsonl": "ade6c34b1f0bfd7f326c9ce74ad99f9bd1b5663363d22ce648d73330ff8c7cba",
+            "sft.jsonl": "a98bf76fabbe467a62cc724829772b6e356adfc64abd18211ff87bae1eb20186",
+            "stats.txt": "fbfa5c1f63cbf658a8e90273c98d3956e1456a274a020a208bef90963d80f7dc",
+            "vocab.txt": "cb91057fd6c1da6a131ea1c3f7d7db9458694586d2f3934c280c086ceb972379"},
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_build_matches_golden_hashes(self, tmp_path, seed):
+        cfg = json.loads(SYNTHETIC_CONFIG.read_text("utf-8"))
+        cfg["seed"] = seed
+        cfg["paths"] = {k: str(tmp_path / k) for k in ("data", "checkpoints", "reports")}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(path), "data", "build"]) == 0
+        data = tmp_path / "data"
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in data.iterdir()}
+        assert got == self.GOLDEN[seed]
 
     def test_every_file_round_trips(self, tmp_path):
         # each file load_dataset reads back is the records synth built for it

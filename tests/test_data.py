@@ -12,50 +12,6 @@ from medlm import synth
 from medlm.errors import DataError
 
 
-class TestKgLinearization:
-    def test_canonical_order_and_grouping(self):
-        entity = D.KgEntity(
-            name="感冒",
-            relations=(("推荐用药", "药A"), ("症状", "咳嗽"), ("症状", "发热"),
-                       ("病因", "风寒")),
-        )
-        text = D.linearize_kg(entity)
-        assert text == "感冒的病因：风寒。感冒的症状：发热、咳嗽。感冒的推荐用药：药A。"
-
-    def test_deterministic_under_input_permutation(self):
-        rels = [("症状", "发热"), ("病因", "风寒"), ("推荐用药", "药A")]
-        texts = {
-            D.linearize_kg(D.KgEntity(name="X", relations=tuple(perm)))
-            for perm in ([rels[0], rels[1], rels[2]], [rels[2], rels[0], rels[1]],
-                         [rels[1], rels[2], rels[0]])
-        }
-        assert len(texts) == 1
-
-    def test_unknown_label_sorts_after_known(self):
-        entity = D.KgEntity(name="X", relations=(("其他", "v"), ("病因", "c")))
-        text = D.linearize_kg(entity)
-        assert text.index("病因") < text.index("其他")
-
-    def test_empty_relations_give_the_name_alone(self):
-        assert D.linearize_kg(D.KgEntity(name="X", relations=())) == "X。"
-
-
-class TestDialogue:
-    def _dlg(self):
-        return D.DialogueRecord(turns=(
-            ("patient", "我头痛"), ("doctor", "可能是感冒"),
-            ("patient", "吃什么药"), ("doctor", "推荐药A"),
-        ))
-
-    def test_pretrain_text(self):
-        text = D.flatten_dialogue(self._dlg())
-        assert text == "Q:我头痛\nA:可能是感冒\nQ:吃什么药\nA:推荐药A"
-
-    def test_non_alternating_speakers_rejected(self):
-        with pytest.raises(DataError, match="turn 1"):
-            D.DialogueRecord(turns=(("patient", "a"), ("patient", "b")))
-
-
 class TestRenderPrompt:
     def test_history_then_question(self):
         ex = D.SftExample(instruction="q2", output="a2", history=(("q1", "a1"),))

@@ -50,6 +50,12 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("sa, sb", [((3, 1, 1), (3, 1, 1)), ((2, 3), (1, 3, 2)),
+                                         ((3,), (3, 2)), ((2, 3), (3,))])
+    def test_operands_must_be_2d(self, sa, sb):
+        with pytest.raises(ShapeError, match="matmul"):
+            Tensor(np.zeros(sa)) @ Tensor(np.zeros(sb))
+
     def test_gradient_vs_finite_differences(self, rng):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
@@ -470,13 +476,13 @@ class TestLayerNorm:
 
 class TestGradCheck:
     def test_quadratic_bowl(self):
-        # a stack of three [1, 1] matrices: w @ w squares each entry
-        w = Tensor(np.array([1.0, -2.0, 3.0]).reshape(3, 1, 1), requires_grad=True)
+        # w @ w: one tensor is both operands, so both gradient terms land in it
+        w = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
 
         def fn():
             return T.tsum(w @ w)
 
-        report = grad_check(fn, [w], n_samples=3)
+        report = grad_check(fn, [w], n_samples=8)
         assert report["max_rel_err"] < 1e-8
 
     def test_sin_of_sum_matches_cosine(self):

@@ -610,10 +610,24 @@ class TestCheckpointHeader:
         lambda h: h["adapter"].update(alpha=float("nan")),
         lambda h: h["adapter"].update(alpha=float("inf")),
         lambda h: h["adapter"].update(alpha=0.0),
+        lambda h: h.update(meta={"stage": 5, "step": "x", "seed": -1}),
+        lambda h: h.update(meta="bogus"),
+        lambda h: h.update(meta=[]),
+        lambda h: h.update(meta=None),
+        lambda h: h["meta"].update(stage="pretrain"),
+        lambda h: h["meta"].update(stage=None),
+        lambda h: h["meta"].update(step=-1),
+        lambda h: h["meta"].update(step=1.0),
+        lambda h: h["meta"].update(step=True),
+        lambda h: h["meta"].update(seed="0"),
+        lambda h: h["meta"].update(seed=False),
     ], ids=["payload_bytes", "config", "adapter", "meta", "tensors", "meta.stage",
             "config.vocab_size", "adapter.rank", "tensor.offset", "tensor.shape",
             "zero-heads", "negative-d_model", "zero-layers", "zero-vocab",
-            "zero-rank", "unknown-target", "nan-alpha", "infinite-alpha", "zero-alpha"])
+            "zero-rank", "unknown-target", "nan-alpha", "infinite-alpha", "zero-alpha",
+            "meta-all-wrong", "meta-str", "meta-list", "meta-null", "unknown-stage",
+            "null-stage", "negative-step", "float-step", "bool-step", "str-seed",
+            "bool-seed"])
     def test_missing_key(self, path, edit):
         _rewrite_header(path, edit)
         with pytest.raises(IntegrityError, match="malformed header"):
