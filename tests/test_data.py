@@ -12,6 +12,21 @@ from medlm import synth
 from medlm.errors import DataError
 
 
+class TestKgLinearization:
+    def test_canonical_order_and_grouping(self):
+        d = synth.Disease("感冒", ["发热", "咳嗽"], "风寒", "药A")
+        assert synth._kg_text(d) == "感冒的病因：风寒。感冒的症状：发热、咳嗽。感冒的推荐用药：药A。"
+
+
+class TestDialogue:
+    def test_pretrain_text(self):
+        d = synth.Disease("感冒", ["发热", "咳嗽"], "风寒", "药A")
+        assert synth._dialogue_text(d) == ("Q:我最近发热，还有咳嗽，怎么回事？\n"
+                                           "A:可能是感冒，常因风寒引起。\n"
+                                           "Q:那我应该吃什么药？\n"
+                                           "A:推荐服用药A。")
+
+
 class TestRenderPrompt:
     def test_history_then_question(self):
         ex = D.SftExample(instruction="q2", output="a2", history=(("q1", "a1"),))

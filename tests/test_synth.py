@@ -18,15 +18,6 @@ def test_build_corpus_is_deterministic():
     assert a == b and set(a) == {"cpt", "sft", "dpo", "mcq", "dialogue"}
 
 
-def test_kg_and_dialogue_texts():
-    d = synth.Disease("感冒", ["发热", "咳嗽"], "风寒", "药A")
-    assert synth._kg_text(d) == "感冒的病因：风寒。感冒的症状：发热、咳嗽。感冒的推荐用药：药A。"
-    assert synth._dialogue_text(d) == ("Q:我最近发热，还有咳嗽，怎么回事？\n"
-                                       "A:可能是感冒，常因风寒引起。\n"
-                                       "Q:那我应该吃什么药？\n"
-                                       "A:推荐服用药A。")
-
-
 @pytest.mark.parametrize("n", range(2, 21))  # DataConfig's n_diseases range
 def test_build_corpus_at_every_disease_count(n):
     cli.DataConfig(n_diseases=n)
