@@ -254,8 +254,9 @@ def folded_weights(params, adapter):
     """name -> ``W + (alpha/r) * A @ B`` as a new array, for each weight W
     the adapter adapts; the one merge formula."""
     s = adapter.scaling()
-    return {name: params[name].data + s * (pair[0].data @ pair[1].data)
-            for name in params.shapes if (pair := adapter.pair(name)) is not None}
+    t = adapter.tensors
+    return {name: params[name].data + s * (t[name + ".A"].data @ t[name + ".B"].data)
+            for name in (a.removesuffix(".A") for a in t if a.endswith(".A"))}
 
 
 def merge_lora(params, adapter):
@@ -337,6 +338,7 @@ class DecodePlan(NamedTuple):
     layers: tuple  # per layer: (wqkv, bqkv, wo, w1, b1, w2, b2)
     head: np.ndarray
     head_bias: np.ndarray
+    mean: np.ndarray  # [d, 1], each entry 1/d: x @ mean is the mean of x's rows
 
 
 def decode_plan(params, adapter):
@@ -349,31 +351,55 @@ def decode_plan(params, adapter):
     reads it, as ``(xhat * g + b) @ W = xhat @ (g[:, None] * W) + b @ W``:
     ``ln1`` into one ``[d, 3d]`` matrix ``wq|wk|wv`` and its bias, ``ln2``
     into ``ffn.w1`` and ``ffn.b1``, and ``ln_f`` into ``head`` and a bias.
+    The attention scale ``1 / sqrt(d / n_heads)`` is folded into the ``wq``
+    columns and bias. Every array that writes into the residual stream,
+    ``wo``, ``ffn.w2`` and ``ffn.b2``, has its rows centered, ``m - m @ mean``,
+    so that each of its writes has mean 0 and a stream that starts centered
+    stays so.
     """
+    c = params.config
+    d = c.d_model
     w = {name: t.data for name, t in params.named()}
     if adapter is not None:
         w.update(folded_weights(params, adapter))
+    mean = np.full((d, 1), 1.0 / d, w["embed"].dtype)
 
     def fold(norm, proj):
         return w[norm + ".g"][:, None] * proj, w[norm + ".b"] @ proj
 
+    def center(m):
+        return m - m @ mean
+
+    scale = 1.0 / math.sqrt(d // c.n_heads)
     layers = []
-    for i in range(params.config.n_layers):
+    for i in range(c.n_layers):
         p = f"layer{i}."
-        wqkv, bqkv = fold(p + "ln1", np.concatenate([w[p + "wq"], w[p + "wk"], w[p + "wv"]],
-                                                    axis=1))
+        wq = w[p + "wq"] * scale
+        wqkv, bqkv = fold(p + "ln1", np.concatenate([wq, w[p + "wk"], w[p + "wv"]], axis=1))
         w1, b1 = fold(p + "ln2", w[p + "ffn.w1"])
-        layers.append((wqkv, bqkv, w[p + "wo"], w1, b1 + w[p + "ffn.b1"],
-                       w[p + "ffn.w2"], w[p + "ffn.b2"]))
-    return DecodePlan(w["embed"], w["pos"], tuple(layers), *fold("ln_f", w["head"]))
+        layers.append((wqkv, bqkv, center(w[p + "wo"]), w1, b1 + w[p + "ffn.b1"],
+                       center(w[p + "ffn.w2"]), center(w[p + "ffn.b2"])))
+    return DecodePlan(w["embed"], w["pos"], tuple(layers), *fold("ln_f", w["head"]), mean)
+
+
+def _rms_normalize(x, mean):
+    """Layer norm's normalization of rows x whose mean is 0, where the
+    variance is the mean square: ``x / sqrt(x**2 @ mean + eps)``."""
+    return x / np.sqrt(np.square(x) @ mean + T.NORM_EPS)
 
 
 def decode_logits(config, plan, cache, tokens):
     """Logits ``[V]`` of the last of ``tokens``, the transformer run on the
     plain arrays of a ``decode_plan``, with no graph or dropout. On an empty
     cache it is ``forward_logits`` of one segment with ``scored=[1]``, up to
-    rounding: the folded layer norms and the one ``wq|wk|wv`` product round
-    differently from the graph forward.
+    rounding: the folded layer norms and attention scale, the centered
+    stream and the one ``wq|wk|wv`` product round differently from the
+    graph forward.
+
+    The residual stream is centered: ``embed[tokens] + pos`` has each row's
+    mean subtracted on entry, and every write into it has mean 0
+    (``decode_plan``), so layer norm's mean subtraction has nothing to
+    remove and each norm is the RMS form ``x / sqrt(mean(x**2) + eps)``.
 
     ``cache`` is the request's KV cache: a list holding one ``[S, 2 * d_model]``
     array per layer, keys in its first ``d_model`` columns and values in the
@@ -393,9 +419,11 @@ def decode_logits(config, plan, cache, tokens):
     if not start < end <= c.max_seq_len:
         raise DataError(f"decode_logits: positions [{start}, {end}) "
                         f"for max_seq_len {c.max_seq_len}")
+    mean = plan.mean
     x = plan.embed[tokens] + plan.pos[start:end]
+    x -= x @ mean
     for i, (wqkv, bqkv, wo, w1, b1, w2, b2) in enumerate(plan.layers):
-        qkv = T._normalize(x)[0] @ wqkv
+        qkv = _rms_normalize(x, mean) @ wqkv
         qkv += bqkv
         kv = cache[i].base if start else np.empty((c.max_seq_len, 2 * d), x.dtype)
         kv[start:end] = qkv[:, d:]
@@ -403,26 +431,27 @@ def decode_logits(config, plan, cache, tokens):
         if i == c.n_layers - 1:  # from here on, the last position only
             x, qkv = x[-1:], qkv[-1:]
         kvg = T._heads(kv[None, :end], 2 * c.n_heads)  # key heads, then value heads
-        qg = T._heads(qkv[None, :, :d], c.n_heads)
-        p = T._attention_probs(qg, kvg[:, :c.n_heads])
+        qg = T._heads(qkv[None, :, :d], c.n_heads)  # pre-scaled queries
+        p = T._masked_softmax(qg @ kvg[:, :c.n_heads].swapaxes(-1, -2))
         att = (p @ kvg[:, c.n_heads:]).transpose(0, 2, 1, 3).reshape(-1, d)
         x = x + att @ wo
-        ff = np.maximum(T._normalize(x)[0] @ w1 + b1, 0.0)
+        ff = np.maximum(_rms_normalize(x, mean) @ w1 + b1, 0.0)
         x = x + (ff @ w2 + b2)
-    return (T._normalize(x)[0] @ plan.head + plan.head_bias)[0]
+    return (_rms_normalize(x, mean) @ plan.head + plan.head_bias)[0]
 
 
 def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     """Argmax decoding; ties break toward the lowest token id (np.argmax).
 
     Each step runs ``decode_logits`` on one ``decode_plan``, built once per
-    call; ``params`` and ``adapter`` are only read. The plan's folded
-    weights round differently from the graph forward, so the logits agree
-    with ``forward_logits`` within rounding, not bit for bit, and an argmax
-    within rounding of a tie may pick another token. Prompt ids must be in
-    ``[0, vocab_size)``. The prompt is encoded once into a KV cache, with
-    logits for its last position only, and each step feeds only the new
-    token. Past ``max_seq_len`` the window slides, which moves every
+    call, since training changes the tables in place; ``params`` and
+    ``adapter`` are only read. The plan's folded weights and centered
+    residual stream round differently from the graph forward, so the logits
+    agree with ``forward_logits`` within rounding, not bit for bit, and an
+    argmax within rounding of a tie may pick another token. Prompt ids must
+    be in ``[0, vocab_size)``. The prompt is encoded once into a KV cache,
+    with logits for its last position only, and each step feeds only the
+    new token. Past ``max_seq_len`` the window slides, which moves every
     absolute position, so the cache is dropped and the last window
     re-encoded.
     """

@@ -46,6 +46,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = True
+NORM_EPS = 1e-5  # layer norm's variance floor, in the graph op and the decoder
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -231,23 +232,14 @@ def dropout(a, rate, rng):
     return _make(a.data * keep, (a,), bwd)
 
 
-def _normalize(x, eps=1e-5):
-    """Array x normalized over its last axis: (xhat, inv), inv being the
-    reciprocal standard deviation per row. Layer norm is xhat * gain + bias;
-    the decoder folds that affine into the projection that follows."""
-    n = x.shape[-1]
-    # sum / n is how np.mean and np.var reduce, so the bits are theirs
-    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    return xhat, inv
-
-
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize over the last axis, then scale and shift."""
     n = x.data.shape[-1]
-    xhat, inv = _normalize(x.data, eps)
+    # sum / n is how np.mean and np.var reduce, so the bits are theirs
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    xhat *= inv
     out = xhat * gain.data
     out += bias.data
 
@@ -288,20 +280,26 @@ def _causal_mask(lq, lk, dtype):
     return m[lk - lq:lk, :lk]
 
 
-def _attention_probs(qg, kg):
-    """Causal attention probabilities [G, H, Lq, Lk] of queries qg
-    [G, H, Lq, dh] over keys kg [G, H, Lk, dh], the queries being the last Lq
-    of the Lk positions: softmax of the scaled scores over the keys at and
-    before each query's position, masked entries exactly 0."""
-    lq, lk = qg.shape[-2], kg.shape[-2]
-    p = qg @ kg.swapaxes(-1, -2)
-    p *= 1.0 / math.sqrt(qg.shape[-1])
+def _masked_softmax(p):
+    """Causal attention probabilities from scores p [G, H, Lq, Lk], in place,
+    the queries being the last Lq of the Lk positions: softmax over the keys
+    at and before each query's position, masked entries exactly 0."""
+    lq, lk = p.shape[-2:]
     if lq > 1:  # a lone query is its segment's last position: it sees every key
         p += _causal_mask(lq, lk, p.dtype)
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)  # exp(-inf) is exactly 0
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
+
+
+def _attention_probs(qg, kg):
+    """Causal attention probabilities [G, H, Lq, Lk] of queries qg
+    [G, H, Lq, dh] over keys kg [G, H, Lk, dh]: ``_masked_softmax`` of the
+    scores scaled by 1 / sqrt(dh)."""
+    p = qg @ kg.swapaxes(-1, -2)
+    p *= 1.0 / math.sqrt(qg.shape[-1])
+    return _masked_softmax(p)
 
 
 def causal_attention(q, k, v, q_lengths, k_lengths, n_heads):

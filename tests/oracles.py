@@ -201,8 +201,8 @@ def layer_norm_ref(x, gain, bias, g, eps=1e-5):
 
 
 def layer_norm_kernel_ref(x, gain, bias, eps=1e-5):
-    """The array layer norm before the normalization was split from the
-    affine: (out, xhat, inv), reducing with the ``.sum`` method."""
+    """The array layer norm as the op computes it: (out, xhat, inv),
+    reducing with the ``.sum`` method."""
     n = x.shape[-1]
     xhat = x - x.sum(axis=-1, keepdims=True) / n
     var = np.square(xhat).sum(axis=-1, keepdims=True) / n

@@ -397,6 +397,40 @@ def test_end_to_end_ordinal_trend(pipeline):
             f"{100 * reports[1].rouge1:.1f}, {n_params} params, {total:.0f}s")
 
 
+def test_decoder_matches_forward(pipeline):
+    """On the CPT, SFT and DPO checkpoints, the decoder's logits at each step
+    of every dialogue prompt's greedy continuation agree with the graph
+    forward over the same tokens within 1024 eps32 of the row's largest
+    logit (the bound ``tests/test_model.py::TestDecodePlan`` holds random
+    float32 tables to)."""
+    base = pipeline["base"]
+    vocab = M.load_vocab(base / "data" / "vocab.txt")
+    dialogue, _ = D.load_dataset(base / "data" / "dialogue_eval.jsonl", "dialogue")
+    prompts = [[M.BOS] + M.encode(vocab, D.render_bare_prompt(p)) for p, _ in dialogue]
+    worst = {}
+    for stage in ("cpt", "sft", "dpo"):
+        state = TR.load_checkpoint(base / "ckpt" / f"{stage}.ckpt")
+        config = state.params.config
+        plan = M.decode_plan(state.params, state.adapter)
+        worst[stage] = 0.0
+        for ids in prompts:
+            out = M.generate_greedy(state.params, state.adapter, ids,
+                                    pipeline["cfg"].eval.max_new_tokens)
+            tokens = ids + out[:-1]
+            assert len(tokens) <= config.max_seq_len  # one cache, no sliding window
+            cache = []
+            got = [M.decode_logits(config, plan, cache, ids)]
+            got += [M.decode_logits(config, plan, cache, [t]) for t in out[:-1]]
+            with T.no_grad():
+                want = M.forward_logits(state.params, state.adapter, tokens).data[len(ids) - 1:]
+            rel = np.abs(np.stack(got) - want) / np.abs(want).max(axis=-1, keepdims=True)
+            worst[stage] = max(worst[stage], float(rel.max()))
+    ok = max(worst.values()) <= 1024 * np.finfo(np.float32).eps
+    _report("decoder-matches-forward", ok,
+            "largest |decode - forward| / row max: "
+            + ", ".join(f"{stage} {r:.1e}" for stage, r in worst.items()))
+
+
 def test_determinism(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("determinism")
     overrides = {"cpt": {"epochs": 4}, "sft": {"epochs": 4}, "dpo": {"epochs": 2}}

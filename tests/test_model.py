@@ -520,17 +520,33 @@ class TestDecodePlan:
             bound = 1024 * np.finfo(np.float32).eps * np.abs(want).max(axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= bound)
 
-    def test_steps_match_full_forward(self, tiny_config, tables):
-        params, adapter = tables
+    def _assert_steps_match_full_forward(self, config, params, adapter):
         tokens = [M.BOS] + [int(t) for t in np.random.default_rng(5).integers(4, 13, 23)]
         full = M.forward_logits(params, adapter, tokens).data
         plan, cache = M.decode_plan(params, adapter), []
         # a prefill, one-token steps, then three tokens continuing the cache
-        rows = [M.decode_logits(tiny_config, plan, cache, tokens[:10])]
-        rows += [M.decode_logits(tiny_config, plan, cache, [t]) for t in tokens[10:21]]
-        rows.append(M.decode_logits(tiny_config, plan, cache, tokens[21:]))
+        rows = [M.decode_logits(config, plan, cache, tokens[:10])]
+        rows += [M.decode_logits(config, plan, cache, [t]) for t in tokens[10:21]]
+        rows.append(M.decode_logits(config, plan, cache, tokens[21:]))
         assert all(row.dtype == params.data.dtype for row in rows)
         self._assert_close(np.stack(rows), full[[*range(9, 21), 23]])
+
+    def test_steps_match_full_forward(self, tiny_config, tables):
+        self._assert_steps_match_full_forward(tiny_config, *tables)
+
+    def test_row_offsets_keep_the_bounds(self, tiny_config, tables):
+        # A constant added along a row moves the row's mean, which layer norm
+        # removes. The decoder subtracts it once, where the embeddings enter
+        # the stream, and from every array that writes into the stream, so
+        # large ones test that cancellation. Measured at most 516 eps32 of the
+        # row's largest logit over 40 float32 tables like these.
+        params, adapter = tables
+        offsets = {"embed": 4.0, "pos": -2.0, "wo": 1.0, "ffn.w2": 1.0, "ffn.b2": 3.0}
+        for name, offset in offsets.items():
+            for full_name in ([name] if name in params.shapes else
+                              [f"layer{i}.{name}" for i in range(tiny_config.n_layers)]):
+                params[full_name].data[...] += offset
+        self._assert_steps_match_full_forward(tiny_config, params, adapter)
 
     def test_slid_window_matches_full_forward(self, tiny_config, tables):
         # past max_seq_len generate_greedy re-encodes the last window on a

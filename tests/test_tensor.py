@@ -457,9 +457,17 @@ class TestLayerNorm:
         x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
         gain, bias = rng.standard_normal((2, shape[-1])).astype(dtype)
         out, xhat, inv = oracles.layer_norm_kernel_ref(x, gain, bias)
-        got_xhat, got_inv = T._normalize(x)
-        got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
-        for a, b in ((got, out), (got_xhat, xhat), (got_inv, inv)):
+        inputs = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        got = T.layer_norm(*inputs)
+        backward(T.tsum(got))
+        # under upstream gradient 1 the gain's gradient sums xhat, and x's is
+        # built from xhat and inv, so they hold the kernel's xhat and inv bits
+        n = shape[-1]
+        gy = np.ones_like(x) * gain
+        m1 = gy.sum(axis=-1, keepdims=True) / n
+        m2 = (gy * xhat).sum(axis=-1, keepdims=True) / n
+        want = (out, (gy - m1 - xhat * m2) * inv, xhat.sum(axis=tuple(range(x.ndim - 1))))
+        for a, b in zip((got.data, inputs[0].grad, inputs[1].grad), want):
             assert a.dtype == dtype and np.array_equal(a, b)
 
     def test_gradients(self, rng):
