@@ -324,9 +324,7 @@ def forward_logits(params, adapter, tokens, train_rng=None, lengths=None, scored
         att = T.causal_attention(q, k, v, q_lengths, lengths, c.n_heads)
         x = x + _project(att, params, adapter, p + "wo", train_rng)
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
-        ff = T.relu(h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"])
-        ff = ff @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        x = x + ff
+        x = x + T.feed_forward(h2, *(params[p + "ffn." + w] for w in ("w1", "b1", "w2", "b2")))
     x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     return x @ params["head"]
 

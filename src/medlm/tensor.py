@@ -2,15 +2,24 @@
 
 A Tensor wraps a numpy array. Ops record their inputs and a backward
 closure; calling ``backward(loss)`` on a scalar walks the recorded graph
-in reverse topological order exactly once and accumulates gradients into
-every leaf with requires_grad=True. Graphs are built eagerly per step
-and garbage-collected with their outputs.
+in reverse topological order and accumulates gradients into every leaf
+with requires_grad=True.
+
+Graph lifetime: a graph is built eagerly per step and holds what its
+backward reads, each op's inputs and the arrays its closure saves. The
+walk releases it as it goes: once a node's closure has run, the node drops
+the closure and its inputs, so the arrays of the layers above are freed
+before the layers below allocate their gradients, and once ``backward``
+returns the loss holds nothing. So a graph is differentiated once; a
+second ``backward`` that reaches a released node is a ContractError.
 
 The model runs a batch of sequences token-flat, as ``[N, D]`` rows back to
 back; ``causal_attention`` is the one op that knows where each sequence
-starts, and it holds the batched products. ``matmul`` takes 2-D operands
-only, ``[N, K] @ [K, M]``, and the row-wise ops work on the last axis. A
-leaf's grad is a preallocated array (for a parameter, a view of its
+starts, and it holds the batched products. ``feed_forward`` is a
+transformer block's whole feed-forward sublayer, saving only its hidden
+activation. ``matmul`` takes 2-D operands only, ``[N, K] @ [K, M]``,
+``add`` takes operands of one shape, and the row-wise ops work on the last
+axis. A leaf's grad is a preallocated array (for a parameter, a view of its
 table's buffer) that backward adds into in place. An interior node's grad
 exists only during backward: its first contribution is assigned, and may
 be an array shared with another node, later ones are added out of place,
@@ -119,17 +128,6 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Reduce gradient g back to the given (possibly broadcast) shape."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # -- primitive ops -----------------------------------------------------
 
 def _accumulate(t, g):
@@ -143,11 +141,15 @@ def _accumulate(t, g):
 
 
 def add(a, b):
+    """a + b of one shape; a broadcast is a ShapeError."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
+            _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            _accumulate(b, g)
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -177,17 +179,44 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), bwd)
 
 
-def relu(a):
-    """max(a, 0), with gradient 1 where a > 0 and 0 elsewhere. Edge values
-    are ``np.maximum``'s: relu(-0.0) is a zero of the sign it picks, and
-    relu(nan) is nan."""
-    mask = a.data > 0
+def feed_forward(x, w1, b1, w2, b2):
+    """``relu(x @ w1 + b1) @ w2 + b2`` for rows x ``[N, D]``, as one op.
 
-    def bwd(g, a=a, mask=mask):
-        if a.requires_grad:
-            _accumulate(a, g * mask)
+    The bias adds and the relu run in place on the fresh products, and the
+    hidden activation ``hid = relu(x @ w1 + b1)`` is the one array saved for
+    backward. The relu's gradient mask is ``hid > 0``, false where the
+    pre-activation is <= 0 or nan, as it is for the pre-activation itself;
+    nan stays nan (``np.maximum``). Forward and backward are the numpy
+    expressions of the composed matmul, add and relu ops, in their order,
+    so the bits are theirs.
+    """
+    sx, s1, sb1, s2, sb2 = (t.data.shape for t in (x, w1, b1, w2, b2))
+    if not (len(sx) == 2 and len(sb1) == len(sb2) == 1
+            and s1 == sx[1:] + sb1 and s2 == sb1 + sb2):
+        raise ShapeError(f"feed_forward: incompatible shapes x {sx}, w1 {s1}, b1 {sb1}, "
+                         f"w2 {s2}, b2 {sb2}")
+    hid = x.data @ w1.data
+    hid += b1.data
+    np.maximum(hid, 0.0, out=hid)
+    out = hid @ w2.data
+    out += b2.data
 
-    return _make(np.maximum(a.data, 0.0), (a,), bwd)
+    def bwd(g, x=x, w1=w1, b1=b1, w2=w2, b2=b2, hid=hid):
+        if b2.requires_grad:
+            _accumulate(b2, g.sum(axis=0))
+        if w2.requires_grad:
+            _accumulate(w2, hid.T @ g)
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = g @ w2.data.T
+            gh *= hid > 0
+            if b1.requires_grad:
+                _accumulate(b1, gh.sum(axis=0))
+            if x.requires_grad:
+                _accumulate(x, gh @ w1.data.T)
+            if w1.requires_grad:
+                _accumulate(w1, x.data.T @ gh)
+
+    return _make(out, (x, w1, b1, w2, b2), bwd)
 
 
 def tsum(a):
@@ -416,7 +445,10 @@ def log_sigmoid(x):
 # -- backward pass -----------------------------------------------------
 
 def backward(loss):
-    """Populate .grad on every requires_grad leaf reachable from loss."""
+    """Populate .grad on every requires_grad leaf reachable from loss, and
+    release the graph as it goes: each interior node drops its backward
+    closure and its inputs once it has run. A graph is differentiated
+    once; a second call on it is a ContractError."""
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -431,6 +463,9 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
+        if node.grad is None and node._backward_fn is None:  # an interior node, released
+            raise ContractError("backward: the graph was already differentiated; "
+                                "build it again for another backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -438,7 +473,9 @@ def backward(loss):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward_fn is not None:
             g, node.grad = node.grad, None
             node._backward_fn(g)
+            node._backward_fn, node._parents = None, ()

@@ -180,10 +180,14 @@ def dedup_corpus_ref(docs, min_span):
 # The engine's kernels run in place on buffers they own; these are the
 # plain formulas they replaced, kept so tests can require the same bits.
 
-def relu_ref(x, g):
-    """Forward and input gradient for upstream g."""
-    mask = x > 0
-    return np.where(mask, x, 0.0), g * mask
+def feed_forward_ref(x, w1, b1, w2, b2, g):
+    """``relu(x @ w1 + b1) @ w2 + b2`` and the gradients of x, w1, b1, w2
+    and b2 for upstream g, as the separate matmul, add and relu ops gave them."""
+    pre = x @ w1 + b1
+    mask = pre > 0
+    hid = np.maximum(pre, 0.0)
+    gh = (g @ w2.T) * mask
+    return hid @ w2 + b2, gh @ w1.T, x.T @ gh, gh.sum(axis=0), hid.T @ g, g.sum(axis=0)
 
 
 def layer_norm_ref(x, gain, bias, g, eps=1e-5):

@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +240,44 @@ class TestForward:
         n = tiny_config.max_seq_len
         with pytest.raises(DataError):
             M.forward_logits(tiny_params, None, [0] * (n + 2), lengths=[1, n + 1])
+
+
+class TestGraphRelease:
+    def test_backward_frees_a_layer_before_the_layer_below_runs(self, tiny_config,
+                                                                  tiny_params, monkeypatch):
+        """The hidden activation the last layer's feed-forward op saves is
+        freed by the time layer 0's feed-forward backward runs, while layer
+        0's own is still held; once backward returns, the loss holds no
+        closure and no input."""
+        hidden, alive_at_layer0 = [], []
+        feed_forward = T.feed_forward
+
+        def spy(*args):
+            out = feed_forward(*args)
+            saved = [a for a in out._backward_fn.__defaults__ if isinstance(a, np.ndarray)]
+            assert len(saved) == 1  # the one array the op saves
+            hidden.append(weakref.ref(saved[0]))
+            if len(hidden) == 1:  # layer 0
+                bwd = out._backward_fn
+
+                def layer0_bwd(g):
+                    alive_at_layer0.append([h() is not None for h in hidden])
+                    bwd(g)
+
+                out._backward_fn = layer0_bwd
+            return out
+
+        monkeypatch.setattr(T, "feed_forward", spy)
+        tokens = [0, 4, 5, 6, 7, 8, 9, 10]
+        logits = M.forward_logits(tiny_params, None, tokens[:-1])
+        loss = T.tsum(T.logprob_sums(logits, tokens[1:], np.ones(7), np.zeros(7), 1))
+        del logits
+        assert len(hidden) == tiny_config.n_layers
+        assert all(h() is not None for h in hidden)
+        T.backward(loss)
+        assert alive_at_layer0 == [[True] + [False] * (tiny_config.n_layers - 1)]
+        assert all(h() is None for h in hidden)
+        assert loss._backward_fn is None and loss._parents == ()
 
 
 class TestScoredRows:

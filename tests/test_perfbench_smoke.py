@@ -5,13 +5,18 @@ iteration repeating the first. A contract break in what the benchmark calls
 instead of in a benchmark run."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from medlm import trainer as TR
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +38,22 @@ def test_workload_runs_clean(workloads, name, tmp_path, monkeypatch):
         assert it.attempted > 0
         assert it.failed == 0
         assert it.same_as_first
+
+
+def test_traced_pretrain_run_is_correct(tmp_path):
+    """``perfbench/run.py --workload pretrain --trace 1``, run on a copy of
+    the checkout so its output directories stay out of it. The tracer hooks
+    the ops of ``medlm.tensor`` by name, so an op change that breaks a traced
+    run, or makes it write other bytes than an untraced one, fails here."""
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "pretrain",
+                           "--trace", "1", "--seconds", "1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    record = json.loads((tmp_path / ".perfbench_out" / "pretrain.json").read_text())
+    assert record["selftest_identical_outputs"] is True
+    assert record["per_layer"]["tensor.feed_forward.calls"] > 0

@@ -28,13 +28,21 @@ def test_float32_and_float64_arrays_are_kept_others_converted():
 def test_constants_take_the_tensor_dtype(dtype):
     # under numpy 2 a float64 array, even 0-d, would promote float32
     x = Tensor(np.arange(3, dtype=dtype), requires_grad=True)
-    for out in (x + 1.0, 1.0 + x, x - np.float64(0.5), x - np.ones(3), x * 3.0,
-                x + np.array(2.0)):
+    s = T.tsum(x)
+    for out in (x + np.ones(3), [1.0, 2.0, 3.0] + x, x - np.full(3, 0.5), x * 3.0,
+                s + 1.0, 1.0 + s, s - np.float64(0.5), s + np.array(2.0)):
         assert out.data.dtype == dtype
     loss = T.tsum(x - np.ones(3))
     assert loss.data.dtype == dtype
     backward(loss)
     assert x.grad.dtype == dtype
+
+
+def test_add_takes_equal_shapes():
+    x = Tensor(np.zeros((2, 3)))
+    for other in (1.0, np.zeros(3), np.zeros((1, 3)), np.zeros((3, 2))):
+        with pytest.raises(ShapeError, match=r"add: shapes \(2, 3\) and"):
+            x + other
 
 
 class TestMatmul:
@@ -76,24 +84,60 @@ def _grads(op, inputs):
     return out.data, 1.0 / (1.0 + np.exp(out.data)), [t.grad for t in inputs]
 
 
-class TestRelu:
-    def test_matches_reference_bits(self, rng):
-        x = rng.standard_normal((37, 16))
-        x[0, :4] = 0.0
-        out, g, (gx,) = _grads(T.relu, [Tensor(x, requires_grad=True)])
-        ref_out, ref_gx = oracles.relu_ref(x, g)
-        assert np.array_equal(out, ref_out) and np.array_equal(gx, ref_gx)
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_edge_values(self):
-        # relu(-0.0) is a zero (np.maximum picks its sign) and nan stays nan,
-        # where np.where(x > 0, x, 0.0) gave 0.0; the gradient is 0 at both
-        x = Tensor(np.array([-0.0, np.nan, -1.0, 2.0]), requires_grad=True)
-        out = T.relu(x)
-        assert out.data[0] == 0.0
-        assert np.isnan(out.data[1])
-        assert out.data[2:].tolist() == [0.0, 2.0]
-        backward(T.tsum(out))
-        assert x.grad.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+class TestFeedForward:
+    @staticmethod
+    def _inputs(rng, dtype, edge):
+        """x, w1, b1, w2, b2 whose hidden pre-activations x @ w1 + b1 hold
+        exact zeros in columns 0 and 1 and ``edge`` in column 2. A BLAS
+        product is +0.0 where its terms are zero and +0.0 + -0.0 is +0.0, so
+        no pre-activation is -0.0: -0.0 enters as b1[1] and as row 0 of x."""
+        x = rng.standard_normal((37, 8)).astype(dtype)
+        w1 = rng.standard_normal((8, 32)).astype(dtype)
+        b1 = rng.standard_normal(32).astype(dtype)
+        w1[:, :3] = 0.0
+        b1[:3] = 0.0, -0.0, edge
+        x[0] = -0.0
+        return x, w1, b1, rng.standard_normal((32, 8)).astype(dtype), \
+            rng.standard_normal(8).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trainable", [True, False])
+    @pytest.mark.parametrize("edge", [0.5, np.nan])
+    def test_matches_reference_bits(self, rng, dtype, trainable, edge):
+        arrays = self._inputs(rng, dtype, edge)
+        x, *weights = (Tensor(a, requires_grad=trainable or i == 0)
+                       for i, a in enumerate(arrays))
+        out = T.feed_forward(x, *weights)
+        # a loss whose gradient on out, g[r, j] = count of r in ids * c[j],
+        # varies over rows and columns and is finite where out is nan
+        ids = np.repeat(np.arange(37), rng.integers(1, 4, 37))
+        c = rng.standard_normal((8, 1)).astype(dtype)
+        backward(T.tsum(T.gather_rows(out @ Tensor(c), ids)))
+        g = np.bincount(ids).astype(dtype)[:, None] @ c.T
+        ref_out, *ref_grads = oracles.feed_forward_ref(*arrays, g)
+        assert _same_bits(out.data, ref_out)
+        for t, ref in zip((x, *weights), ref_grads):
+            if t.requires_grad:  # a leaf's grad is added into zeros, so -0.0 reads +0.0
+                assert _same_bits(t.grad, np.zeros_like(ref) + ref)
+            else:
+                assert t.grad is None
+        assert np.isnan(out.data).all() == np.isnan(edge)
+        if trainable:  # the relu passes no gradient at a pre-activation of 0 or nan
+            dead = 3 if np.isnan(edge) else 2
+            assert weights[1].grad[:dead].tolist() == [0.0] * dead
+
+    @pytest.mark.parametrize("shapes", [
+        [(5, 7), (8, 32), (32,), (32, 8), (8,)],
+        [(5, 8), (8, 32), (31,), (32, 8), (8,)], [(5, 8), (8, 32), (32,), (31, 8), (8,)],
+        [(5, 8), (8, 32), (32,), (32, 8), (7,)], [(8,), (8, 32), (32,), (32, 8), (8,)],
+        [(5, 8), (8, 32), (1, 32), (32, 8), (8,)]])
+    def test_shapes_must_chain(self, shapes):
+        with pytest.raises(ShapeError, match="feed_forward"):
+            T.feed_forward(*(Tensor(np.zeros(s)) for s in shapes))
 
 
 class TestGatherRows:
@@ -416,6 +460,18 @@ class TestBackward:
         a, b = 2.0 * w, 3.0 * w
         backward(T.tsum((a + b) + a) + T.tsum(b * 5.0))
         assert np.array_equal(w.grad, [22.0, 22.0])
+
+    def test_second_backward_is_a_contract_error(self):
+        w = Tensor([[2.0]], requires_grad=True)
+        h = w @ w
+        loss = h @ w
+        backward(loss)
+        assert loss._backward_fn is None and loss._parents == ()
+        # the same loss, and a new one over a part already differentiated
+        for again in (loss, h @ h):
+            with pytest.raises(ContractError, match="already differentiated"):
+                backward(again)
+        assert w.grad == 12.0  # the refused calls added nothing
 
     def test_deterministic_repeat(self, rng):
         a_data = rng.standard_normal((5, 5))
