@@ -341,8 +341,9 @@ class DecodePlan(NamedTuple):
 
 def decode_plan(params, adapter):
     """The weights of ``params`` and ``adapter`` as ``decode_logits`` runs
-    them, built once per request. Folded weights are new arrays; the others
-    are the tables' own, only read.
+    them. Folded weights are new arrays; ``embed`` and ``pos`` are the
+    tables' own, only read. ``generate_greedy`` builds it from copies of the
+    tables and keeps it while they hold the same bits (``_cached_plan``).
 
     The adapter is folded into the weights it adapts (``folded_weights``).
     Each layer norm's gain g and bias b is folded into the projection W that
@@ -438,28 +439,82 @@ def decode_logits(config, plan, cache, tokens):
     return (_rms_normalize(x, mean) @ plan.head + plan.head_bias)[0]
 
 
+def _bits(buf):
+    """The bytes of flat buffer ``buf`` as integers, 64-bit where they
+    divide evenly, so that ``==`` compares bits: a NaN equals itself and
+    -0.0 differs from 0.0."""
+    return buf.view(np.int64 if buf.nbytes % 8 == 0 else f"i{buf.itemsize}")
+
+
+def _same_table(table, copy):
+    """Whether ``table`` has ``copy``'s config, shapes, dtype and bits; two
+    Nones are the same."""
+    if table is None or copy is None:
+        return table is copy
+    return (table.config == copy.config and table.shapes == copy.shapes
+            and table.data.dtype == copy.data.dtype
+            and np.array_equal(_bits(table.data), _bits(copy.data)))
+
+
+# (params copy, adapter copy or None, their decode_plan): the last plan
+# generate_greedy built, replaced whole by one assignment
+_plan_slot = None
+
+
+def _cached_plan(params, adapter):
+    """``decode_plan(params, adapter)``, built again only when a table's
+    bits differ from the last build's. The plan is built from copies, so it
+    does not change when the caller's tables do, and a table with equal
+    bits may reuse it."""
+    global _plan_slot
+    slot = _plan_slot
+    if slot is None or not (_same_table(params, slot[0]) and _same_table(adapter, slot[1])):
+        copies = params.copy(), None if adapter is None else adapter.copy()
+        slot = _plan_slot = (*copies, decode_plan(*copies))
+    return slot[2]
+
+
+def _prompt_ids(prompt_ids, vocab_size):
+    """The prompt as a list of ints, each in ``[0, vocab_size)``, else DataError."""
+    ids = np.asarray(prompt_ids)
+    if ids.size == 0:
+        raise DataError("generate_greedy: empty prompt")
+    if ids.ndim != 1:
+        raise DataError(f"generate_greedy: prompt of shape {ids.shape}, not a list of ids")
+    if ids.dtype.kind not in "iu":
+        k = next(k for k, t in enumerate(prompt_ids) if np.asarray(t).dtype.kind not in "iu")
+        raise DataError(f"generate_greedy: prompt id {prompt_ids[k]!r} at offset {k} "
+                        "is not an integer")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        k = int(np.flatnonzero((ids < 0) | (ids >= vocab_size))[0])
+        raise DataError(f"generate_greedy: prompt id {ids[k]} at offset {k} "
+                        f"out of range [0, {vocab_size})")
+    return ids.tolist()
+
+
 def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     """Argmax decoding; ties break toward the lowest token id (np.argmax).
 
-    Each step runs ``decode_logits`` on one ``decode_plan``, built once per
-    call, since training changes the tables in place; ``params`` and
-    ``adapter`` are only read. The plan's folded weights and centered
-    residual stream round differently from the graph forward, so the logits
-    agree with ``forward_logits`` within rounding, not bit for bit, and an
-    argmax within rounding of a tie may pick another token. Prompt ids must
-    be in ``[0, vocab_size)``. The prompt is encoded once into a KV cache,
-    with logits for its last position only, and each step feeds only the
-    new token. Past ``max_seq_len`` the window slides, which moves every
-    absolute position, so the cache is dropped and the last window
-    re-encoded.
+    Each step runs ``decode_logits`` on a ``decode_plan`` of ``params`` and
+    ``adapter``. The plan is kept from the last call while both tables hold
+    the same config, shapes, dtype and bits, compared exactly on every call;
+    training changes the bits in place, and the next call builds it again
+    (``_cached_plan``). ``params`` and ``adapter`` are only read. The plan's
+    folded weights and centered residual stream round differently from the
+    graph forward, so the logits agree with ``forward_logits`` within
+    rounding, not bit for bit, and an argmax within rounding of a tie may
+    pick another token. Prompt ids must be integers in ``[0, vocab_size)``
+    and ``max_new`` an integer >= 0, else DataError. The prompt is encoded
+    once into a KV cache, with logits for its last position only, and each
+    step feeds only the new token. Past ``max_seq_len`` the window slides,
+    which moves every absolute position, so the cache is dropped and the
+    last window re-encoded.
     """
     c = params.config
-    ids = list(prompt_ids)
-    if not ids:
-        raise DataError("generate_greedy: empty prompt")
-    if min(ids) < 0 or max(ids) >= c.vocab_size:
-        raise DataError(f"generate_greedy: prompt id out of range [0, {c.vocab_size})")
-    plan = decode_plan(params, adapter)
+    if isinstance(max_new, bool) or not isinstance(max_new, (int, np.integer)) or max_new < 0:
+        raise DataError(f"generate_greedy: max_new must be an integer >= 0, got {max_new!r}")
+    ids = _prompt_ids(prompt_ids, c.vocab_size)
+    plan = _cached_plan(params, adapter)
     window = c.max_seq_len
     out = []
     cache, feed = [], ids[-window:]

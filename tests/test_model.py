@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from medlm import model as M
 from medlm import tensor as T
+from medlm import trainer as TR
 from medlm.errors import ConfigError, DataError, VocabError
 
 
@@ -405,8 +406,26 @@ class TestGenerate:
     @pytest.mark.parametrize("bad", [-1, 13])  # the tiny vocab_size is 13
     def test_prompt_id_out_of_range_rejected(self, tiny_config, tiny_params, bad):
         assert tiny_config.vocab_size == 13
-        with pytest.raises(DataError, match="prompt id"):
+        with pytest.raises(DataError, match=f"prompt id {bad} at offset 1 out of range"):
             M.generate_greedy(tiny_params, None, [0, bad, 4], 5)
+
+    @pytest.mark.parametrize("prompt,match", [([0, 1.5], "prompt id 1.5 at offset 1"),
+                                              ([0, 4, "5"], "prompt id '5' at offset 2"),
+                                              (np.array([0.0, 4.0]), "at offset 0"),
+                                              ([[0, 4]], r"shape \(1, 2\)")])
+    def test_non_integer_prompt_rejected(self, tiny_params, prompt, match):
+        with pytest.raises(DataError, match=match):
+            M.generate_greedy(tiny_params, None, prompt, 5)
+
+    @pytest.mark.parametrize("max_new", [2.0, -2, True, "3", None])
+    def test_bad_max_new_rejected(self, tiny_params, max_new):
+        with pytest.raises(DataError, match=f"max_new must be an integer >= 0, got {max_new!r}"):
+            M.generate_greedy(tiny_params, None, [0, 4], max_new)
+
+    def test_max_new_zero_generates_nothing(self, tiny_params):
+        assert M.generate_greedy(tiny_params, None, [0, 4], 0) == []
+        assert M.generate_greedy(tiny_params, None, np.array([0, 4], np.uint8), np.int64(2)) \
+            == M.generate_greedy(tiny_params, None, [0, 4], 2)
 
     def test_window_slides_past_max_seq_len(self, tiny_config, tiny_params):
         prompt = [0] + [4] * (tiny_config.max_seq_len - 1)
@@ -443,7 +462,8 @@ class TestKvCache:
                 t.data[...] = 0.3 * rng.standard_normal(t.data.shape)
         return adapter
 
-    def _prompt(self, config, n):
+    @staticmethod
+    def _prompt(config, n):
         rng = np.random.default_rng(n)
         return [M.BOS] + [int(t) for t in rng.integers(4, config.vocab_size, n - 1)]
 
@@ -478,8 +498,19 @@ class TestKvCache:
         monkeypatch.setattr(M, "merge_lora", fail)
         monkeypatch.setattr(M, "decode_plan", recording)
         out = M.generate_greedy(params, adapter, prompt, 12, stop_id=-1)
+        first = len(plans)  # 0 if an earlier test left a plan of equal tables
+        assert M.generate_greedy(params, adapter, prompt, 12, stop_id=-1) == out
+        repeat = len(plans) - first
+        b = adapter["layer1.wv.B"].data
+        b_old = b[0, 0]
+        b[0, 0] = b_old + 0.25
+        M.generate_greedy(params, adapter, prompt, 12, stop_id=-1)
+        changed = len(plans) - first - repeat
+        b[0, 0] = b_old
         monkeypatch.undo()
-        assert len(plans) == 1  # once per call, also when the window slides
+        # at most once per call, also when the window slides; none while the
+        # tables keep their bits, and one after an entry changed
+        assert first <= 1 and repeat == 0 and changed == 1
         assert (params.data.tobytes(), adapter.data.tobytes()) == before
         merged = M.merge_lora(params, adapter)
         assert out == _uncached_greedy(merged, None, prompt, 12, stop_id=-1)
@@ -527,6 +558,101 @@ class TestKvCache:
             M.decode_logits(tiny_config, plan, cache, [4])
 
 
+class TestPlanCache:
+    """``generate_greedy`` keeps the last ``decode_plan`` while params and
+    adapter hold the same bits, and builds it again, from copies, when an
+    entry changes."""
+
+    params = TestKvCache.params
+    adapter = TestKvCache.adapter
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The arguments of each ``decode_plan`` call from here on, starting
+        from an empty cache."""
+        monkeypatch.setattr(M, "_plan_slot", None)
+        builds = []
+        decode_plan = M.decode_plan
+
+        def recording(*args):
+            builds.append(args)
+            return decode_plan(*args)
+
+        monkeypatch.setattr(M, "decode_plan", recording)
+        return builds
+
+    @staticmethod
+    def _generate(params, adapter, decode=M.generate_greedy):
+        prompt = TestKvCache._prompt(params.config, 5)
+        return decode(params, adapter, prompt, 12, stop_id=-1)
+
+    def test_equal_tables_build_no_plan(self, params, adapter, builds):
+        out = self._generate(params, adapter)
+        assert len(builds) == 1
+        assert self._generate(params, adapter) == out
+        assert self._generate(params.copy(), adapter.copy()) == out  # equal bits
+        assert len(builds) == 1
+        assert out == self._generate(params, adapter, _uncached_greedy)
+
+    @pytest.mark.parametrize("change", ["embed ulp", "ffn.b2 sign", "nan", "nan payload",
+                                        "adapter B"])
+    def test_a_changed_entry_builds_again(self, params, adapter, builds, change):
+        pos = params["pos"].data  # rows past the 17 positions decoded here are never read
+        if change == "nan payload":
+            pos[-1, 0] = np.nan
+        self._generate(params, adapter)
+        if change == "embed ulp":
+            e = params["embed"].data
+            e[4, 0] = np.nextafter(e[4, 0], np.float32(np.inf))
+        elif change == "ffn.b2 sign":
+            b2 = params["layer0.ffn.b2"].data
+            assert b2[3] == 0.0 and not np.signbit(b2[3])
+            b2[3] = -0.0
+        elif change == "nan":
+            pos[-1, 0] = np.nan
+        elif change == "nan payload":
+            pos.view(np.uint32)[-1, 0] += 1
+            assert np.isnan(pos[-1, 0])
+        else:
+            adapter["layer0.wq.B"].data[0, 0] += 0.25
+        out = self._generate(params, adapter)
+        assert len(builds) == 2
+        assert out == self._generate(params, adapter, _uncached_greedy)
+        assert self._generate(params, adapter) == out
+        assert len(builds) == 2
+
+    def test_plan_reads_no_table_of_the_caller(self, params, adapter, builds):
+        twin = params.copy()
+        self._generate(params, adapter)
+        params["embed"].data[...] = params["embed"].data[::-1].copy()
+        twin_out = self._generate(twin, adapter)
+        assert len(builds) == 1  # the twin has the bits the plan was built from
+        assert twin_out == self._generate(twin, adapter, _uncached_greedy)
+        assert twin_out != self._generate(params, adapter, _uncached_greedy)
+        assert self._generate(params, adapter) == self._generate(params, adapter, _uncached_greedy)
+
+    def test_no_adapter_is_its_own_entry(self, params, adapter, builds):
+        with_adapter = self._generate(params, adapter)
+        without = self._generate(params, None)
+        assert without == self._generate(params, None, _uncached_greedy)
+        assert without != with_adapter
+        assert self._generate(params, adapter) == with_adapter
+        assert len(builds) == 3
+
+    def test_training_builds_again(self, params, builds):
+        state = TR.TrainState(params)
+        before = self._generate(params, None)
+        rng = np.random.default_rng(4)
+        blocks = [list(rng.integers(4, 12, size=8)) for _ in range(6)]
+        stage = TR.StageConfig(stage="cpt", learning_rate=0.01, warmup_ratio=0.0, epochs=2,
+                               batch_size=2)
+        trained = TR.run_stage(state, stage, blocks)[0].params
+        out = self._generate(trained, None)
+        assert len(builds) == 2
+        assert out == self._generate(trained, None, _uncached_greedy)
+        assert out != before
+
+
 class TestDecodePlan:
     """The plan folds every layer norm's gain and bias into the projection
     after it, so these tables have gains and biases far from 1 and 0, and an
@@ -548,29 +674,48 @@ class TestDecodePlan:
             params, adapter = oracles.float64_table(params), oracles.float64_table(adapter)
         return params, adapter
 
+    _ROW_OFFSETS = {"embed": 4.0, "pos": -2.0, "wo": 1.0, "ffn.w2": 1.0, "ffn.b2": 3.0}
+
     @staticmethod
-    def _assert_close(got, want):
-        if want.dtype == np.float64:
+    def _assert_close(got, want, eps32=1024):
+        if got.dtype == np.float64:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         else:
             # float32 rounding through the layer norms: measured at most 190
             # eps32 of the row's largest logit over 40 tables like these
             # (the float32 forward itself is up to 124 eps32 off float64)
-            bound = 1024 * np.finfo(np.float32).eps * np.abs(want).max(axis=-1, keepdims=True)
+            bound = eps32 * np.finfo(np.float32).eps * np.abs(want).max(axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= bound)
 
-    def _assert_steps_match_full_forward(self, config, params, adapter):
+    @staticmethod
+    def _add_row_offsets(config, params, offsets):
+        for name, offset in offsets.items():
+            for full_name in ([name] if name in params.shapes else
+                              [f"layer{i}.{name}" for i in range(config.n_layers)]):
+                params[full_name].data[...] += offset
+
+    def _assert_steps_match_full_forward(self, config, params, adapter, eps32_64=1024,
+                                         table_forward=True):
+        """The decoder against ``forward_logits`` on float64 copies of the
+        tables, within ``eps32_64`` eps32 of the row maximum for float32
+        tables, and, if ``table_forward``, on the tables themselves."""
         tokens = [M.BOS] + [int(t) for t in np.random.default_rng(5).integers(4, 13, 23)]
-        full = M.forward_logits(params, adapter, tokens).data
+        rows = [*range(9, 21), 23]
         plan, cache = M.decode_plan(params, adapter), []
         # a prefill, one-token steps, then three tokens continuing the cache
-        rows = [M.decode_logits(config, plan, cache, tokens[:10])]
-        rows += [M.decode_logits(config, plan, cache, [t]) for t in tokens[10:21]]
-        rows.append(M.decode_logits(config, plan, cache, tokens[21:]))
-        assert all(row.dtype == params.data.dtype for row in rows)
-        self._assert_close(np.stack(rows), full[[*range(9, 21), 23]])
+        got = [M.decode_logits(config, plan, cache, tokens[:10])]
+        got += [M.decode_logits(config, plan, cache, [t]) for t in tokens[10:21]]
+        got.append(M.decode_logits(config, plan, cache, tokens[21:]))
+        got = np.stack(got)
+        assert got.dtype == params.data.dtype
+        if table_forward:
+            self._assert_close(got, M.forward_logits(params, adapter, tokens).data[rows])
+        full64 = M.forward_logits(oracles.float64_table(params), oracles.float64_table(adapter),
+                                  tokens).data
+        self._assert_close(got, full64[rows], eps32_64)
 
     def test_steps_match_full_forward(self, tiny_config, tables):
+        # against float64: measured at most 908 eps32 over 200 tables like these
         self._assert_steps_match_full_forward(tiny_config, *tables)
 
     def test_row_offsets_keep_the_bounds(self, tiny_config, tables):
@@ -578,14 +723,24 @@ class TestDecodePlan:
         # removes. The decoder subtracts it once, where the embeddings enter
         # the stream, and from every array that writes into the stream, so
         # large ones test that cancellation. Measured at most 516 eps32 of the
-        # row's largest logit over 40 float32 tables like these.
+        # row's largest logit over 40 float32 tables like these, and 323
+        # against float64 (1,349 over 200 tables).
         params, adapter = tables
-        offsets = {"embed": 4.0, "pos": -2.0, "wo": 1.0, "ffn.w2": 1.0, "ffn.b2": 3.0}
-        for name, offset in offsets.items():
-            for full_name in ([name] if name in params.shapes else
-                              [f"layer{i}.{name}" for i in range(tiny_config.n_layers)]):
-                params[full_name].data[...] += offset
+        self._add_row_offsets(tiny_config, params, self._ROW_OFFSETS)
         self._assert_steps_match_full_forward(tiny_config, params, adapter)
+
+    def test_large_row_offsets_against_float64(self, tiny_config, tables):
+        # With +40 on embed and -20 on pos, layer norm's float32 mean
+        # subtraction in the graph forward loses the low bits of every row
+        # (up to 31,159 eps32 off float64 over 200 tables like these), so
+        # only the float64 forward is a reference. The decoder, which removes
+        # the offsets where the embeddings enter, measured at most 7,134
+        # eps32 off it over the same 200 tables, and 114 on this one.
+        params, adapter = tables
+        self._add_row_offsets(tiny_config, params,
+                              dict(self._ROW_OFFSETS, embed=40.0, pos=-20.0))
+        self._assert_steps_match_full_forward(tiny_config, params, adapter, eps32_64=8192,
+                                              table_forward=False)
 
     def test_slid_window_matches_full_forward(self, tiny_config, tables):
         # past max_seq_len generate_greedy re-encodes the last window on a

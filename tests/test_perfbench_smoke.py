@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from medlm import model as M
 from medlm import trainer as TR
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +39,27 @@ def test_workload_runs_clean(workloads, name, tmp_path, monkeypatch):
         assert it.attempted > 0
         assert it.failed == 0
         assert it.same_as_first
+
+
+def test_generate_reuses_its_decode_plan(workloads, tmp_path, monkeypatch):
+    """The ``generate`` workload decodes every request on one table, so
+    ``generate_greedy`` builds its ``decode_plan`` at most once in the first
+    iteration and not at all in the second."""
+    builds = []
+    decode_plan = M.decode_plan
+
+    def recording(*args):
+        builds.append(args)
+        return decode_plan(*args)
+
+    workload = workloads.WORKLOADS["generate"](str(tmp_path / "generate"), seed=0)
+    workload.setup()
+    monkeypatch.setattr(M, "decode_plan", recording)
+    counts = []
+    for _ in range(2):
+        workload.check(workload.iterate())
+        counts.append(len(builds) - sum(counts))
+    assert counts[0] <= 1 and counts[1] == 0, counts
 
 
 def test_traced_pretrain_run_is_correct(tmp_path):
