@@ -313,7 +313,8 @@ def cmd_eval(cfg, kind, checkpoint):
         else:
             # score pre-filled generated fields
             report = E.EvalReport(n_items=len(items), accuracy=E.accuracy(items),
-                                  weighted_f1=E.weighted_f1(items))
+                                  weighted_f1=E.weighted_f1(items),
+                                  items=E.mcq_records(items, [None] * len(items)))
         out = os.path.join(cfg.paths.reports, "mcq_report.json")
     else:
         pairs = _load_eval_records(paths["dialogue"], "dialogue")
@@ -324,6 +325,7 @@ def cmd_eval(cfg, kind, checkpoint):
                                      max_new_tokens=cfg.eval.max_new_tokens)
         out = os.path.join(cfg.paths.reports, "dialogue_report.json")
     E.write_report(report, out)
+    E.write_items(report, os.path.join(cfg.paths.reports, f"{kind}_items.jsonl"))
     print(report.table())
     print(f"report written to {out}")
     return 0

@@ -37,6 +37,7 @@ class EvalReport:
     rouge2: float | None = None
     rougeL: float | None = None
     extra: dict = field(default_factory=dict)
+    items: list = field(default_factory=list, repr=False)  # per-item records, not in as_dict
 
     def as_dict(self):
         """Machine-readable form; metric fields scaled x100 like the tables."""
@@ -216,14 +217,15 @@ def evaluate_mcq(state, vocab, items, few_shot_k, max_new_tokens=8):
     if not items:
         raise DataError("evaluate_mcq: no items")
     max_prompt = state.params.config.max_seq_len - max_new_tokens - 1
+    prompts = []
     for idx, item in enumerate(items):
         try:
-            prompt = mcq_prompt(items, idx, few_shot_k, max_prompt)
-            item.generated = generate_text(state, vocab, prompt, max_new_tokens)
+            prompts.append(mcq_prompt(items, idx, few_shot_k, max_prompt))
+            item.generated = generate_text(state, vocab, prompts[-1], max_new_tokens)
         except Exception as exc:
             raise DataError(f"item {idx}: {exc}") from exc
     report = EvalReport(n_items=len(items), accuracy=accuracy(items),
-                        weighted_f1=weighted_f1(items))
+                        weighted_f1=weighted_f1(items), items=mcq_records(items, prompts))
     scored = [(it.generated, it.reference) for it in items if it.reference]
     if scored:
         _add_generation_metrics(report, scored)
@@ -242,18 +244,38 @@ def evaluate_dialogue(state, vocab, pairs, max_new_tokens=64):
             raise DataError(f"item {idx}: {exc}") from exc
         scored.append((generated, reference))
     report = EvalReport(n_items=len(pairs))
-    _add_generation_metrics(report, scored)
+    scores = _add_generation_metrics(report, scored)
+    report.items = [{"index": idx, "prompt": prompt, "generated": generated,
+                     "reference": reference, **row}
+                    for idx, ((prompt, _), (generated, reference), row)
+                    in enumerate(zip(pairs, scored, scores))]
     return report
 
 
+def mcq_records(items, prompts):
+    """Per item: its index, prompt (None when none was decoded), generated
+    text, the letters ``extract_choice`` reads from it and the gold letters,
+    each set written in letter order as ``mcq.jsonl`` writes gold."""
+    return [{"index": idx, "prompt": prompt, "generated": it.generated,
+             "letters": "".join(sorted(extract_choice(it.generated, set(it.options)))),
+             "gold": it.answer}
+            for idx, (it, prompt) in enumerate(zip(items, prompts))]
+
+
 def _add_generation_metrics(report, scored):
-    n = len(scored)
-    report.bleu1 = sum(bleu_n(c, r, 1) for c, r in scored) / n
-    report.bleu4 = sum(bleu_n(c, r, 4) for c, r in scored) / n
-    report.rouge1 = sum(rouge_n(c, r, 1) for c, r in scored) / n
-    report.rouge2 = sum(rouge_n(c, r, 2) for c, r in scored) / n
-    report.rougeL = sum(rouge_l(c, r) for c, r in scored) / n
+    """Set the report's BLEU and ROUGE to their means over the (candidate,
+    reference) pairs; return each pair's scores."""
+    rows = [{"bleu1": bleu_n(c, r, 1), "bleu4": bleu_n(c, r, 4), "rouge1": rouge_n(c, r, 1),
+             "rouge2": rouge_n(c, r, 2), "rougeL": rouge_l(c, r)} for c, r in scored]
+    for name in rows[0]:
+        setattr(report, name, sum(row[name] for row in rows) / len(rows))
+    return rows
 
 
 def write_report(report, path):
     atomic_write(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n", path)
+
+
+def write_items(report, path):
+    """``report.items`` as JSON lines, one record per item, in item order."""
+    atomic_write("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in report.items), path)

@@ -51,10 +51,11 @@ def encode(vocab, text):
 
 
 def decode(vocab, ids):
-    try:
-        return "".join(vocab.symbols[i] for i in ids)
-    except IndexError:
-        raise VocabError(f"token id out of range [0, {len(vocab)})") from None
+    """The symbols of ``ids``; VocabError for an id outside ``[0, len(vocab))``,
+    checked before indexing, which would wrap a negative id to the end."""
+    if not all(0 <= i < len(vocab) for i in ids):
+        raise VocabError(f"token id out of range [0, {len(vocab)})")
+    return "".join(vocab.symbols[i] for i in ids)
 
 
 def decode_text(vocab, ids):
@@ -395,6 +396,11 @@ def decode_logits(config, plan, cache, tokens):
     stream and the one ``wq|wk|wv`` product round differently from the
     graph forward.
 
+    The prefill, and any call of several tokens, runs on rows: ``[L, d]``
+    matrices. One token on a non-empty cache, each step of greedy
+    decoding, runs the same math on 1-D vectors (``_decode_step``); the
+    choice depends only on that input shape.
+
     The residual stream is centered: ``embed[tokens] + pos`` has each row's
     mean subtracted on entry, and every write into it has mean 0
     (``decode_plan``), so layer norm's mean subtraction has nothing to
@@ -418,6 +424,8 @@ def decode_logits(config, plan, cache, tokens):
     if not start < end <= c.max_seq_len:
         raise DataError(f"decode_logits: positions [{start}, {end}) "
                         f"for max_seq_len {c.max_seq_len}")
+    if start and end - start == 1:
+        return _decode_step(c, plan, cache, tokens[0], start)
     mean = plan.mean
     x = plan.embed[tokens] + plan.pos[start:end]
     x -= x @ mean
@@ -437,6 +445,46 @@ def decode_logits(config, plan, cache, tokens):
         ff = np.maximum(_rms_normalize(x, mean) @ w1 + b1, 0.0)
         x = x + (ff @ w2 + b2)
     return (_rms_normalize(x, mean) @ plan.head + plan.head_bias)[0]
+
+
+def _rms_normalize_vector(x):
+    """``_rms_normalize`` of one position's stream ``x`` [d], from one dot product."""
+    return x * (1.0 / math.sqrt(x @ x / len(x) + T.NORM_EPS))
+
+
+def _decode_step(config, plan, cache, token, start):
+    """``decode_logits`` of one token at position ``start`` of a non-empty
+    cache, on 1-D vectors. Each layer's keys and values are read as
+    ``[2H, start + 1, dh]`` views of the cache buffer, unmasked, since the
+    last query sees every key; the softmax sums divide the ``[H, dh]`` head
+    outputs instead of the probabilities."""
+    h = config.n_heads
+    d = config.d_model
+    end = start + 1
+    x = plan.embed[token] + plan.pos[start]
+    x -= x @ plan.mean
+    for i, (wqkv, bqkv, wo, w1, b1, w2, b2) in enumerate(plan.layers):
+        qkv = _rms_normalize_vector(x) @ wqkv
+        qkv += bqkv
+        kv = cache[i].base
+        kv[start] = qkv[d:]
+        cache[i] = kv[:end]
+        heads = kv[:end].reshape(end, 2 * h, -1).transpose(1, 0, 2)  # keys, then values
+        p = qkv[:d].reshape(h, 1, -1) @ heads[:h].swapaxes(1, 2)  # [H, 1, end]
+        p -= np.maximum.reduce(p, axis=2, keepdims=True)
+        np.exp(p, out=p)
+        att = p @ heads[h:]
+        att /= np.add.reduce(p, axis=2, keepdims=True)
+        x += att.reshape(d) @ wo
+        ff = _rms_normalize_vector(x) @ w1
+        ff += b1
+        np.maximum(ff, 0.0, out=ff)
+        ff = ff @ w2
+        ff += b2
+        x += ff
+    out = _rms_normalize_vector(x) @ plan.head
+    out += plan.head_bias
+    return out
 
 
 def _bits(buf):
@@ -505,8 +553,9 @@ def generate_greedy(params, adapter, prompt_ids, max_new, stop_id=EOS):
     rounding, not bit for bit, and an argmax within rounding of a tie may
     pick another token. Prompt ids must be integers in ``[0, vocab_size)``
     and ``max_new`` an integer >= 0, else DataError. The prompt is encoded
-    once into a KV cache, with logits for its last position only, and each
-    step feeds only the new token. Past ``max_seq_len`` the window slides,
+    once into a KV cache, on rows, with logits for its last position only,
+    and each step feeds only the new token, which runs on vectors. Past
+    ``max_seq_len`` the window slides,
     which moves every absolute position, so the cache is dropped and the
     last window re-encoded.
     """

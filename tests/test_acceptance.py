@@ -402,33 +402,37 @@ def test_decoder_matches_forward(pipeline):
     of every dialogue prompt's greedy continuation agree with the graph
     forward over the same tokens within 1024 eps32 of the row's largest
     logit (the bound ``tests/test_model.py::TestDecodePlan`` holds random
-    float32 tables to)."""
+    float32 tables to): the forward on the float32 tables, and on float64
+    copies of them, which holds the decoder to the exact logits rather than
+    to another float32 computation."""
     base = pipeline["base"]
     vocab = M.load_vocab(base / "data" / "vocab.txt")
     dialogue, _ = D.load_dataset(base / "data" / "dialogue_eval.jsonl", "dialogue")
     prompts = [[M.BOS] + M.encode(vocab, D.render_bare_prompt(p)) for p, _ in dialogue]
-    worst = {}
+    worst = {}  # stage -> largest error against the float32 and the float64 forward
     for stage in ("cpt", "sft", "dpo"):
         state = TR.load_checkpoint(base / "ckpt" / f"{stage}.ckpt")
         config = state.params.config
-        plan = M.decode_plan(state.params, state.adapter)
-        worst[stage] = 0.0
+        tables = (state.params, state.adapter)
+        tables64 = tuple(None if t is None else oracles.float64_table(t) for t in tables)
+        plan = M.decode_plan(*tables)
+        worst[stage] = [0.0, 0.0]
         for ids in prompts:
-            out = M.generate_greedy(state.params, state.adapter, ids,
-                                    pipeline["cfg"].eval.max_new_tokens)
+            out = M.generate_greedy(*tables, ids, pipeline["cfg"].eval.max_new_tokens)
             tokens = ids + out[:-1]
             assert len(tokens) <= config.max_seq_len  # one cache, no sliding window
             cache = []
             got = [M.decode_logits(config, plan, cache, ids)]
             got += [M.decode_logits(config, plan, cache, [t]) for t in out[:-1]]
-            with T.no_grad():
-                want = M.forward_logits(state.params, state.adapter, tokens).data[len(ids) - 1:]
-            rel = np.abs(np.stack(got) - want) / np.abs(want).max(axis=-1, keepdims=True)
-            worst[stage] = max(worst[stage], float(rel.max()))
-    ok = max(worst.values()) <= 1024 * np.finfo(np.float32).eps
+            for k, forward_tables in enumerate((tables, tables64)):
+                with T.no_grad():
+                    want = M.forward_logits(*forward_tables, tokens).data[len(ids) - 1:]
+                rel = np.abs(np.stack(got) - want) / np.abs(want).max(axis=-1, keepdims=True)
+                worst[stage][k] = max(worst[stage][k], float(rel.max()))
+    ok = max(max(w) for w in worst.values()) <= 1024 * np.finfo(np.float32).eps
     _report("decoder-matches-forward", ok,
-            "largest |decode - forward| / row max: "
-            + ", ".join(f"{stage} {r:.1e}" for stage, r in worst.items()))
+            "largest |decode - forward| / row max, float32 forward | float64 forward: "
+            + ", ".join(f"{stage} {r32:.1e} | {r64:.1e}" for stage, (r32, r64) in worst.items()))
 
 
 def test_determinism(tmp_path_factory):
@@ -446,7 +450,8 @@ def test_determinism(tmp_path_factory):
     mismatches = []
     for rel in ("ckpt/cpt.ckpt", "ckpt/sft.ckpt", "ckpt/dpo.ckpt",
                 "reports/cpt_metrics.csv", "reports/sft_metrics.csv",
-                "reports/dpo_metrics.csv", "reports/mcq_report.json"):
+                "reports/dpo_metrics.csv", "reports/mcq_report.json",
+                "reports/mcq_items.jsonl"):
         if (base_a / rel).read_bytes() != (base_b / rel).read_bytes():
             mismatches.append(rel)
     _report("determinism", not mismatches,

@@ -585,6 +585,69 @@ class TestPipelineCommands:
     def test_eval_dialogue_without_checkpoint_fails(self, built):
         assert cli.main(["--config", str(built), "eval", "dialogue"]) == 1
 
+    @staticmethod
+    def _items(path):
+        return [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+
+    def test_eval_item_dumps_rebuild_the_reports(self, built, tmp_path):
+        """``eval mcq`` and ``eval dialogue`` write one JSON line per item,
+        with the same bytes on a repeat run; the report's accuracy and BLEU-1
+        follow from them."""
+        for stage in ("cpt", "sft"):
+            assert cli.main(["--config", str(built), "train", stage]) == 0
+        ckpt = str(tmp_path / "ckpt" / "sft.ckpt")
+        reports = tmp_path / "reports"
+        dumps = []
+        for _ in range(2):
+            for kind in ("mcq", "dialogue"):
+                assert cli.main(["--config", str(built), "eval", kind,
+                                 "--checkpoint", ckpt]) == 0
+            dumps.append([(reports / f"{kind}_items.jsonl").read_bytes()
+                          for kind in ("mcq", "dialogue")])
+        assert dumps[0] == dumps[1]
+
+        cfg, _ = cli.validate_config(built)
+        items, _ = D.load_dataset(tmp_path / "data" / "mcq.jsonl", "mcq")
+        mcq = self._items(reports / "mcq_items.jsonl")
+        assert [r["index"] for r in mcq] == list(range(len(items)))
+        for r, it in zip(mcq, items):
+            assert r["prompt"] == E.mcq_prompt(items, r["index"], cfg.eval.few_shot_k)
+            assert r["gold"] == it.answer
+            assert r["letters"] == "".join(sorted(E.extract_choice(r["generated"],
+                                                                   it.options)))
+        report = json.loads((reports / "mcq_report.json").read_text("utf-8"))
+        hits = sum(r["letters"] == r["gold"] for r in mcq)
+        assert report["accuracy"] == round(100 * hits / len(mcq), 4)
+
+        pairs, _ = D.load_dataset(tmp_path / "data" / "dialogue_eval.jsonl", "dialogue")
+        dialogue = self._items(reports / "dialogue_items.jsonl")
+        assert [(r["index"], r["prompt"], r["reference"]) for r in dialogue] == [
+            (i, D.render_bare_prompt(p), ref) for i, (p, ref) in enumerate(pairs)]
+        for r in dialogue:
+            assert r["bleu1"] == E.bleu_n(r["generated"], r["reference"], 1)
+            assert r["rouge1"] == E.rouge_n(r["generated"], r["reference"], 1)
+            assert r["rougeL"] == E.rouge_l(r["generated"], r["reference"])
+        report = json.loads((reports / "dialogue_report.json").read_text("utf-8"))
+        assert report["bleu1"] > 0
+        assert report["bleu1"] == round(100 * sum(r["bleu1"] for r in dialogue)
+                                        / len(dialogue), 4)
+
+    def test_eval_mcq_item_dump_of_prefilled_answers(self, built, tmp_path):
+        path = tmp_path / "data" / "mcq.jsonl"
+        items, _ = D.load_dataset(path, "mcq")
+        for it in items[::2]:  # every other item answered right, with a separator
+            it.generated = "答案：" + "、".join(it.answer)
+        path.write_text("".join(json.dumps(D.to_json(it), ensure_ascii=False) + "\n"
+                                for it in items), encoding="utf-8")
+        assert cli.main(["--config", str(built), "eval", "mcq"]) == 0
+        mcq = self._items(tmp_path / "reports" / "mcq_items.jsonl")
+        assert [(r["prompt"], r["generated"], r["gold"]) for r in mcq] == [
+            (None, it.generated, it.answer) for it in items]
+        hits = sum(r["letters"] == r["gold"] for r in mcq)
+        assert hits == len(items[::2])
+        report = json.loads((tmp_path / "reports" / "mcq_report.json").read_text("utf-8"))
+        assert report["accuracy"] == round(100 * hits / len(mcq), 4)
+
 
 def test_cpt_on_corpus_shorter_than_one_block_fails(tmp_path, capsys):
     path = _write_config(tmp_path)

@@ -46,8 +46,9 @@ class TestVocab:
 
     def test_decode_out_of_range(self):
         vocab = M.build_vocab(["ab"])
-        with pytest.raises(VocabError):
-            M.decode(vocab, [99])
+        for bad in ([99], [-1], [4, 6], [4, -6]):
+            with pytest.raises(VocabError, match=r"out of range \[0, 6\)"):
+                M.decode(vocab, bad)
 
     def test_decode_text_drops_specials(self):
         vocab = M.build_vocab(["ab"])
@@ -658,10 +659,11 @@ class TestDecodePlan:
     after it, so these tables have gains and biases far from 1 and 0, and an
     adapter on all four attention projections with B != 0."""
 
-    @pytest.fixture(params=[np.float64, np.float32])
-    def tables(self, request, tiny_config):
-        rng = np.random.default_rng(11)
-        params = M.init_params(tiny_config, rng, init_scale=0.5)
+    @staticmethod
+    def _random_tables(config, seed):
+        """float32 params and adapter drawn from rng ``seed``."""
+        rng = np.random.default_rng(seed)
+        params = M.init_params(config, rng, init_scale=0.5)
         for name, t in params.named():
             if name.endswith(".g"):
                 t.data[...] = 1.0 + 0.5 * rng.standard_normal(t.data.shape)
@@ -670,20 +672,30 @@ class TestDecodePlan:
         adapter = M.attach_lora(params, M.LoraConfig(rank=2, dropout=0.0,
                                                      targets=("wq", "wk", "wv", "wo")), rng)
         adapter.data[...] = 0.3 * rng.standard_normal(adapter.data.shape)
+        return params, adapter
+
+    @pytest.fixture(params=[np.float64, np.float32])
+    def tables(self, request, tiny_config):
+        params, adapter = self._random_tables(tiny_config, 11)
         if request.param == np.float64:
             params, adapter = oracles.float64_table(params), oracles.float64_table(adapter)
         return params, adapter
 
     _ROW_OFFSETS = {"embed": 4.0, "pos": -2.0, "wo": 1.0, "ffn.w2": 1.0, "ffn.b2": 3.0}
+    _LARGE_ROW_OFFSETS = dict(_ROW_OFFSETS, embed=40.0, pos=-20.0)
+    _TOKENS = [M.BOS] + [int(t) for t in np.random.default_rng(5).integers(4, 13, 23)]
+    _ROWS = [*range(9, 21), 23]  # the positions whose logits _decode returns
 
     @staticmethod
     def _assert_close(got, want, eps32=1024):
         if got.dtype == np.float64:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         else:
-            # float32 rounding through the layer norms: measured at most 190
-            # eps32 of the row's largest logit over 40 tables like these
-            # (the float32 forward itself is up to 124 eps32 off float64)
+            # float32 rounding through the layer norms: measured at most 22
+            # eps32 of the row's largest logit on this fixture's table, but
+            # 899 over 200 tables like it (seeds 1000-1199), where the float32
+            # forward itself is up to 630 eps32 off float64;
+            # test_many_tables_against_float64 covers that spread
             bound = eps32 * np.finfo(np.float32).eps * np.abs(want).max(axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= bound)
 
@@ -694,37 +706,42 @@ class TestDecodePlan:
                               [f"layer{i}.{name}" for i in range(config.n_layers)]):
                 params[full_name].data[...] += offset
 
+    @classmethod
+    def _decode(cls, config, params, adapter):
+        """The decoder's logits at ``_ROWS`` of ``_TOKENS``: a prefill,
+        one-token steps, then three tokens continuing the cache."""
+        tokens = cls._TOKENS
+        plan, cache = M.decode_plan(params, adapter), []
+        got = [M.decode_logits(config, plan, cache, tokens[:10])]
+        got += [M.decode_logits(config, plan, cache, [t]) for t in tokens[10:21]]
+        got.append(M.decode_logits(config, plan, cache, tokens[21:]))
+        return np.stack(got)
+
     def _assert_steps_match_full_forward(self, config, params, adapter, eps32_64=1024,
                                          table_forward=True):
         """The decoder against ``forward_logits`` on float64 copies of the
         tables, within ``eps32_64`` eps32 of the row maximum for float32
         tables, and, if ``table_forward``, on the tables themselves."""
-        tokens = [M.BOS] + [int(t) for t in np.random.default_rng(5).integers(4, 13, 23)]
-        rows = [*range(9, 21), 23]
-        plan, cache = M.decode_plan(params, adapter), []
-        # a prefill, one-token steps, then three tokens continuing the cache
-        got = [M.decode_logits(config, plan, cache, tokens[:10])]
-        got += [M.decode_logits(config, plan, cache, [t]) for t in tokens[10:21]]
-        got.append(M.decode_logits(config, plan, cache, tokens[21:]))
-        got = np.stack(got)
+        got = self._decode(config, params, adapter)
         assert got.dtype == params.data.dtype
         if table_forward:
-            self._assert_close(got, M.forward_logits(params, adapter, tokens).data[rows])
+            self._assert_close(got, M.forward_logits(params, adapter, self._TOKENS)
+                               .data[self._ROWS])
         full64 = M.forward_logits(oracles.float64_table(params), oracles.float64_table(adapter),
-                                  tokens).data
-        self._assert_close(got, full64[rows], eps32_64)
+                                  self._TOKENS).data
+        self._assert_close(got, full64[self._ROWS], eps32_64)
 
     def test_steps_match_full_forward(self, tiny_config, tables):
-        # against float64: measured at most 908 eps32 over 200 tables like these
+        # against float64: measured at most 888 eps32 over 200 tables like these
         self._assert_steps_match_full_forward(tiny_config, *tables)
 
     def test_row_offsets_keep_the_bounds(self, tiny_config, tables):
         # A constant added along a row moves the row's mean, which layer norm
         # removes. The decoder subtracts it once, where the embeddings enter
         # the stream, and from every array that writes into the stream, so
-        # large ones test that cancellation. Measured at most 516 eps32 of the
-        # row's largest logit over 40 float32 tables like these, and 323
-        # against float64 (1,349 over 200 tables).
+        # large ones test that cancellation. Measured at most 379 eps32 of the
+        # row's largest logit over 40 float32 tables like these (2,842 over
+        # 200), and 284 against float64 (1,091 over 200).
         params, adapter = tables
         self._add_row_offsets(tiny_config, params, self._ROW_OFFSETS)
         self._assert_steps_match_full_forward(tiny_config, params, adapter)
@@ -734,13 +751,36 @@ class TestDecodePlan:
         # subtraction in the graph forward loses the low bits of every row
         # (up to 31,159 eps32 off float64 over 200 tables like these), so
         # only the float64 forward is a reference. The decoder, which removes
-        # the offsets where the embeddings enter, measured at most 7,134
-        # eps32 off it over the same 200 tables, and 114 on this one.
+        # the offsets where the embeddings enter, measured at most 7,133
+        # eps32 off it over the same 200 tables, and 113 on this one.
         params, adapter = tables
-        self._add_row_offsets(tiny_config, params,
-                              dict(self._ROW_OFFSETS, embed=40.0, pos=-20.0))
+        self._add_row_offsets(tiny_config, params, self._LARGE_ROW_OFFSETS)
         self._assert_steps_match_full_forward(tiny_config, params, adapter, eps32_64=8192,
                                               table_forward=False)
+
+    @pytest.mark.parametrize("offsets", ["none", "row", "large row"])
+    def test_many_tables_against_float64(self, tiny_config, offsets):
+        # How far a float32 computation lands from the exact logits depends
+        # on the table: on these 200 the float32 graph forward is 2 to 630
+        # eps32 of the row maximum off float64, 3,512 with the row offsets
+        # and 31,159 with the large ones. So each table's bound is 1024 eps32
+        # plus twice the graph forward's own error on it. Measured at most
+        # 654, 187 and 704 eps32 above twice that error, and 888, 1,091 and
+        # 7,133 eps32 off float64.
+        offsets = {"none": {}, "row": self._ROW_OFFSETS,
+                   "large row": self._LARGE_ROW_OFFSETS}[offsets]
+        for seed in range(1000, 1200):
+            params, adapter = self._random_tables(tiny_config, seed)
+            self._add_row_offsets(tiny_config, params, offsets)
+            got = self._decode(tiny_config, params, adapter)
+            with T.no_grad():
+                graph = M.forward_logits(params, adapter, self._TOKENS).data[self._ROWS]
+                want = M.forward_logits(oracles.float64_table(params),
+                                        oracles.float64_table(adapter),
+                                        self._TOKENS).data[self._ROWS]
+            eps32 = np.finfo(np.float32).eps * np.abs(want).max(axis=-1, keepdims=True)
+            bound = 1024 + 2 * (np.abs(graph - want) / eps32).max()
+            assert (np.abs(got - want) / eps32).max() <= bound, f"table seed {seed}"
 
     def test_slid_window_matches_full_forward(self, tiny_config, tables):
         # past max_seq_len generate_greedy re-encodes the last window on a

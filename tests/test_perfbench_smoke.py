@@ -62,6 +62,26 @@ def test_generate_reuses_its_decode_plan(workloads, tmp_path, monkeypatch):
     assert counts[0] <= 1 and counts[1] == 0, counts
 
 
+def test_generate_steps_run_on_vectors(workloads, tmp_path, monkeypatch):
+    """In the ``generate`` workload every token after a request's first is
+    one ``decode_logits`` call on one token, which runs the vector step
+    (``model._decode_step``) and not the matrix path of the prefill."""
+    steps = []
+    decode_step = M._decode_step
+
+    def recording(*args):
+        steps.append(args[-1])  # the position it decodes
+        return decode_step(*args)
+
+    workload = workloads.WORKLOADS["generate"](str(tmp_path / "generate"), seed=0)
+    workload.setup()
+    monkeypatch.setattr(M, "_decode_step", recording)
+    it = workload.iterate()
+    workload.check(it)
+    assert it.failed == 0
+    assert len(steps) == sum(len(out) - 1 for out in it.outputs) > 0
+
+
 def test_traced_pretrain_run_is_correct(tmp_path):
     """``perfbench/run.py --workload pretrain --trace 1``, run on a copy of
     the checkout so its output directories stay out of it. The tracer hooks
