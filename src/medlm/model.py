@@ -59,8 +59,9 @@ def decode(vocab, ids):
 
 
 def decode_text(vocab, ids):
-    """Decode, dropping special tokens (for human-facing generation output)."""
-    return "".join(vocab.symbols[i] for i in ids if i >= len(SPECIAL_SYMBOLS))
+    """``decode`` of ``ids`` without their special tokens (for human-facing
+    generation output); the same VocabError for an id out of range."""
+    return decode(vocab, [i for i in ids if not 0 <= i < len(SPECIAL_SYMBOLS)])
 
 
 def save_vocab(vocab, path):
@@ -120,11 +121,11 @@ class ModelConfig:
 class LoraConfig:
     rank: int = 8
     alpha: float = 32.0
-    dropout: float = 0.05
+    dropout: float = 0.0  # 0 only: checkpoint headers and perfbench's configs still carry it
     targets: tuple = ("wq", "wv")
 
     def __post_init__(self):
-        check_fields(self, rank="[1, inf)", alpha="(0, inf)", dropout="[0, 1)")
+        check_fields(self, rank="[1, inf)", alpha="(0, inf)", dropout="[0, 0]")
 
 
 class ParamTable:
@@ -268,18 +269,17 @@ def merge_lora(params, adapter):
     return merged
 
 
-def _project(x, params, adapter, name, rng):
+def _project(x, params, adapter, name):
     y = x @ params[name]
     if adapter is not None:
         pair = adapter.pair(name)
         if pair is not None:
             a, b = pair
-            xd = T.dropout(x, adapter.config.dropout, rng)
-            y = y + adapter.scaling() * ((xd @ a) @ b)
+            y = y + adapter.scaling() * ((x @ a) @ b)
     return y
 
 
-def forward_logits(params, adapter, tokens, train_rng=None, lengths=None, scored=None):
+def forward_logits(params, adapter, tokens, lengths=None, scored=None):
     """Logits for token-flat tokens [N]: one sequence, or several back to
     back with segment ``lengths`` (default: one segment). Position ids
     restart at 0 in each segment, and a position sees only the tokens <= it
@@ -320,10 +320,10 @@ def forward_logits(params, adapter, tokens, train_rng=None, lengths=None, scored
         hq, q_lengths = h, lengths
         if rows is not None and i == c.n_layers - 1:  # from here on, the scored rows only
             hq, x, q_lengths = T.gather_rows(h, rows), T.gather_rows(x, rows), scored
-        q, k, v = (_project(t, params, adapter, p + w, train_rng)
+        q, k, v = (_project(t, params, adapter, p + w)
                    for t, w in ((hq, "wq"), (h, "wk"), (h, "wv")))
         att = T.causal_attention(q, k, v, q_lengths, lengths, c.n_heads)
-        x = x + _project(att, params, adapter, p + "wo", train_rng)
+        x = x + _project(att, params, adapter, p + "wo")
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
         x = x + T.feed_forward(h2, *(params[p + "ffn." + w] for w in ("w1", "b1", "w2", "b2")))
     x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
@@ -390,7 +390,7 @@ def _rms_normalize(x, mean):
 
 def decode_logits(config, plan, cache, tokens):
     """Logits ``[V]`` of the last of ``tokens``, the transformer run on the
-    plain arrays of a ``decode_plan``, with no graph or dropout. On an empty
+    plain arrays of a ``decode_plan``, with no graph. On an empty
     cache it is ``forward_logits`` of one segment with ``scored=[1]``, up to
     rounding: the folded layer norms and attention scale, the centered
     stream and the one ``wq|wk|wv`` product round differently from the

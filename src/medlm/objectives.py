@@ -28,7 +28,7 @@ from .data import render_bare_prompt, render_prompt
 from .errors import DataError, ShapeError
 
 
-def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
+def _score(params, adapter, inputs, targets, coef, groups):
     """Sums of coef * log P(target) per group, a Tensor [max(groups) + 1],
     from one ragged forward. ``inputs``, ``targets`` and ``coef`` hold one
     array per sequence, ``groups`` one group. The forward takes the
@@ -45,8 +45,7 @@ def _score(params, adapter, inputs, targets, coef, groups, train_rng=None):
     tokens, targets, coef = (np.concatenate([a[i] for i in order])
                              for a in (inputs, targets, coef))
     keep = np.arange(tokens.size) >= np.repeat(np.cumsum(lengths) - scored, lengths)
-    logits = M.forward_logits(params, adapter, tokens, train_rng=train_rng, lengths=lengths,
-                              scored=scored)
+    logits = M.forward_logits(params, adapter, tokens, lengths=lengths, scored=scored)
     return T.logprob_sums(logits, targets[keep], coef[keep],
                           np.repeat(np.asarray(groups)[order], lengths)[keep], max(groups) + 1)
 
@@ -74,7 +73,7 @@ def sft_tokens(ex, vocab):
     return ids, weights
 
 
-def sft_loss(params, adapter, batch, vocab, train_rng=None, target_override=None):
+def sft_loss(params, adapter, batch, vocab, target_override=None):
     """Batch mean of each example's mean NLL over its response tokens, from
     one ragged forward; prompt positions contribute 0.
 
@@ -91,12 +90,11 @@ def sft_loss(params, adapter, batch, vocab, train_rng=None, target_override=None
         coef.append(w * (-1.0 / (w.sum() * len(batch))))  # each example's sum to -1/B
     targets = ([ids[1:] for ids in seqs] if target_override is None else
                np.split(np.asarray(target_override), np.cumsum([len(x) - 1 for x in seqs])[:-1]))
-    nll = _score(params, adapter, [ids[:-1] for ids in seqs], targets, coef,
-                 [0] * len(batch), train_rng)
+    nll = _score(params, adapter, [ids[:-1] for ids in seqs], targets, coef, [0] * len(batch))
     return T.tsum(nll)
 
 
-def sequence_logprob(params, adapter, sequences, paired=False, train_rng=None):
+def sequence_logprob(params, adapter, sequences, paired=False):
     """Response log-prob sums from one ragged forward over ``sequences``, a
     list of (prompt ids, response ids): log P(response | prompt) per
     sequence, a Tensor [len(sequences)]. With ``paired``, consecutive
@@ -115,8 +113,7 @@ def sequence_logprob(params, adapter, sequences, paired=False, train_rng=None):
         sign = -1.0 if paired and j % 2 else 1.0
         coef.append([0.0] * (len(prompt_ids) - 1) + [sign] * len(response_ids))
     per = 2 if paired else 1
-    return _score(params, adapter, inputs, targets, coef,
-                  np.arange(len(sequences)) // per, train_rng)
+    return _score(params, adapter, inputs, targets, coef, np.arange(len(sequences)) // per)
 
 
 def _pair_sequences(pairs, vocab):
@@ -140,7 +137,7 @@ def preference_margins(params, adapter, pairs, vocab, batch_size=8):
             for i in range(0, len(pairs), batch_size)])
 
 
-def dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference, train_rng=None):
+def dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference):
     """beta * (policy margin - reference margin) per pair, a Tensor
     [len(pairs)]: the chosen response's implicit reward minus the rejected
     one's. ``reference`` holds the frozen reference model's
@@ -149,13 +146,12 @@ def dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference, train_rn
     The partition term beta*log Z is prompt-only and cancels in the
     difference, so it is omitted here.
     """
-    policy = sequence_logprob(params, adapter, _pair_sequences(pairs, vocab), paired=True,
-                              train_rng=train_rng)
+    policy = sequence_logprob(params, adapter, _pair_sequences(pairs, vocab), paired=True)
     return beta * (policy - reference)
 
 
-def dpo_loss(params, adapter, beta, pairs, vocab, reference, train_rng=None):
+def dpo_loss(params, adapter, beta, pairs, vocab, reference):
     """Mean over pairs of -log sigmoid(reward margin); returns (loss, the
     reward margins as an array). ``reference`` as for dpo_implicit_reward."""
-    rewards = dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference, train_rng)
+    rewards = dpo_implicit_reward(params, adapter, beta, pairs, vocab, reference)
     return (-1.0 / len(pairs)) * T.tsum(T.log_sigmoid(rewards)), rewards.data

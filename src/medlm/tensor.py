@@ -246,21 +246,6 @@ def gather_rows(table, ids):
     return _make(table.data[ids], (table,), bwd)
 
 
-def dropout(a, rate, rng):
-    """Inverted dropout, multipliers 0 or 1 / (1 - rate) in a's dtype;
-    identity when rate == 0 or rng is None."""
-    if rate <= 0.0 or rng is None:
-        return a
-    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
-    keep /= 1.0 - rate
-
-    def bwd(g, a=a, keep=keep):
-        if a.requires_grad:
-            _accumulate(a, g * keep)
-
-    return _make(a.data * keep, (a,), bwd)
-
-
 def layer_norm(x, gain, bias):
     """Normalize over the last axis, then scale and shift."""
     n = x.data.shape[-1]

@@ -223,7 +223,6 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
     if cfg.stage == "cpt":
         grad_step = _CptStep(params, dataset)
     else:
-        train_rng = np.random.default_rng(cfg.seed + 1)
         if cfg.stage == "dpo" and total_steps:
             reference = O.preference_margins(params, None, dataset, vocab, cfg.batch_size)
 
@@ -231,11 +230,10 @@ def run_stage(state, cfg, dataset, vocab=None, log_path=None):
             trainable.grad.fill(0.0)
             batch = [dataset[i] for i in idx]
             if cfg.stage == "sft":
-                graph = O.sft_loss(params, adapter, batch, vocab, train_rng=train_rng)
+                graph = O.sft_loss(params, adapter, batch, vocab)
                 extra = {}
             else:
-                graph, rewards = O.dpo_loss(params, adapter, cfg.beta, batch, vocab,
-                                            reference[idx], train_rng=train_rng)
+                graph, rewards = O.dpo_loss(params, adapter, cfg.beta, batch, vocab, reference[idx])
                 extra = {"reward_margin": float(rewards.mean()),
                          "reward_acc": float((rewards > 0).mean())}
             backward(graph)

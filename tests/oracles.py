@@ -296,14 +296,53 @@ def adamw_ref(w, g, m, v, step, lr, weight_decay, beta1, beta2, eps):
     w -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
 
 
-def score_full_ref(params, adapter, inputs, targets, coef, groups, train_rng=None):
+def score_full_ref(params, adapter, inputs, targets, coef, groups):
     """``objectives._score`` as it was before it trimmed rows: logits and
     log-probs for every position, zero-coefficient rows multiplied by 0."""
     lengths = [len(x) for x in inputs]
-    logits = M.forward_logits(params, adapter, np.concatenate(inputs), train_rng=train_rng,
-                              lengths=lengths)
+    logits = M.forward_logits(params, adapter, np.concatenate(inputs), lengths=lengths)
     return T.logprob_sums(logits, np.concatenate(targets), np.concatenate(coef),
                           np.repeat(groups, lengths), max(groups) + 1)
+
+
+def forward_logits_ref(params, adapter, tokens):
+    """``forward_logits`` of one segment written out in plain numpy and
+    computed in long double: a reference for float64 tables on platforms
+    where long double is wider than float64."""
+    ld, c, n = np.longdouble, params.config, len(tokens)
+    t = {name: x.data.astype(ld) for name, x in params.named()}
+    dh = c.d_model // c.n_heads
+
+    def norm(x, name):
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        inv = 1 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + ld(T.NORM_EPS))
+        return xhat * inv * t[name + ".g"] + t[name + ".b"]
+
+    def project(x, name):
+        y = x @ t[name]
+        pair = None if adapter is None else adapter.pair(name)
+        if pair is not None:
+            a, b = (m.data.astype(ld) for m in pair)
+            y = y + ld(adapter.scaling()) * ((x @ a) @ b)
+        return y
+
+    def heads(x):
+        return x.reshape(n, c.n_heads, dh).transpose(1, 0, 2)
+
+    causal = np.tril(np.ones((n, n), dtype=bool))
+    x = t["embed"][np.asarray(tokens)] + t["pos"][:n]
+    for i in range(c.n_layers):
+        p = f"layer{i}."
+        h = norm(x, p + "ln1")
+        q, k, v = (heads(project(h, p + w)) for w in ("wq", "wk", "wv"))
+        logit = np.where(causal, q @ k.transpose(0, 2, 1) / np.sqrt(ld(dh)), -np.inf)
+        e = np.exp(logit - logit.max(axis=-1, keepdims=True))
+        att = (e / e.sum(axis=-1, keepdims=True)) @ v
+        x = x + project(att.transpose(1, 0, 2).reshape(n, -1), p + "wo")
+        h = norm(x, p + "ln2")
+        hid = np.maximum(h @ t[p + "ffn.w1"] + t[p + "ffn.b1"], 0)
+        x = x + hid @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
+    return norm(x, "ln_f") @ t["head"]
 
 
 # -- gradient checking -------------------------------------------------

@@ -133,7 +133,7 @@ class TestValidateConfig:
         raw = json.loads(path.read_text("utf-8"))
         given = {"learning_rate": 0.5, "warmup_ratio": 0.5, "weight_decay": 0.5,
                  "epochs": 7, "batch_size": 7, "beta": 0.5, "seed": 7,
-                 "lora": {"rank": 7, "alpha": 7.0, "dropout": 0.5}}
+                 "lora": {"rank": 7, "alpha": 7.0, "dropout": 0.0}}
         # deleted keys, and the adapter and beta that cpt and sft do not read
         dead = ["block_size", "max_source_length", "max_target_length", "stage",
                 "lora", "beta"]
@@ -151,6 +151,27 @@ class TestValidateConfig:
         assert {key: dpo[key] for key in given} == dict(
             given, lora=dict(given["lora"], targets=M.LoraConfig().targets))
 
+    def test_left_out_lora_dropout_trains_as_the_shipped_zero(self, tmp_path):
+        # every shipped config sets lora.dropout to 0; leaving it out must
+        # train the same adapter bits, not a model no gate has checked
+        path = _write_config(tmp_path)
+        raw = json.loads(path.read_text("utf-8"))
+        stages = [cli.validate_config(path)[0].stages["sft"]]
+        del raw["stages"]["sft"]["lora"]["dropout"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        stages.append(cli.validate_config(path)[0].stages["sft"])
+        assert stages[1].lora.dropout == 0.0
+        vocab = M.build_vocab(["abcdQ:A:\n？。"])
+        params = M.init_params(M.ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=1,
+                                             n_heads=2, max_seq_len=16), np.random.default_rng(9))
+        examples = [D.SftExample(instruction="ab" * i + "？", output="cd。"[:i])
+                    for i in range(1, 4)]
+        adapters = [TR.run_stage(TR.TrainState(params=params, seed=0),
+                                 dataclasses.replace(stage, epochs=2, batch_size=2),
+                                 examples, vocab=vocab)[0].adapter.data.tobytes()
+                    for stage in stages]
+        assert adapters[0] == adapters[1]
+
 
 BAD_CONFIGS = [
     (("seed",), -1, "seed: must be an integer in [0, inf), got -1"),
@@ -166,7 +187,8 @@ BAD_CONFIGS = [
     (("data", "n_diseases"), 21, "data: n_diseases must be in [2, 20]"),
     (("data", "n_diseases"), 1, "data: n_diseases must be in [2, 20]"),
     (("stages", "sft", "lora", "rank"), 0, "stages.sft.lora: rank must be in [1, inf)"),
-    (("stages", "sft", "lora", "dropout"), 1.5, "stages.sft.lora: dropout must be in [0, 1)"),
+    (("stages", "sft", "lora", "dropout"), 1.5, "stages.sft.lora: dropout must be in [0, 0]"),
+    (("stages", "sft", "lora", "dropout"), 0.05, "stages.sft.lora: dropout must be in [0, 0]"),
     (("stages", "sft", "lora", "alpha"), float("nan"), "stages.sft.lora: alpha must be in (0, inf)"),
     (("stages", "sft", "lora", "alpha"), float("inf"), "stages.sft.lora: alpha must be in (0, inf)"),
     (("stages", "dpo", "lora", "alpha"), 0, "stages.dpo.lora: alpha must be in (0, inf)"),

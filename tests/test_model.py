@@ -55,6 +55,13 @@ class TestVocab:
         ids = [M.BOS] + M.encode(vocab, "ab") + [M.EOS]
         assert M.decode_text(vocab, ids) == "ab"
 
+    def test_decode_text_out_of_range(self):
+        # a negative id is neither dropped as special nor wrapped to the end
+        vocab = M.build_vocab(["ab"])
+        for bad in ([4, -1, 5], [99]):
+            with pytest.raises(VocabError, match=r"out of range \[0, 6\)"):
+                M.decode_text(vocab, bad)
+
     def test_save_load_roundtrip_with_newline_symbol(self, tmp_path):
         vocab = M.build_vocab(["a\nb\\c\r"])
         path = tmp_path / "vocab.txt"
@@ -767,20 +774,40 @@ class TestDecodePlan:
         # plus twice the graph forward's own error on it. Measured at most
         # 654, 187 and 704 eps32 above twice that error, and 888, 1,091 and
         # 7,133 eps32 off float64.
+        # The float64 copies of the same tables get the same bound in eps64
+        # of an extended-precision forward: there the float64 graph forward
+        # is up to 1,777, 685 and 805 eps64 off, and the decoder measured at
+        # most 370, 248 and 302 eps64 above twice that, and 686, 842 and 682
+        # eps64 off (2.33e-12 from the float64 graph forward, over the
+        # fixture's 1e-12).
         offsets = {"none": {}, "row": self._ROW_OFFSETS,
                    "large row": self._LARGE_ROW_OFFSETS}[offsets]
+        extended = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
         for seed in range(1000, 1200):
             params, adapter = self._random_tables(tiny_config, seed)
             self._add_row_offsets(tiny_config, params, offsets)
-            got = self._decode(tiny_config, params, adapter)
+            params64, adapter64 = oracles.float64_table(params), oracles.float64_table(adapter)
             with T.no_grad():
-                graph = M.forward_logits(params, adapter, self._TOKENS).data[self._ROWS]
-                want = M.forward_logits(oracles.float64_table(params),
-                                        oracles.float64_table(adapter),
-                                        self._TOKENS).data[self._ROWS]
-            eps32 = np.finfo(np.float32).eps * np.abs(want).max(axis=-1, keepdims=True)
-            bound = 1024 + 2 * (np.abs(graph - want) / eps32).max()
-            assert (np.abs(got - want) / eps32).max() <= bound, f"table seed {seed}"
+                graph32, graph64 = (M.forward_logits(p, a, self._TOKENS).data[self._ROWS]
+                                    for p, a in ((params, adapter), (params64, adapter64)))
+            cases = [(params, adapter, graph32, graph64)]
+            if extended:  # else long double is float64, and no reference for float64
+                cases.append((params64, adapter64, graph64, oracles.forward_logits_ref(
+                    params64, adapter64, self._TOKENS)[self._ROWS]))
+            for params, adapter, graph, want in cases:
+                got = self._decode(tiny_config, params, adapter)
+                eps = np.finfo(got.dtype).eps * np.abs(want).max(axis=-1, keepdims=True)
+                bound = 1024 + 2 * (np.abs(graph - want) / eps).max()
+                assert (np.abs(got - want) / eps).max() <= bound, f"{got.dtype} seed {seed}"
+
+    def test_long_double_reference_is_the_forward(self, tiny_config):
+        # the reference test_many_tables_against_float64 holds float64
+        # tables to, within the fixture's float64 bound of forward_logits
+        params, adapter = (oracles.float64_table(t) for t in self._random_tables(tiny_config, 11))
+        self._add_row_offsets(tiny_config, params, self._ROW_OFFSETS)
+        want = M.forward_logits(params, adapter, self._TOKENS).data
+        got = oracles.forward_logits_ref(params, adapter, self._TOKENS)
+        np.testing.assert_allclose(got.astype(np.float64), want, rtol=0, atol=1e-12)
 
     def test_slid_window_matches_full_forward(self, tiny_config, tables):
         # past max_seq_len generate_greedy re-encodes the last window on a

@@ -375,25 +375,22 @@ class TestDtypeContract:
     @pytest.mark.parametrize("stage", ["cpt", "sft", "dpo"])
     def test_step_runs_in_the_table_dtype(self, vocab, stage, dtype, monkeypatch):
         params = self._params(vocab, dtype)
-        train_rng = np.random.default_rng(1)
         if stage == "cpt":
             trainable = params
             loss = O.cpt_loss(params, None, [[0, 4, 5, 6, 7], [0, 8, 9]])
         else:
             params.set_requires_grad(False)
-            trainable = M.attach_lora(params, M.LoraConfig(dropout=0.1),
-                                      np.random.default_rng(2))
+            trainable = M.attach_lora(params, M.LoraConfig(), np.random.default_rng(2))
             if stage == "sft":
                 batch = [D.SftExample(instruction="ab？", output="cd。"),
                          D.SftExample(instruction="efgh？", output="药。")]
-                loss = O.sft_loss(params, trainable, batch, vocab, train_rng=train_rng)
+                loss = O.sft_loss(params, trainable, batch, vocab)
             else:
                 pairs = [D.PreferencePair(prompt="ab？", preferred="cd。", rejected="ef。"),
                          D.PreferencePair(prompt="g？", preferred="a药。", rejected="bcd。")]
                 reference = O.preference_margins(params, None, pairs, vocab)
                 assert reference.dtype == dtype
-                loss, rewards = O.dpo_loss(params, trainable, 0.1, pairs, vocab, reference,
-                                           train_rng=train_rng)
+                loss, rewards = O.dpo_loss(params, trainable, 0.1, pairs, vocab, reference)
                 assert rewards.dtype == dtype
         assert {node.data.dtype for node in self._graph(loss)} == {np.dtype(dtype)}
 

@@ -151,35 +151,6 @@ class TestGatherRows:
         assert np.array_equal(gt, oracles.gather_rows_grad_ref(table.shape, ids, g))
 
 
-class TestDropout:
-    def test_gradients(self, rng):
-        # a fresh generator per call draws the same keep mask every time
-        x = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
-
-        def fn(rate=0.3):
-            return T.tsum(T.log_sigmoid(T.dropout(x, rate, np.random.default_rng(7))))
-
-        assert fn().item() != fn(rate=0.0).item()
-        report = grad_check(fn, [x], tolerance=1e-6, n_samples=48)
-        assert not report["failures"]
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_kept_entries_are_scaled_the_others_zero(self, rng, dtype):
-        # rate 0.5: 1 / (1 - rate) is 2, exact in either dtype
-        x = rng.standard_normal((40, 16)).astype(dtype)
-        out = T.dropout(Tensor(x), 0.5, np.random.default_rng(3)).data
-        kept = np.random.default_rng(3).random(x.shape) >= 0.5
-        assert out.dtype == dtype
-        assert 0 < kept.sum() < kept.size
-        assert np.array_equal(out[kept], x[kept] / dtype(0.5))
-        assert np.all(out[~kept] == 0.0)
-
-    def test_identity_without_rate_or_generator(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
-        assert T.dropout(x, 0.5, None) is x
-
-
 class TestSoftmaxRows:
     """Row softmax, as exp of the log-probs logprob_sums picks, one column
     per call."""

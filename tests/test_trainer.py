@@ -75,7 +75,7 @@ class TestStageConfig:
             == (2e-4, 0.05, 0.01, 3)
         sft = TR.default_stage_config("sft")
         assert (sft.learning_rate, sft.weight_decay) == (2e-5, 0.05)
-        assert (sft.lora.rank, sft.lora.alpha, sft.lora.dropout) == (8, 32.0, 0.05)
+        assert (sft.lora.rank, sft.lora.alpha, sft.lora.dropout) == (8, 32.0, 0.0)
         dpo = TR.default_stage_config("dpo")
         assert (dpo.lora.rank, dpo.lora.alpha) == (8, 16.0)
 
@@ -273,21 +273,6 @@ class TestRunStage:
         assert m1 == m2
         for name, t in s1.params.named():
             assert np.array_equal(t.data, s2.params.tensors[name].data)
-
-    def test_seeded_sft_with_dropout_is_bit_reproducible(self, state, vocab):
-        # adapter dropout draws from the stage's random stream
-        examples = [D.SftExample(instruction="ab" * i + "？", output="cd。"[:i])
-                    for i in range(1, 4)]
-        runs = [TR.run_stage(TR.TrainState(params=state.params, seed=0),
-                             TR.StageConfig(stage="sft", learning_rate=0.01, warmup_ratio=0.0,
-                                            epochs=2, batch_size=2, seed=3,
-                                            lora=M.LoraConfig(dropout=rate)),
-                             examples, vocab=vocab)
-                for rate in (0.1, 0.1, 0.0)]
-        (s1, m1), (s2, m2), (s0, _) = runs
-        assert m1 == m2
-        assert s1.adapter.data.tobytes() == s2.adapter.data.tobytes()
-        assert not np.array_equal(s1.adapter.data, s0.adapter.data)  # dropout was drawn
 
     def test_metrics_csv_format(self, state, vocab, tmp_path):
         log = tmp_path / "metrics.csv"
